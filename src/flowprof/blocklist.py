@@ -13,10 +13,12 @@ with full-line '#' comments and '\\n' terminators.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
+    ADDRESS_CACHE_SIZE,
     AppSelector,
     CoapSelector,
     Direction,
@@ -250,6 +252,9 @@ def _port_ok(rule_port: Optional[int], flow_port: Optional[int]) -> bool:
     return rule_port is None or rule_port == flow_port
 
 
+_PACKET_TRANSPORTS = {t.value: t for t in Transport}
+
+
 def matches_packet(rules: RuleSet, packet: ParsedPacket, table: DnsTable,
                    topo: Topology) -> bool:
     """Packet-level verdict with endpoints resolved through the DNS table.
@@ -259,44 +264,49 @@ def matches_packet(rules: RuleSet, packet: ParsedPacket, table: DnsTable,
     question identity, so a rule with DNS matchers also matches the response
     paired to a matching query.
     """
-    if packet.transport not in (Transport.TCP.value, Transport.UDP.value):
+    transport = _PACKET_TRANSPORTS.get(packet.transport)
+    if transport is None:
         return False
     src_ref, dst_ref = name_endpoints(packet, table, topo)
-    transport = Transport(packet.transport)
+    forward = (src_ref, packet.src_addr, packet.src_port,
+               dst_ref, packet.dst_addr, packet.dst_port)
+    backward = (dst_ref, packet.dst_addr, packet.dst_port,
+                src_ref, packet.src_addr, packet.src_port)
     for rule in rules:
         if rule.transport is not transport:
             continue
         if not _matchers_hit(rule.matchers, packet.app):
             continue
-        orientations = [
-            (src_ref, packet.src_addr, packet.src_port,
-             dst_ref, packet.dst_addr, packet.dst_port)
-        ]
-        if rule.direction is Direction.BIDIRECTIONAL:
-            orientations.append(
-                (dst_ref, packet.dst_addr, packet.dst_port,
-                 src_ref, packet.src_addr, packet.src_port)
-            )
-        for iref, iaddr, iport, rref, raddr, rport in orientations:
-            if (
-                _host_hits(rule.init_host, iref, iaddr)
-                and _host_hits(rule.resp_host, rref, raddr)
-                and _port_ok(rule.init_port, iport)
-                and _port_ok(rule.resp_port, rport)
-            ):
-                return True
+        if _rule_hits_endpoints(rule, *forward):
+            return True
+        if rule.direction is Direction.BIDIRECTIONAL \
+                and _rule_hits_endpoints(rule, *backward):
+            return True
     return False
+
+
+def _rule_hits_endpoints(rule: Rule, iref: HostRef, iaddr: str, iport,
+                         rref: HostRef, raddr: str, rport) -> bool:
+    return (_port_ok(rule.init_port, iport)
+            and _port_ok(rule.resp_port, rport)
+            and _host_hits(rule.init_host, iref, iaddr)
+            and _host_hits(rule.resp_host, rref, raddr))
 
 
 def _host_hits(rule_host: HostRef, ref: HostRef, raw_addr: str) -> bool:
     if rule_host == ref:
         return True
-    if rule_host.kind is HostKind.ADDRESS:
-        try:
-            return HostRef.address(raw_addr) == rule_host
-        except ValueError:
-            return False
-    return False
+    return rule_host.kind is HostKind.ADDRESS and \
+        _address_ref(raw_addr) == rule_host
+
+
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
+def _address_ref(raw_addr: str) -> Optional[HostRef]:
+    """HostRef.address(raw_addr), or None when it is no unicast literal."""
+    try:
+        return HostRef.address(raw_addr)
+    except ValueError:
+        return None
 
 
 # -- text grammar -----------------------------------------------------------------

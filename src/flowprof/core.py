@@ -8,6 +8,7 @@ as the on-disk representation inside signature and tree files.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import logging
@@ -25,6 +26,11 @@ _LABEL_RE = re.compile(r"^[a-z0-9_-]+$")
 _QTYPE_RE = re.compile(r"^[A-Z][A-Z0-9]*$")
 _METHOD_RE = re.compile(r"^[A-Z]+$")
 _COAP_CODE_RE = re.compile(r"^([A-Z]+|\d\.\d\d)$")
+
+# Entries kept by each per-address memo on the packet path.  A capture set
+# names a few dozen addresses; the bound only matters for inputs that touch
+# thousands of hosts, where the least recently used entries are dropped.
+ADDRESS_CACHE_SIZE = 4096
 
 
 def is_valid_domain(name: str) -> bool:
@@ -384,13 +390,7 @@ class Topology:
                     log.warning("local prefixes %s and %s overlap", a, b)
 
     def is_local(self, addr: str) -> bool:
-        try:
-            ip = ipaddress.ip_address(addr)
-        except ValueError:
-            return False
-        return any(
-            ip.version == net.version and ip in net for net in self._networks
-        )
+        return _is_local(self._networks, addr)
 
     def role_of(self, addr: str) -> Optional[str]:
         for name in ROLES:
@@ -419,6 +419,15 @@ class Topology:
             gateway_addr=obj["gateway"],
             local_prefixes=tuple(obj.get("local_prefixes", ("192.168.0.0/16",))),
         )
+
+
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
+def _is_local(networks: tuple, addr: str) -> bool:
+    try:
+        ip = ipaddress.ip_address(addr)
+    except ValueError:
+        return False
+    return any(ip.version == net.version and ip in net for net in networks)
 
 
 # -- canonical orientation ----------------------------------------------------

@@ -8,11 +8,13 @@ as a ParsedPacket, degrading to an opaque transport token instead of raising.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import struct
 from dataclasses import dataclass, replace
 
 from .core import (
+    ADDRESS_CACHE_SIZE,
     BROADCAST_ADDR,
     CoapSelector,
     DnsSelector,
@@ -43,6 +45,7 @@ LINKTYPE_ETHERNET = 1
 
 _GLOBAL_LE = struct.Struct("<IHHiIII")
 _REC_LE = struct.Struct("<IIII")
+_IPV4_HEADER_WORDS = struct.Struct(">10H")
 
 ETH_IPV4 = 0x0800
 ETH_IPV6 = 0x86DD
@@ -173,8 +176,8 @@ def _dissect_arp(frame: bytes, ts_us: int) -> ParsedPacket:
     src = dst = ""
     # hardware/protocol sizes at offsets 4/5; IPv4-over-Ethernet layout only.
     if len(body) >= 28 and body[4] == 6 and body[5] == 4:
-        src = str(ipaddress.ip_address(body[14:18]))
-        dst = str(ipaddress.ip_address(body[24:28]))
+        src = _addr_text(bytes(body[14:18]))
+        dst = _addr_text(bytes(body[24:28]))
     return ParsedPacket(
         ts_us=ts_us, src_addr=src, dst_addr=dst, transport="arp",
         wire_len=len(frame), control_plane=True,
@@ -192,8 +195,8 @@ def _dissect_ipv4(frame: bytes, ts_us: int) -> ParsedPacket:
     total_len = int.from_bytes(ip[2:4], "big")
     frag = int.from_bytes(ip[6:8], "big")
     proto = ip[9]
-    src = str(ipaddress.ip_address(ip[12:16]))
-    dst = str(ipaddress.ip_address(ip[16:20]))
+    src = _addr_text(bytes(ip[12:16]))
+    dst = _addr_text(bytes(ip[16:20]))
     if frag & 0x1FFF:
         # Later fragment: no transport header; reassembly is out of scope.
         return ParsedPacket(
@@ -211,8 +214,8 @@ def _dissect_ipv6(frame: bytes, ts_us: int) -> ParsedPacket:
     if len(ip) < 40 or (ip[0] >> 4) != 6:
         return _opaque(frame, ts_us, "ipv6-bad")
     nxt = ip[6]
-    src = str(ipaddress.ip_address(ip[8:24]))
-    dst = str(ipaddress.ip_address(ip[24:40]))
+    src = _addr_text(bytes(ip[8:24]))
+    dst = _addr_text(bytes(ip[24:40]))
     pos = 40
     # Walk simple extension headers; fragments degrade like IPv4.
     for _ in range(8):
@@ -231,6 +234,12 @@ def _dissect_ipv6(frame: bytes, ts_us: int) -> ParsedPacket:
             break
     payload = ip[pos:]
     return _dissect_l4(frame, ts_us, nxt, src, dst, payload, icmp6=True)
+
+
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
+def _addr_text(packed: bytes) -> str:
+    """Textual form of a 4- or 16-byte packed address."""
+    return str(ipaddress.ip_address(packed))
 
 
 def _opaque(frame, ts_us, token, src="", dst=""):
@@ -473,10 +482,8 @@ def _parse_dns(payload: bytes):
             pos += rdlen
             if not is_valid_domain(rname):
                 continue
-            if rtype == 1 and rdlen == 4:
-                answers.append((rname, str(ipaddress.ip_address(rdata))))
-            elif rtype == 28 and rdlen == 16:
-                answers.append((rname, str(ipaddress.ip_address(rdata))))
+            if (rtype, rdlen) in ((1, 4), (28, 16)):
+                answers.append((rname, _addr_text(bytes(rdata))))
     return (selector, tuple(answers))
 
 
@@ -578,21 +585,68 @@ def write_pcap(trace: Trace, topo: Topology = None) -> bytes:
     return bytes(out)
 
 
+# Frame lengths of the fixed-size control frames _synth_arp and _synth_icmp
+# build: Ethernet header plus ARP body, or IP header plus an 8-byte echo.
+_FIXED_FRAME_LEN = {"arp": 14 + 28, "icmp": 14 + 20 + 8, "icmpv6": 14 + 40 + 8}
+
+
 def frame_len(pkt: ParsedPacket, topo: Topology = None) -> int:
-    """Length of the frame write_pcap would emit before wire_len padding."""
-    return len(_synth_frame(replace(pkt, wire_len=0), topo))
+    """Length of the frame write_pcap would emit for `pkt` before wire_len
+    padding (pkt.wire_len is ignored), computed without building the frame.
+
+    TCP/UDP frames are Ethernet + IP + transport header + the synthesized
+    payload, where an empty UDP payload outside the control plane becomes one
+    byte; ARP and ICMP frames have fixed lengths.  Raises what write_pcap
+    raises for unresolvable hosts and mixed address families.
+    """
+    fixed = _FIXED_FRAME_LEN.get(pkt.transport)
+    if fixed is not None:
+        return fixed
+    if pkt.transport not in ("tcp", "udp"):
+        raise ValueError(f"cannot synthesize transport {pkt.transport!r}")
+    src = _resolve_addr(pkt.src_addr, topo)
+    if src.version != _resolve_addr(pkt.dst_addr, topo).version:
+        raise ValueError("mixed address families in one packet")
+    payload = len(_synth_payload(pkt))
+    if not payload and not pkt.control_plane and pkt.transport == "udp":
+        payload = 1
+    return _headers_len(pkt.transport, src.version) + payload
 
 
-def _resolve_addr(raw: str, topo: Topology):
-    try:
-        return ipaddress.ip_address(raw)
-    except ValueError:
-        pass
+def _headers_len(transport: str, version: int) -> int:
+    """Ethernet, IP and TCP/UDP header bytes of a synthesized frame."""
+    return 14 + (20 if version == 4 else 40) + (20 if transport == "tcp" else 8)
+
+
+class _Endpoint:
+    """What frame synthesis needs of one address."""
+
+    # a plain slotted class: a namedtuple's generated code costs more memory
+    __slots__ = ("version", "packed", "mac")
+
+    def __init__(self, version: int, packed: bytes, mac: bytes):
+        self.version = version
+        self.packed = packed
+        self.mac = mac
+
+
+def _resolve_addr(raw: str, topo: Topology) -> _Endpoint:
     if raw in ROLES:
         if topo is None:
             raise UnresolvedHost(f"role {raw!r} has no topology binding")
-        return ipaddress.ip_address(topo.addr_of(raw))
-    raise UnresolvedHost(f"cannot resolve host {raw!r} to an address")
+        return _endpoint(topo.addr_of(raw))
+    try:
+        return _endpoint(raw)
+    except ValueError:
+        raise UnresolvedHost(
+            f"cannot resolve host {raw!r} to an address") from None
+
+
+@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
+def _endpoint(literal: str) -> _Endpoint:
+    """Parse an address literal once; raises ValueError if it is none."""
+    addr = ipaddress.ip_address(literal)
+    return _Endpoint(addr.version, addr.packed, _mac_for(addr))
 
 
 def _mac_for(addr) -> bytes:
@@ -609,9 +663,8 @@ def _mac_for(addr) -> bytes:
 
 
 def _ipv4_checksum(header: bytes) -> int:
-    total = 0
-    for i in range(0, len(header), 2):
-        total += int.from_bytes(header[i:i + 2], "big")
+    """Internet checksum of a 20-byte IPv4 header."""
+    total = sum(_IPV4_HEADER_WORDS.unpack(header))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
@@ -629,9 +682,7 @@ def _synth_frame(pkt: ParsedPacket, topo: Topology) -> bytes:
     if src.version != dst.version:
         raise ValueError("mixed address families in one packet")
     payload = _synth_payload(pkt)
-    l4_overhead = 20 if pkt.transport == "tcp" else 8
-    ip_overhead = 20 if src.version == 4 else 40
-    want = pkt.wire_len - 14 - ip_overhead - l4_overhead
+    want = pkt.wire_len - _headers_len(pkt.transport, src.version)
     if len(payload) < want:
         pad = want - len(payload)
         if isinstance(pkt.app, CoapSelector):
@@ -667,9 +718,7 @@ def _synth_frame(pkt: ParsedPacket, topo: Topology) -> bytes:
             ">IHBB16s16s", 0x60000000, len(l4), proto, 64, src.packed, dst.packed
         )
         ethertype = ETH_IPV6
-    return (
-        _mac_for(dst) + _mac_for(src) + ethertype.to_bytes(2, "big") + header + l4
-    )
+    return dst.mac + src.mac + ethertype.to_bytes(2, "big") + header + l4
 
 
 def _synth_arp(pkt: ParsedPacket, topo: Topology) -> bytes:
@@ -679,9 +728,9 @@ def _synth_arp(pkt: ParsedPacket, topo: Topology) -> bytes:
         raise ValueError("ARP synthesis needs IPv4 endpoints")
     body = struct.pack(
         ">HHBBH6s4s6s4s", 1, ETH_IPV4, 6, 4, 1,
-        _mac_for(src), src.packed, b"\x00" * 6, dst.packed,
+        src.mac, src.packed, b"\x00" * 6, dst.packed,
     )
-    return b"\xff" * 6 + _mac_for(src) + ETH_ARP.to_bytes(2, "big") + body
+    return b"\xff" * 6 + src.mac + ETH_ARP.to_bytes(2, "big") + body
 
 
 def _synth_icmp(pkt: ParsedPacket, topo: Topology) -> bytes:
@@ -694,10 +743,7 @@ def _synth_icmp(pkt: ParsedPacket, topo: Topology) -> bytes:
         header = struct.pack(
             ">IHBB16s16s", 0x60000000, len(body), 58, 64, src.packed, dst.packed
         )
-        return (
-            _mac_for(dst) + _mac_for(src) + ETH_IPV6.to_bytes(2, "big")
-            + header + body
-        )
+        return dst.mac + src.mac + ETH_IPV6.to_bytes(2, "big") + header + body
     if src.version != 4:
         raise ValueError("icmp needs IPv4 endpoints")
     body = struct.pack(">BBHI", 8, 0, 0, 0)
@@ -707,9 +753,7 @@ def _synth_icmp(pkt: ParsedPacket, topo: Topology) -> bytes:
     )
     checksum = _ipv4_checksum(header)
     header = header[:10] + checksum.to_bytes(2, "big") + header[12:]
-    return (
-        _mac_for(dst) + _mac_for(src) + ETH_IPV4.to_bytes(2, "big") + header + body
-    )
+    return dst.mac + src.mac + ETH_IPV4.to_bytes(2, "big") + header + body
 
 
 def _synth_payload(pkt: ParsedPacket) -> bytes:
@@ -753,7 +797,7 @@ def _synth_dns(app: DnsSelector, answers: tuple) -> bytes:
     msg += _encode_dns_name(app.qname)
     msg += struct.pack(">HH", qtype_code, 1)
     for name, addr in answers:
-        ip = ipaddress.ip_address(addr)
+        ip = _endpoint(addr)
         rtype = 1 if ip.version == 4 else 28
         msg += _encode_dns_name(name)
         msg += struct.pack(">HHIH", rtype, 1, 300, len(ip.packed))

@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .core import (
+    ADDRESS_CACHE_SIZE,
     BROADCAST_ADDR,
     AppSelector,
     Direction,
@@ -54,6 +55,9 @@ class DnsTable:
     Entries come from DNS A/AAAA answers and TLS SNI observations; the latest
     observation wins.  Only non-local unicast addresses are ever inserted.
     Construction is a sequential fold over packets in timestamp order.
+
+    The table also memoizes how it names each address under its own
+    topology; any insert that adds or changes a mapping clears the memo.
     """
 
     def __init__(self, topo: Topology, seed_source: SeedSource = SeedSource.EMPTY,
@@ -61,10 +65,13 @@ class DnsTable:
         self.topo = topo
         self.seed_source = seed_source
         self.entries: dict = {}
+        self._names: dict = {}  # raw address -> HostRef under self.topo
         for addr, name in (entries or {}).items():
             self._insert(addr, name)
 
     def _insert(self, addr: str, name: str) -> None:
+        if addr in self.entries and self.entries[addr] == name:
+            return  # keys are already normalized non-local unicast addresses
         try:
             ip = ipaddress.ip_address(addr)
         except ValueError:
@@ -72,7 +79,9 @@ class DnsTable:
         addr = str(ip)
         if ip.is_multicast or addr == BROADCAST_ADDR or self.topo.is_local(addr):
             return
-        self.entries[addr] = name
+        if addr not in self.entries or self.entries[addr] != name:
+            self.entries[addr] = name
+            self._names.clear()
 
     def update(self, packet: ParsedPacket) -> None:
         """Fold one packet: DNS answers map address->qname owner, SNI maps
@@ -96,6 +105,14 @@ class DnsTable:
     def lookup(self, addr: str) -> Optional[str]:
         return self.entries.get(addr)
 
+    def _name(self, addr: str) -> HostRef:
+        ref = self._names.get(addr)
+        if ref is None:
+            if len(self._names) >= ADDRESS_CACHE_SIZE:
+                self._names.clear()
+            ref = self._names[addr] = _name_addr(addr, self, self.topo)
+        return ref
+
 
 def update_table(table: DnsTable, packet: ParsedPacket) -> DnsTable:
     table.update(packet)
@@ -106,15 +123,18 @@ def name_endpoints(packet: ParsedPacket, table: DnsTable,
                    topo: Topology) -> tuple:
     """(src_ref, dst_ref) for a packet: broadcast/multicast refs, role refs
     for the three local roles, table-named domains, else address literals."""
+    if topo is table.topo:
+        return table._name(packet.src_addr), table._name(packet.dst_addr)
     return (_name_addr(packet.src_addr, table, topo),
             _name_addr(packet.dst_addr, table, topo))
 
 
 def _name_addr(addr: str, table: DnsTable, topo: Topology) -> HostRef:
-    norm = str(ipaddress.ip_address(addr))
+    ip = ipaddress.ip_address(addr)
+    norm = str(ip)
     if norm == BROADCAST_ADDR:
         return HostRef.broadcast()
-    if ipaddress.ip_address(norm).is_multicast:
+    if ip.is_multicast:
         return HostRef.multicast(norm)
     role = topo.role_of(norm)
     if role is not None:

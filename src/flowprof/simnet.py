@@ -10,6 +10,7 @@ symbolically, never touching packets or RNG.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import random
@@ -352,38 +353,50 @@ def active_flows(model: DeviceModel, rules: RuleSet) -> List[str]:
     return [spec.id for spec in model.flows if _guard_ok(spec, blocked)]
 
 
-def _capture_flows(model: DeviceModel, rules: RuleSet, rng: random.Random):
+def _capture_flows(model: DeviceModel, blocked: Dict[str, bool],
+                   rng: random.Random):
     """Shared emission logic: noise Bernoulli draws happen first, in
     declaration order, so packet-level draws never shift them."""
-    blocked = _blocked_map(model, rules)
     draws = [rng.random() for _ in model.noise]
     active = [spec for spec in model.flows if _guard_ok(spec, blocked)]
     fired = [spec for spec, draw in zip(model.noise, draws)
              if draw < spec.p and _guard_ok(spec, blocked)]
     emitted = active + fired
     delivered = frozenset(s.id for s in emitted if not blocked[s.id])
-    return blocked, emitted, delivered
+    return emitted, delivered
 
 
 def capture_emission(model: DeviceModel, rules: RuleSet, seed: int):
     """(emitted flow ids, delivered flow ids, success) without building
     packets; mirrors run_capture's draws exactly."""
-    _, emitted, delivered = _capture_flows(model, rules, random.Random(seed))
+    emitted, delivered = _capture_flows(model, _blocked_map(model, rules),
+                                        random.Random(seed))
     return (frozenset(s.id for s in emitted), delivered,
             eval_success(model.success, delivered))
 
 
+@functools.lru_cache(maxsize=1)
+def _experiment_plan(model: DeviceModel, rules: RuleSet) -> tuple:
+    """(blocked map, DNS table, ARP dressing) shared by the captures of one
+    experiment, which run back to back: all three depend on the model and
+    the deny list only, and run_capture never mutates them."""
+    return _blocked_map(model, rules), model_table(model), _arp_dressing(model)
+
+
 def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
     rng = random.Random(seed)
-    blocked, emitted, delivered = _capture_flows(model, rules, rng)
-    packets = _arp_dressing(model)
+    blocked, table, arp = _experiment_plan(model, rules)
+    emitted, delivered = _capture_flows(model, blocked, rng)
+    packets = list(arp)
     for spec in emitted:
         if blocked[spec.id]:
             continue
         packets.extend(_emit_flow(model, spec, rng))
     packets.sort(key=lambda p: p.ts_us)
     packets = _strictly_increasing(packets)
-    table = model_table(model)
+    # Not redundant with skipping blocked specs: `blocked` compares whole
+    # flows, direction included, so a uni rule never blocks a bi flow on the
+    # same endpoints, yet it matches that flow's packets in its own direction.
     packets = [p for p in packets
                if not matches_packet(rules, p, table, model.topology)]
     trace = Trace(packets=tuple(packets), capture_duration=CAPTURE_SECONDS,
@@ -430,26 +443,22 @@ def _answers_for(model: DeviceModel, sel: DnsSelector) -> tuple:
     if sel.qtype not in ("A", "AAAA"):
         return ()
     want_v6 = sel.qtype == "AAAA"
-    out = []
-    for rec_name, ip in model.dns_records:
-        if rec_name == sel.qname:
-            if ipaddress.ip_address(ip).version == (6 if want_v6 else 4):
-                out.append((rec_name, ip))
-    return tuple(out)
+    # record addresses are normalized literals: only IPv6 ones hold a colon
+    return tuple((rec_name, ip) for rec_name, ip in model.dns_records
+                 if rec_name == sel.qname and (":" in ip) == want_v6)
 
 
-def _arp_dressing(model: DeviceModel) -> list:
+def _arp_dressing(model: DeviceModel) -> tuple:
     topo = model.topology
     pairs = [(topo.device_addr, topo.gateway_addr, 10_000),
              (topo.phone_addr, topo.device_addr, 20_000)]
     out = []
     for src, dst, offset in pairs:
-        pkt = ParsedPacket(
-            ts_us=BASE_TS_US + offset, src_addr=src, dst_addr=dst,
-            src_port=None, dst_port=None, transport="arp", app=None,
-            dns_answers=(), sni=None, wire_len=0, control_plane=True)
-        out.append(replace(pkt, wire_len=frame_len(pkt)))
-    return out
+        fields = dict(ts_us=BASE_TS_US + offset, src_addr=src, dst_addr=dst,
+                      transport="arp", control_plane=True)
+        out.append(ParsedPacket(**fields,
+                                wire_len=frame_len(ParsedPacket(**fields))))
+    return tuple(out)
 
 
 def _emit_flow(model: DeviceModel, spec: FlowSpec,
@@ -480,7 +489,7 @@ def _emit_flow(model: DeviceModel, spec: FlowSpec,
         answers = ()
         if is_dns and not forward:
             answers = _answers_for(model, flow.app)
-        pkt = ParsedPacket(
+        fields = dict(
             ts_us=ts,
             src_addr=init_addr if forward else resp_addr,
             dst_addr=resp_addr if forward else init_addr,
@@ -490,15 +499,14 @@ def _emit_flow(model: DeviceModel, spec: FlowSpec,
             app=flow.app,
             dns_answers=answers,
             sni=sni if (forward and k == 0) else None,
-            wire_len=0,
             control_plane=False,
             tcp_flags=(TCP_PSH | TCP_ACK) if transport == "tcp" else None,
         )
         size = spec.shape.sizes[k % len(spec.shape.sizes)]
         overhead = 14 + _ip_overhead(init_addr) + (20 if transport == "tcp"
                                                    else 8)
-        pkt = replace(pkt, wire_len=max(frame_len(pkt), overhead + size))
-        data.append(pkt)
+        wire_len = max(frame_len(ParsedPacket(**fields)), overhead + size)
+        data.append(ParsedPacket(**fields, wire_len=wire_len))
 
     if transport != "tcp":
         return data
@@ -506,7 +514,7 @@ def _emit_flow(model: DeviceModel, spec: FlowSpec,
 
 
 def _ip_overhead(addr: str) -> int:
-    return 20 if ipaddress.ip_address(addr).version == 4 else 40
+    return 40 if ":" in addr else 20
 
 
 def _tcp_dressing(data: list) -> list:
@@ -514,8 +522,8 @@ def _tcp_dressing(data: list) -> list:
     first, last = data[0], data[-1]
     step = 5_000  # microseconds
 
-    def ctrl(template: ParsedPacket, ts: int, flags: int,
-             forward: bool) -> ParsedPacket:
+    def ctrl(template: ParsedPacket, ts: int, flags: int, forward: bool,
+             wire_len: int = 0) -> ParsedPacket:
         return ParsedPacket(
             ts_us=ts,
             src_addr=template.src_addr if forward else template.dst_addr,
@@ -523,21 +531,21 @@ def _tcp_dressing(data: list) -> list:
             src_port=template.src_port if forward else template.dst_port,
             dst_port=template.dst_port if forward else template.src_port,
             transport="tcp", app=None, dns_answers=(), sni=None,
-            wire_len=0, control_plane=True, tcp_flags=flags,
+            wire_len=wire_len, control_plane=True, tcp_flags=flags,
         )
 
+    # every control segment is bare headers of the flow's address family
+    size = frame_len(ctrl(first, 0, TCP_ACK, True))
     shake = [
-        ctrl(first, first.ts_us - 3 * step, TCP_SYN, True),
-        ctrl(first, first.ts_us - 2 * step, TCP_SYN | TCP_ACK, False),
-        ctrl(first, first.ts_us - step, TCP_ACK, True),
+        ctrl(first, first.ts_us - 3 * step, TCP_SYN, True, size),
+        ctrl(first, first.ts_us - 2 * step, TCP_SYN | TCP_ACK, False, size),
+        ctrl(first, first.ts_us - step, TCP_ACK, True, size),
     ]
     close = [
-        ctrl(last, last.ts_us + step, TCP_FIN | TCP_ACK, True),
-        ctrl(last, last.ts_us + 2 * step, TCP_ACK, False),
+        ctrl(last, last.ts_us + step, TCP_FIN | TCP_ACK, True, size),
+        ctrl(last, last.ts_us + 2 * step, TCP_ACK, False, size),
     ]
-    out = shake + data + close
-    return [p if p.wire_len else replace(p, wire_len=frame_len(p))
-            for p in out]
+    return shake + data + close
 
 
 def _strictly_increasing(packets: list) -> list:

@@ -1,4 +1,6 @@
+import ipaddress
 import json
+import types
 
 import pytest
 
@@ -6,15 +8,20 @@ from flowprof import (
     CoapSelector,
     Direction,
     DnsSelector,
+    DnsTable,
     FlowId,
     HostKind,
     HostRef,
     HttpSelector,
+    ParsedPacket,
     Topology,
     Transport,
     canonicalize,
+    name_endpoints,
     sorted_flows,
 )
+from flowprof import blocklist, core, pcapio, signature, simnet
+from flowprof.core import ADDRESS_CACHE_SIZE
 
 
 # -- host references ---------------------------------------------------------
@@ -208,3 +215,53 @@ def test_topology_rejects_bad_layouts():
 
 def test_topology_obj_round_trip(topo):
     assert Topology.from_obj(topo.to_obj()) == topo
+
+
+# -- per-address memos -----------------------------------------------------------
+
+
+def test_every_memo_has_a_fixed_bound():
+    memos = [obj for module in (core, pcapio, signature, blocklist, simnet)
+             for obj in vars(module).values() if hasattr(obj, "cache_info")]
+    assert len(memos) >= 5
+    assert all(memo.cache_info().maxsize is not None for memo in memos)
+
+
+def test_address_memos_stay_within_their_bound(topo):
+    table = DnsTable(topo)
+    for i in range(ADDRESS_CACHE_SIZE + 100):
+        ip = ipaddress.IPv4Address(0x34000000 + i)
+        addr = str(ip)
+        topo.is_local(addr)
+        pcapio._endpoint(addr)
+        pcapio._addr_text(ip.packed)
+        blocklist._address_ref(addr)
+        name_endpoints(ParsedPacket(ts_us=0, src_addr=addr, dst_addr=addr),
+                       table, topo)
+    for memo in (core._is_local, pcapio._endpoint, pcapio._addr_text,
+                 blocklist._address_ref):
+        info = memo.cache_info()
+        assert info.maxsize == ADDRESS_CACHE_SIZE
+        assert info.currsize <= info.maxsize
+    assert len(table._names) <= ADDRESS_CACHE_SIZE
+
+
+def test_memo_misses_parse_through_the_module_attribute(topo, monkeypatch):
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return ipaddress.ip_address(text)
+
+    counting = types.SimpleNamespace(**{**vars(ipaddress),
+                                        "ip_address": counted})
+    for module in (core, pcapio, signature):
+        monkeypatch.setattr(module, "ipaddress", counting)
+    for memo in (core._is_local, pcapio._endpoint, pcapio._addr_text):
+        memo.cache_clear()
+    fresh = "52.9.8.7"
+    for _ in range(3):
+        topo.is_local(fresh)
+        pcapio._endpoint(fresh)
+        pcapio._addr_text(ipaddress.IPv4Address(fresh).packed)
+    assert len(calls) == 3  # one real parse per memo, then hits

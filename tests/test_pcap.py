@@ -1,21 +1,28 @@
 import struct
+from dataclasses import replace
 
 import pytest
 
+from conftest import MODEL_DIR
 from flowprof import (
     CoapSelector,
     DnsSelector,
     HttpSelector,
     MalformedHeader,
     ParsedPacket,
+    RuleSet,
     Trace,
     TruncatedRecord,
+    compile_rules,
     dissect,
     filter_control_plane,
+    load_model,
+    oracle_tree,
     read_pcap,
+    run_capture,
     write_pcap,
 )
-from flowprof.pcapio import TCP_ACK, TCP_PSH, TCP_SYN
+from flowprof.pcapio import TCP_ACK, TCP_PSH, TCP_SYN, _synth_frame, frame_len
 
 
 def _round_trip(pkt: ParsedPacket) -> ParsedPacket:
@@ -204,3 +211,19 @@ def test_filter_control_plane_keeps_data_only():
     trace = Trace(packets=(syn, data))
     kept = filter_control_plane(trace)
     assert kept.packets == (data,)
+
+
+# -- frame length ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", sorted(MODEL_DIR.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_frame_len_matches_the_synthesized_frame(path):
+    model = load_model(path)
+    tree = oracle_tree(model)
+    first_level = [tree.node(h).flow for h in tree.node(tree.root).children]
+    for rules in [RuleSet()] + [compile_rules([f]) for f in first_level]:
+        for seed in range(5):
+            for pkt in run_capture(model, rules, seed).trace.packets:
+                frame = _synth_frame(replace(pkt, wire_len=0), model.topology)
+                assert frame_len(pkt, model.topology) == len(frame)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from flowprof import (
     FlowId,
     HostRef,
     HttpSelector,
+    ParsedPacket,
     SigTree,
     Transport,
     canonicalize,
@@ -20,6 +22,7 @@ from flowprof import (
     sorted_flows,
 )
 from flowprof.blocklist import parse as parse_rules
+from flowprof.pcapio import _synth_frame, frame_len
 
 HOSTS = st.sampled_from([
     HostRef.role("device"),
@@ -147,3 +150,41 @@ def test_tree_export_import_identity(data):
     clone = SigTree.import_json(blob)
     assert clone.export_json() == blob
     assert clone.stats() == tree.stats()
+
+
+V4 = st.ip_addresses(v=4).map(str)
+V6 = st.ip_addresses(v=6).map(str)
+
+
+@st.composite
+def synthesizable_packets(draw):
+    """Packets write_pcap can build: TCP/UDP over IPv4 or IPv6 with every
+    payload kind (none, DNS with or without answers, HTTP, CoAP, TLS SNI),
+    ARP over IPv4, ICMP and ICMPv6, control plane or not, any wire_len."""
+    transport = draw(st.sampled_from(["tcp", "udp", "arp", "icmp", "icmpv6"]))
+    app, answers, sni = None, (), None
+    if transport in ("tcp", "udp"):
+        app = draw(apps())
+        if isinstance(app, DnsSelector):
+            transport = "udp"
+            answers = tuple(draw(st.lists(
+                st.tuples(QNAMES, st.one_of(V4, V6)), max_size=3)))
+        elif app is None and transport == "tcp":
+            sni = draw(st.one_of(st.none(), QNAMES))
+        addrs = draw(st.sampled_from([V4, V6]))
+    else:
+        addrs = V6 if transport == "icmpv6" else V4
+    return ParsedPacket(
+        ts_us=0, src_addr=draw(addrs), dst_addr=draw(addrs),
+        src_port=draw(PORTS), dst_port=draw(PORTS), transport=transport,
+        app=app, dns_answers=answers, sni=sni,
+        wire_len=draw(st.integers(0, 1600)),
+        control_plane=draw(st.booleans()),
+        tcp_flags=draw(st.one_of(st.none(), st.integers(0, 255)))
+        if transport == "tcp" else None,
+    )
+
+
+@given(synthesizable_packets())
+def test_frame_len_is_the_unpadded_synthesized_length(pkt):
+    assert frame_len(pkt) == len(_synth_frame(replace(pkt, wire_len=0), None))

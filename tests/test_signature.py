@@ -10,6 +10,7 @@ from flowprof import (
     HostRef,
     ParsedPacket,
     SeedSource,
+    Topology,
     Trace,
     Transport,
     accept_signature,
@@ -90,6 +91,46 @@ def test_name_endpoints_covers_all_kinds(topo):
     assert dst.token() == "multicast:224.0.0.251"
     src, dst = name_endpoints(_pkt(GATEWAY, "8.8.8.8"), table, topo)
     assert (src.token(), dst.token()) == ("gateway", "ip:8.8.8.8")
+
+
+def _answer(name, addr=CLOUD):
+    return _pkt(GATEWAY, DEVICE, 53, 50000,
+                app=DnsSelector(qtype="A", qname=name),
+                dns_answers=((name, addr),))
+
+
+def test_naming_follows_each_table_update(topo):
+    table = DnsTable(topo)
+    to_cloud = _pkt(DEVICE, CLOUD, 49321, 443, transport="tcp")
+    assert name_endpoints(to_cloud, table, topo)[1] == HostRef.address(CLOUD)
+    table.update(_answer("old.example"))
+    assert name_endpoints(to_cloud, table, topo)[1] == \
+        HostRef.domain("old.example")
+    table.update(_answer("new.example"))  # latest wins
+    assert name_endpoints(to_cloud, table, topo)[1] == \
+        HostRef.domain("new.example")
+
+
+def test_naming_follows_updates_for_every_spelling_of_an_address(topo):
+    table = DnsTable(topo)
+    spelled = _pkt(DEVICE, "2001:DB8:0:0::10")
+    assert name_endpoints(spelled, table, topo)[1] == \
+        HostRef.address("2001:db8::10")
+    table.update(_answer("v6.example", "2001:db8::10"))
+    assert name_endpoints(spelled, table, topo)[1] == \
+        HostRef.domain("v6.example")
+
+
+def test_naming_under_another_topology_is_not_the_tables(topo):
+    table = DnsTable(topo, SeedSource.MODEL_RECORDS, {CLOUD: "a.example"})
+    packet = _pkt(DEVICE, CLOUD)
+    assert name_endpoints(packet, table, topo) == (
+        HostRef.role("device"), HostRef.domain("a.example"))
+    moved = Topology(device_addr="192.168.1.99", phone_addr=PHONE,
+                     gateway_addr=GATEWAY, local_prefixes=("192.168.1.0/24",))
+    assert name_endpoints(packet, table, moved) == (
+        HostRef.address(DEVICE), HostRef.domain("a.example"))
+    assert name_endpoints(packet, table, topo)[0] == HostRef.role("device")
 
 
 # -- aggregation -------------------------------------------------------------------

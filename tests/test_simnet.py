@@ -4,6 +4,8 @@ import json
 import pytest
 
 from flowprof import (
+    Direction,
+    DnsTable,
     GuardCycle,
     RuleSet,
     SchemaError,
@@ -11,9 +13,12 @@ from flowprof import (
     UnknownFlowRef,
     UnresolvedDomain,
     active_flows,
+    aggregate_flows,
     compile_rules,
+    extract_signature,
     filter_control_plane,
     load_model,
+    matches_flow,
     oracle_tree,
     read_pcap,
     run_capture,
@@ -270,6 +275,51 @@ def test_success_formula_sees_only_delivered_flows():
     rules = compile_rules([model.spec("ctrl").flow])
     assert not run_capture(model, rules, seed=0).success
     assert run_capture(model, RuleSet(), seed=0).success
+
+
+def _uni_beside_http(obj):
+    """Two flows on one endpoint pair: an app-less uni TCP flow and a bi
+    HTTP flow."""
+    pair = {"initiator": "device", "responder": "dom:a.example.com",
+            "initiator_port": None, "responder_port": 8883,
+            "transport": "tcp"}
+    obj["dns_records"] = [["a.example.com", "52.1.1.1"]]
+    obj["flows"] = [
+        {"id": "x_uni", "flow": dict(pair, direction="uni", app=None),
+         "packets": {"count": 2, "sizes": [64]}},
+        {"id": "y_http",
+         "flow": dict(pair, direction="bi",
+                      app={"proto": "http", "method": "GET", "uri": "/s",
+                           "is_response": False}),
+         "packets": {"count": 4, "sizes": [120]}},
+    ]
+    obj["success"] = {"or": [{"flow": "x_uni"}, {"flow": "y_http"}]}
+
+
+def test_packet_refilter_drops_what_flow_blocking_lets_through():
+    model = load_model(_model(_uni_beside_http))
+    topo = model.topology
+    captures = SimDriver(model).run(RuleSet(), m=3, seed=0)
+    flow_sets = aggregate_flows([filter_control_plane(c.trace)
+                                 for c in captures], topo, DnsTable(topo))
+    observed = extract_signature(flow_sets, m=3).flows
+    x_flow, = [f for f in observed if f.direction is Direction.UNIDIRECTIONAL]
+    rules = compile_rules([x_flow])
+    y_http = model.spec("y_http").flow
+    # the flow-level verdict lets y_http through: the directions differ
+    assert not matches_flow(rules, y_http)
+    up, down = (topo.device_addr, "52.1.1.1"), ("52.1.1.1", topo.device_addr)
+
+    def y_http_packets(rules, seed):
+        return [(p.src_addr, p.dst_addr)
+                for p in run_capture(model, rules, seed).trace.packets
+                if p.app == y_http.app]
+
+    for seed in range(5):
+        assert sorted(y_http_packets(RuleSet(), seed)) == \
+            sorted([up, up, down, down])
+        # the re-filter drops the device->cloud half, packet by packet
+        assert y_http_packets(rules, seed) == [down, down]
 
 
 def test_run_experiment_seeds_sequentially():
