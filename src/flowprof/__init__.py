@@ -30,12 +30,10 @@ from .signature import (
     DnsTable,
     EmptyTraceSet,
     EventSignature,
-    SeedSource,
     accept_signature,
     aggregate_flows,
     extract_signature,
     name_endpoints,
-    update_table,
 )
 from .blocklist import (
     Rule,
@@ -54,6 +52,7 @@ from .sigtree import (
     SigNode,
     SigTree,
     TreeStats,
+    explore,
 )
 from .simnet import (
     CaptureResult,
@@ -89,13 +88,12 @@ __all__ = [
     "Transport", "canonicalize", "sorted_flows",
     "MalformedHeader", "Trace", "TruncatedRecord", "UnresolvedHost",
     "dissect", "filter_control_plane", "read_pcap", "write_pcap",
-    "DnsTable", "EmptyTraceSet", "EventSignature", "SeedSource",
-    "accept_signature", "aggregate_flows", "extract_signature",
-    "name_endpoints", "update_table",
+    "DnsTable", "EmptyTraceSet", "EventSignature", "accept_signature",
+    "aggregate_flows", "extract_signature", "name_endpoints",
     "Rule", "RuleSet", "RuleSyntaxError", "compile_rules", "matches_flow",
     "matches_packet", "parse", "render",
     "NodeAlreadyVisited", "NodeStatus", "RootFailed", "SigNode", "SigTree",
-    "TreeStats",
+    "TreeStats", "explore",
     "CaptureResult", "DeviceModel", "FlowSpec", "GuardCycle", "SchemaError",
     "SimDriver", "UnknownFlowRef", "UnresolvedDomain", "active_flows",
     "load_model", "oracle_tree", "run_capture", "run_experiment",

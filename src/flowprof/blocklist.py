@@ -14,32 +14,29 @@ with full-line '#' comments and '\\n' terminators.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
 from .core import (
     ADDRESS_CACHE_SIZE,
+    SELECTORS,
     AppSelector,
-    CoapSelector,
     Direction,
-    DnsSelector,
     FlowId,
     HostKind,
     HostRef,
-    HttpSelector,
     ParsedPacket,
     Topology,
     Transport,
+    app_from_items,
+    app_items,
     canonicalize,
     sorted_flows,
 )
 from .signature import DnsTable, name_endpoints
 
-MATCHER_KEYS = (
-    "dns.qtype", "dns.qname",
-    "http.method", "http.uri", "http.is_response",
-    "coap.type", "coap.code", "coap.uri_path",
-)
+MATCHER_KEYS = tuple(f"{proto}.{f.name}" for proto, cls in SELECTORS.items()
+                     for f in fields(cls))
 
 
 class RuleSyntaxError(ValueError):
@@ -85,11 +82,18 @@ class Rule:
             init_port=flow.initiator_port,
             resp_port=flow.responder_port,
             direction=flow.direction,
-            matchers=_matchers_from_app(flow.app),
+            matchers=_matchers(flow.app),
         )
 
     def to_flow(self) -> FlowId:
         """Reconstruct the FlowId image; requires a complete matcher set."""
+        app = None
+        if self.matchers:
+            protos = {key.split(".")[0] for key, _ in self.matchers}
+            if len(protos) != 1:
+                raise ValueError("matchers span multiple protocols")
+            values = {key.split(".")[1]: value for key, value in self.matchers}
+            app = app_from_items(protos.pop(), values, as_bool="true".__eq__)
         return FlowId(
             initiator=self.init_host,
             responder=self.resp_host,
@@ -97,7 +101,7 @@ class Rule:
             responder_port=self.resp_port,
             transport=self.transport,
             direction=self.direction,
-            app=_app_from_matchers(self.matchers),
+            app=app,
         )
 
     def render(self) -> str:
@@ -118,72 +122,18 @@ def _host_port(host: HostRef, port: Optional[int]) -> str:
     return f"{token}:{port}" if port is not None else token
 
 
-def _matchers_from_app(app: AppSelector) -> tuple:
+def _matchers(app: AppSelector) -> tuple:
+    """(key, value text) matchers naming every field of a selector."""
     if app is None:
         return ()
-    if isinstance(app, DnsSelector):
-        return (("dns.qtype", app.qtype), ("dns.qname", app.qname))
-    if isinstance(app, HttpSelector):
-        return (
-            ("http.method", app.method),
-            ("http.uri", app.uri),
-            ("http.is_response", "true" if app.is_response else "false"),
-        )
-    if isinstance(app, CoapSelector):
-        return (
-            ("coap.type", app.type),
-            ("coap.code", app.code),
-            ("coap.uri_path", app.uri_path),
-        )
-    raise TypeError(f"not an app selector: {app!r}")
+    proto, items = app_items(app)
+    return tuple((f"{proto}.{name}", _text(value)) for name, value in items)
 
 
-def _app_from_matchers(matchers: tuple) -> AppSelector:
-    by_key = dict(matchers)
-    if not by_key:
-        return None
-    protos = {key.split(".")[0] for key in by_key}
-    if len(protos) != 1:
-        raise ValueError("matchers span multiple protocols")
-    proto = protos.pop()
-    if proto == "dns":
-        return DnsSelector(qtype=by_key["dns.qtype"], qname=by_key["dns.qname"])
-    if proto == "http":
-        return HttpSelector(
-            method=by_key.get("http.method", ""),
-            uri=by_key.get("http.uri", ""),
-            is_response=by_key.get("http.is_response", "false") == "true",
-        )
-    return CoapSelector(
-        type=by_key["coap.type"],
-        code=by_key["coap.code"],
-        uri_path=by_key.get("coap.uri_path", ""),
-    )
-
-
-def _app_field(app: AppSelector, key: str) -> Optional[str]:
-    """Value of one matcher key for a selector, or None when absent."""
-    if isinstance(app, DnsSelector):
-        fields = {"dns.qtype": app.qtype, "dns.qname": app.qname}
-    elif isinstance(app, HttpSelector):
-        fields = {
-            "http.method": app.method,
-            "http.uri": app.uri,
-            "http.is_response": "true" if app.is_response else "false",
-        }
-    elif isinstance(app, CoapSelector):
-        fields = {
-            "coap.type": app.type,
-            "coap.code": app.code,
-            "coap.uri_path": app.uri_path,
-        }
-    else:
-        return None
-    return fields.get(key)
-
-
-def _matchers_hit(matchers: tuple, app: AppSelector) -> bool:
-    return all(_app_field(app, key) == value for key, value in matchers)
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
 
 
 @dataclass(frozen=True)
@@ -220,36 +170,10 @@ def matches_flow(rules: RuleSet, flow: FlowId) -> bool:
     fields; unspecified rule ports and an empty matcher list are wildcards.
     Bidirectional rules match either endpoint orientation."""
     flow = canonicalize(flow)
-    return any(_rule_matches_flow(rule, flow) for rule in rules)
-
-def _rule_matches_flow(rule: Rule, flow: FlowId) -> bool:
-    if rule.transport is not flow.transport:
-        return False
-    if rule.direction is not flow.direction:
-        return False
-    if not _matchers_hit(rule.matchers, flow.app):
-        return False
-    orientations = [
-        (flow.initiator, flow.initiator_port, flow.responder, flow.responder_port)
-    ]
-    if rule.direction is Direction.BIDIRECTIONAL:
-        orientations.append(
-            (flow.responder, flow.responder_port, flow.initiator,
-             flow.initiator_port)
-        )
-    for init, init_port, resp, resp_port in orientations:
-        if (
-            init == rule.init_host
-            and resp == rule.resp_host
-            and _port_ok(rule.init_port, init_port)
-            and _port_ok(rule.resp_port, resp_port)
-        ):
-            return True
-    return False
-
-
-def _port_ok(rule_port: Optional[int], flow_port: Optional[int]) -> bool:
-    return rule_port is None or rule_port == flow_port
+    return _rules_hit(rules, flow.transport, flow.app,
+                      (flow.initiator, None, flow.initiator_port),
+                      (flow.responder, None, flow.responder_port),
+                      flow.direction)
 
 
 _PACKET_TRANSPORTS = {t.value: t for t in Transport}
@@ -268,36 +192,44 @@ def matches_packet(rules: RuleSet, packet: ParsedPacket, table: DnsTable,
     if transport is None:
         return False
     src_ref, dst_ref = name_endpoints(packet, table, topo)
-    forward = (src_ref, packet.src_addr, packet.src_port,
-               dst_ref, packet.dst_addr, packet.dst_port)
-    backward = (dst_ref, packet.dst_addr, packet.dst_port,
-                src_ref, packet.src_addr, packet.src_port)
+    return _rules_hit(rules, transport, packet.app,
+                      (src_ref, packet.src_addr, packet.src_port),
+                      (dst_ref, packet.dst_addr, packet.dst_port))
+
+
+def _rules_hit(rules, transport: Transport, app: AppSelector, init: tuple,
+               resp: tuple, direction: Optional[Direction] = None) -> bool:
+    """The rule loop of both verdicts.  `init` and `resp` are (host ref, raw
+    address or None, port) ends; bidirectional rules also try them swapped.
+    A direction of None (packets) matches rules of either direction."""
+    app_matchers = None
     for rule in rules:
         if rule.transport is not transport:
             continue
-        if not _matchers_hit(rule.matchers, packet.app):
+        if direction is not None and rule.direction is not direction:
             continue
-        if _rule_hits_endpoints(rule, *forward):
+        if rule.matchers:
+            if app_matchers is None:
+                app_matchers = set(_matchers(app))
+            if not app_matchers.issuperset(rule.matchers):
+                continue
+        if _end_hits(rule.init_host, rule.init_port, init) \
+                and _end_hits(rule.resp_host, rule.resp_port, resp):
             return True
         if rule.direction is Direction.BIDIRECTIONAL \
-                and _rule_hits_endpoints(rule, *backward):
+                and _end_hits(rule.init_host, rule.init_port, resp) \
+                and _end_hits(rule.resp_host, rule.resp_port, init):
             return True
     return False
 
 
-def _rule_hits_endpoints(rule: Rule, iref: HostRef, iaddr: str, iport,
-                         rref: HostRef, raddr: str, rport) -> bool:
-    return (_port_ok(rule.init_port, iport)
-            and _port_ok(rule.resp_port, rport)
-            and _host_hits(rule.init_host, iref, iaddr)
-            and _host_hits(rule.resp_host, rref, raddr))
-
-
-def _host_hits(rule_host: HostRef, ref: HostRef, raw_addr: str) -> bool:
-    if rule_host == ref:
-        return True
-    return rule_host.kind is HostKind.ADDRESS and \
-        _address_ref(raw_addr) == rule_host
+def _end_hits(host: HostRef, port: Optional[int], end: tuple) -> bool:
+    ref, raw_addr, end_port = end
+    if port is not None and port != end_port:
+        return False
+    return host == ref or (raw_addr is not None
+                           and host.kind is HostKind.ADDRESS
+                           and _address_ref(raw_addr) == host)
 
 
 @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)

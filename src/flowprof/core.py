@@ -13,9 +13,9 @@ import ipaddress
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 log = logging.getLogger(__name__)
 
@@ -215,27 +215,44 @@ def _has_space(s: str) -> bool:
 
 AppSelector = Union[DnsSelector, HttpSelector, CoapSelector, None]
 
+# The one encoding of application selectors: protocol token -> class.  A
+# class's dataclass fields, in declaration order, are its JSON keys after
+# "proto" and, as "<proto>.<field>", its deny-rule matcher keys; a field is
+# optional exactly when it has a default.  Bool fields are JSON booleans.
+SELECTORS = {"dns": DnsSelector, "http": HttpSelector, "coap": CoapSelector}
+_PROTOS = {cls: proto for proto, cls in SELECTORS.items()}
+_FIELDS = {cls: fields(cls) for cls in _PROTOS}
+
+
+def app_items(app) -> Tuple[str, tuple]:
+    """(proto token, ((field, value), ...)) of a selector, in field order."""
+    cls = type(app)
+    return _PROTOS[cls], tuple((f.name, getattr(app, f.name))
+                               for f in _FIELDS[cls])
+
+
+def app_from_items(proto, values: dict, as_bool=bool) -> AppSelector:
+    """Selector of protocol `proto` from its field values, bool fields
+    through `as_bool`; raises KeyError for a missing field without default."""
+    cls = SELECTORS.get(proto)
+    if cls is None:
+        raise ValueError(f"unknown app selector protocol {proto!r}")
+    kwargs = {}
+    for f in _FIELDS[cls]:
+        if f.name in values:
+            value = values[f.name]
+            # a string: this module has `from __future__ import annotations`
+            kwargs[f.name] = as_bool(value) if f.type == "bool" else value
+        elif f.default is MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
+
 
 def app_to_obj(app: AppSelector):
     if app is None:
         return None
-    if isinstance(app, DnsSelector):
-        return {"proto": "dns", "qtype": app.qtype, "qname": app.qname}
-    if isinstance(app, HttpSelector):
-        return {
-            "proto": "http",
-            "method": app.method,
-            "uri": app.uri,
-            "is_response": app.is_response,
-        }
-    if isinstance(app, CoapSelector):
-        return {
-            "proto": "coap",
-            "type": app.type,
-            "code": app.code,
-            "uri_path": app.uri_path,
-        }
-    raise TypeError(f"not an app selector: {app!r}")
+    proto, items = app_items(app)
+    return {"proto": proto, **dict(items)}
 
 
 def app_from_obj(obj) -> AppSelector:
@@ -243,20 +260,7 @@ def app_from_obj(obj) -> AppSelector:
         return None
     if not isinstance(obj, dict):
         raise ValueError("app selector must be an object or null")
-    proto = obj.get("proto")
-    if proto == "dns":
-        return DnsSelector(qtype=obj["qtype"], qname=obj["qname"])
-    if proto == "http":
-        return HttpSelector(
-            method=obj.get("method", ""),
-            uri=obj.get("uri", ""),
-            is_response=bool(obj.get("is_response", False)),
-        )
-    if proto == "coap":
-        return CoapSelector(
-            type=obj["type"], code=obj["code"], uri_path=obj.get("uri_path", "")
-        )
-    raise ValueError(f"unknown app selector protocol {proto!r}")
+    return app_from_items(obj.get("proto"), obj)
 
 
 # -- flow identifiers --------------------------------------------------------
@@ -343,12 +347,8 @@ class FlowId:
         return f"{left} {arrow} {right} [{tag}]"
 
 
-def flow_sort_key(flow: FlowId) -> str:
-    return flow.canonical_json()
-
-
 def sorted_flows(flows) -> list:
-    return sorted(flows, key=flow_sort_key)
+    return sorted(flows, key=FlowId.canonical_json)
 
 
 # -- topology ----------------------------------------------------------------
@@ -437,18 +437,15 @@ def _endpoint_key(ref: HostRef, port: Optional[int]):
     return (ref.token(), -1 if port is None else port)
 
 
-def canonicalize(flow: FlowId, topo: Optional[Topology] = None) -> FlowId:
+def canonicalize(flow: FlowId) -> FlowId:
     """Deterministic orientation for bidirectional flows.
 
     The device role occupies the initiator slot when exactly one endpoint is
     the device; otherwise endpoints order lexicographically on their serialized
     form.  Unidirectional flows are never reoriented (the direction is the
     identity), and neither are DNS flows (the question orients the client
-    toward the resolver).  Ports travel with their endpoint.  Idempotent; the
-    topology is accepted for signature stability but orientation needs no
-    resolution.
+    toward the resolver).  Ports travel with their endpoint.  Idempotent.
     """
-    del topo
     if flow.direction is Direction.UNIDIRECTIONAL:
         return flow
     if isinstance(flow.app, DnsSelector):

@@ -80,14 +80,11 @@ class Trace:
     capture_duration: float = 0.0
     label: str = ""
 
-    def without_control_plane(self) -> "Trace":
-        kept = tuple(p for p in self.packets if not p.control_plane)
-        return replace(self, packets=kept)
-
 
 def filter_control_plane(trace: Trace) -> Trace:
     """Drop control-plane packets; order, duration and label are preserved."""
-    return trace.without_control_plane()
+    kept = tuple(p for p in trace.packets if not p.control_plane)
+    return replace(trace, packets=kept)
 
 
 # -- reading ------------------------------------------------------------------

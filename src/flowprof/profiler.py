@@ -18,12 +18,11 @@ from .blocklist import compile_rules, matches_packet
 from .pcapio import filter_control_plane
 from .signature import (
     DnsTable,
-    SeedSource,
     accept_signature,
     aggregate_flows,
     extract_signature,
 )
-from .sigtree import NodeStatus, RootFailed, SigTree, TreeStats
+from .sigtree import SigTree, TreeStats, explore
 
 
 class BlockingViolation(AssertionError):
@@ -36,10 +35,6 @@ class ProfileConfig:
     seed: int = 0
     pruning: bool = True
     max_depth: Optional[int] = None
-    capture_seconds: float = 20.0
-    # live drivers wait a random delay in this range between captures;
-    # simulation treats it as a no-op
-    inter_capture_wait: Tuple[float, float] = (40.0, 150.0)
     audit_blocking: bool = False
 
     def __post_init__(self):
@@ -53,44 +48,32 @@ def profile_event(driver, config: ProfileConfig) -> SigTree:
     """Explore the event's signature tree breadth-first.
 
     Each frontier node is profiled under the deny rules compiled from its
-    blocking set; the intersection signature of the successful captures
-    becomes its children.  The DNS table persists across iterations.
+    blocking set, with seeds config.seed + k*m for the k-th experiment; the
+    intersection signature of the successful captures becomes its children.
+    The DNS table persists across experiments.
     """
     topo = driver.topology()
-    seed_entries = dict(driver.dns_seed()) if hasattr(driver, "dns_seed") else {}
-    table = DnsTable(
-        topo,
-        seed_source=SeedSource.MODEL_RECORDS if seed_entries
-        else SeedSource.EMPTY,
-        entries=seed_entries,
-    )
-    tree = SigTree(pruning=config.pruning)
+    table = DnsTable(topo, dict(driver.dns_seed())
+                     if hasattr(driver, "dns_seed") else {})
     experiments = 0
-    while (handle := tree.next_node()) is not None:
-        if (config.max_depth is not None
-                and tree.node(handle).depth > config.max_depth):
-            tree.prune(handle, "depth-capped")
-            continue
-        rules = compile_rules(tree.blocking_set(handle))
+
+    def observe(blocking_set):
+        nonlocal experiments
+        rules = compile_rules(blocking_set)
         captures = driver.run(rules, config.m,
                               config.seed + experiments * config.m)
         experiments += 1
         if config.audit_blocking:
             _audit_blocking(captures, rules, table, topo)
-        successes = [c for c in captures if c.success]
-        signature = None
-        if successes:
-            filtered = [filter_control_plane(c.trace) for c in successes]
-            flow_sets = aggregate_flows(filtered, topo, table)
-            signature = extract_signature(flow_sets, m=config.m)
-        if signature is not None and accept_signature(signature):
-            tree.add_children(handle, signature)
-        elif handle == tree.root:
-            raise RootFailed(
-                f"event produced {len(successes)}/{config.m} successful "
-                "captures with no blocking")
-        else:
-            tree.mark_failed(handle)
+        successes = [filter_control_plane(c.trace)
+                     for c in captures if c.success]
+        if not successes:
+            return None
+        signature = extract_signature(aggregate_flows(successes, topo, table),
+                                      m=config.m)
+        return signature if accept_signature(signature) else None
+
+    tree = explore(SigTree(pruning=config.pruning), observe, config.max_depth)
     tree.experiment_count = experiments
     tree.capture_count = experiments * config.m
     return tree

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Optional
 
 from .core import (
@@ -34,12 +33,6 @@ class EmptyTraceSet(ValueError):
     """No successful captures were supplied; the node must be treated as Failed."""
 
 
-class SeedSource(str, Enum):
-    GATEWAY_CACHE = "gateway-cache"
-    MODEL_RECORDS = "model-records"
-    EMPTY = "empty"
-
-
 # Ports always retained in FlowIds: the well-known range plus the handful of
 # IoT service ports that behave like well-known ones in practice.
 WELL_KNOWN_EXTRA = frozenset({5353, 5683, 8883, 9999})
@@ -60,10 +53,8 @@ class DnsTable:
     topology; any insert that adds or changes a mapping clears the memo.
     """
 
-    def __init__(self, topo: Topology, seed_source: SeedSource = SeedSource.EMPTY,
-                 entries: Optional[dict] = None):
+    def __init__(self, topo: Topology, entries: Optional[dict] = None):
         self.topo = topo
-        self.seed_source = seed_source
         self.entries: dict = {}
         self._names: dict = {}  # raw address -> HostRef under self.topo
         for addr, name in (entries or {}).items():
@@ -112,11 +103,6 @@ class DnsTable:
                 self._names.clear()
             ref = self._names[addr] = _name_addr(addr, self, self.topo)
         return ref
-
-
-def update_table(table: DnsTable, packet: ParsedPacket) -> DnsTable:
-    table.update(packet)
-    return table
 
 
 def name_endpoints(packet: ParsedPacket, table: DnsTable,
@@ -236,7 +222,7 @@ def aggregate_flows(traces: Iterable[Trace], topo: Topology,
                 direction=direction,
                 app=group.app,
             )
-            flows.add(canonicalize(flow, topo))
+            flows.add(canonicalize(flow))
         flow_sets.append(flows)
     return flow_sets
 

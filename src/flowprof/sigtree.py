@@ -3,7 +3,8 @@
 Nodes live in an arena indexed by integer handles; handle 0 is the synthetic
 root (no flow).  The frontier is FIFO.  With pruning enabled, a popped node
 whose flow already reached a terminal explored state (Expanded or Failed)
-anywhere in the tree is marked Pruned instead of being returned.
+anywhere in the tree is marked Pruned instead of being returned.  explore is
+the one loop that grows a tree from an observation function.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .core import FlowId, sorted_flows
 from .signature import EventSignature
@@ -256,3 +257,29 @@ class SigTree:
 
         visit(self.root)
         return "\n".join(lines + edges + ["}"]) + "\n"
+
+
+def explore(tree: SigTree,
+            observe: Callable[[Tuple[FlowId, ...]], Optional[EventSignature]],
+            max_depth: Optional[int] = None) -> SigTree:
+    """Grow the tree breadth-first until its frontier is exhausted.
+
+    Each popped node is observed with its blocking set blocked: `observe`
+    returns the accepted signature, whose flows become the node's children,
+    or None, which marks the node Failed.  Nodes deeper than `max_depth` are
+    pruned unobserved.  Raises RootFailed when the unblocked event fails.
+    """
+    if max_depth is not None and max_depth < 1:
+        raise ValueError("max_depth must be at least 1 when set")
+    while (handle := tree.next_node()) is not None:
+        if max_depth is not None and tree.node(handle).depth > max_depth:
+            tree.prune(handle, "depth-capped")
+            continue
+        signature = observe(tree.blocking_set(handle))
+        if signature is not None:
+            tree.add_children(handle, signature)
+        elif handle == tree.root:
+            raise RootFailed("the event fails with nothing blocked")
+        else:
+            tree.mark_failed(handle)
+    return tree

@@ -17,7 +17,7 @@ import random
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     BROADCAST_ADDR,
@@ -28,7 +28,6 @@ from .core import (
     HostRef,
     ParsedPacket,
     Topology,
-    Transport,
     canonicalize,
 )
 from .pcapio import (
@@ -42,8 +41,8 @@ from .pcapio import (
     write_pcap,
 )
 from .blocklist import RuleSet, compile_rules, matches_flow, matches_packet
-from .signature import DnsTable, EventSignature, SeedSource
-from .sigtree import RootFailed, SigTree
+from .signature import DnsTable, EventSignature
+from .sigtree import SigTree, explore
 
 
 class SchemaError(ValueError):
@@ -419,8 +418,8 @@ def run_experiment(model: DeviceModel, rules: RuleSet, m: int,
 def model_table(model: DeviceModel) -> DnsTable:
     """DNS table preloaded with every model record (the simulated gateway
     knows all names)."""
-    return DnsTable(model.topology, seed_source=SeedSource.MODEL_RECORDS,
-                    entries={ip: rec_name for rec_name, ip in model.dns_records})
+    return DnsTable(model.topology,
+                    {ip: rec_name for rec_name, ip in model.dns_records})
 
 
 # -- packet generation ------------------------------------------------------------
@@ -568,9 +567,8 @@ class SimDriver:
     exercises the codec path, matching what a live capture would provide.
     """
 
-    def __init__(self, model: DeviceModel, through_pcap: bool = True):
+    def __init__(self, model: DeviceModel):
         self.model = model
-        self.through_pcap = through_pcap
 
     def topology(self) -> Topology:
         return self.model.topology
@@ -579,14 +577,9 @@ class SimDriver:
         return {ip: rec_name for rec_name, ip in self.model.dns_records}
 
     def run(self, rules: RuleSet, m: int, seed: int) -> List[CaptureResult]:
-        results = run_experiment(self.model, rules, m, seed)
-        if not self.through_pcap:
-            return results
-        out = []
-        for result in results:
-            blob = write_pcap(result.trace, self.model.topology)
-            out.append(replace(result, trace=read_pcap(blob)))
-        return out
+        topo = self.model.topology
+        return [replace(r, trace=read_pcap(write_pcap(r.trace, topo)))
+                for r in run_experiment(self.model, rules, m, seed)]
 
 
 def oracle_tree(model: DeviceModel, pruning: bool = True,
@@ -596,21 +589,15 @@ def oracle_tree(model: DeviceModel, pruning: bool = True,
     Noise flows participate only when p >= 1 (present in every capture and
     therefore in every intersection); sub-certain noise never survives.
     """
-    tree = SigTree(pruning=pruning)
-    while (handle := tree.next_node()) is not None:
-        if max_depth is not None and tree.node(handle).depth > max_depth:
-            tree.prune(handle, "depth-capped")
-            continue
-        rules = compile_rules(tree.blocking_set(handle))
-        blocked = _blocked_map(model, rules)
-        certain = list(model.flows) + [s for s in model.noise if s.p >= 1.0]
+    certain = list(model.flows) + [s for s in model.noise if s.p >= 1.0]
+
+    def observe(blocking_set):
+        blocked = _blocked_map(model, compile_rules(blocking_set))
         delivered = frozenset(
             s.id for s in certain if _guard_ok(s, blocked) and not blocked[s.id])
-        if eval_success(model.success, delivered):
-            flows = frozenset(s.flow for s in certain if s.id in delivered)
-            tree.add_children(handle, EventSignature(flows=flows, m=1, m_plus=1))
-        elif handle == tree.root:
-            raise RootFailed(f"model {model.name!r} cannot succeed unblocked")
-        else:
-            tree.mark_failed(handle)
-    return tree
+        if not eval_success(model.success, delivered):
+            return None
+        flows = frozenset(s.flow for s in certain if s.id in delivered)
+        return EventSignature(flows=flows, m=1, m_plus=1)
+
+    return explore(SigTree(pruning=pruning), observe, max_depth)

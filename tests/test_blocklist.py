@@ -1,6 +1,7 @@
 import pytest
 
 from flowprof import (
+    CoapSelector,
     Direction,
     DnsSelector,
     DnsTable,
@@ -11,7 +12,6 @@ from flowprof import (
     Rule,
     RuleSet,
     RuleSyntaxError,
-    SeedSource,
     Transport,
     compile_rules,
     matches_flow,
@@ -52,6 +52,21 @@ def test_matchers_render_in_fixed_order():
     line = Rule.from_flow(flow).render()
     assert line == ("block udp init device resp gateway:53 dir bi "
                     "match dns.qtype=A match dns.qname=a.example")
+    http = _flow(responder_port=80, app=HttpSelector(
+        method="POST", uri="/api", is_response=False))
+    assert Rule.from_flow(http).render() == (
+        "block tcp init device resp dom:a.example:80 dir bi "
+        "match http.method=POST match http.uri=/api "
+        "match http.is_response=false")
+    response = _flow(responder_port=80, app=HttpSelector(is_response=True))
+    assert Rule.from_flow(response).render() == (
+        "block tcp init device resp dom:a.example:80 dir bi "
+        "match http.method= match http.uri= match http.is_response=true")
+    coap = _flow(transport=Transport.UDP, responder_port=5683,
+                 app=CoapSelector(type="CON", code="GET", uri_path="/s"))
+    assert Rule.from_flow(coap).render() == (
+        "block udp init device resp dom:a.example:5683 dir bi "
+        "match coap.type=CON match coap.code=GET match coap.uri_path=/s")
 
 
 def test_parse_render_identity():
@@ -192,7 +207,7 @@ def _pkt(src, dst, sport, dport, transport="tcp", **kw):
 
 
 def test_matches_packet_names_roles_and_domains(topo):
-    table = DnsTable(topo, SeedSource.MODEL_RECORDS, {CLOUD: "a.example"})
+    table = DnsTable(topo, {CLOUD: "a.example"})
     rules = compile_rules([_flow()])
     assert matches_packet(rules, _pkt(DEVICE, CLOUD, 49000, 443), table, topo)
     assert matches_packet(rules, _pkt(CLOUD, DEVICE, 443, 49000), table, topo)

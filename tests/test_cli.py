@@ -185,6 +185,19 @@ def test_profile_reports_root_failure_as_two(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "tree.json").exists()
+    assert main(["oracle", "--model", str(path),
+                 "--out-dir", str(tmp_path / "oracle")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "oracle" / "tree.json").exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "oracle"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_max_depth_below_one_exits_one(tmp_path, mini_model, command, depth):
+    out_dir = tmp_path / "out"
+    assert main([command, "--model", str(mini_model), "--max-depth", depth,
+                 "--out-dir", str(out_dir)]) == 1
+    assert not (out_dir / "tree.json").exists()
 
 
 def test_bad_manifest_rejected(tmp_path, mini_model):

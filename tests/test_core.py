@@ -122,6 +122,30 @@ def test_canonical_json_is_compact_and_ordered():
         '"transport":"tcp","direction":"bi","app":null}'
     )
     assert FlowId.from_obj(json.loads(text)) == flow
+    golden = {
+        _flow(transport=Transport.UDP, responder=HostRef.role("gateway"),
+              responder_port=53,
+              app=DnsSelector(qtype="A", qname="a.example")):
+            '{"initiator":"device","responder":"gateway",'
+            '"initiator_port":null,"responder_port":53,'
+            '"transport":"udp","direction":"bi",'
+            '"app":{"proto":"dns","qtype":"A","qname":"a.example"}}',
+        _flow(responder_port=80, app=HttpSelector(is_response=True)):
+            '{"initiator":"device","responder":"phone",'
+            '"initiator_port":null,"responder_port":80,'
+            '"transport":"tcp","direction":"bi",'
+            '"app":{"proto":"http","method":"","uri":"","is_response":true}}',
+        _flow(transport=Transport.UDP, responder_port=5683,
+              app=CoapSelector(type="NON", code="2.05", uri_path="/s")):
+            '{"initiator":"device","responder":"phone",'
+            '"initiator_port":null,"responder_port":5683,'
+            '"transport":"udp","direction":"bi",'
+            '"app":{"proto":"coap","type":"NON","code":"2.05",'
+            '"uri_path":"/s"}}',
+    }
+    for flow, line in golden.items():
+        assert flow.canonical_json() == line
+        assert FlowId.from_obj(json.loads(line)) == flow
 
 
 def test_obj_round_trip_with_selectors():

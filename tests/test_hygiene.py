@@ -1,0 +1,41 @@
+"""Source hygiene: every module-level import in the package is used."""
+
+import ast
+import pathlib
+
+import flowprof
+
+PACKAGE = pathlib.Path(flowprof.__file__).parent
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_module_level_imports_are_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [f"{path.name}:{line}: {name}"
+                   for line, name in _unused_imports(tree)]
+    assert unused == []
+
+
+def test_check_flags_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import json\nfrom typing import Optional, Tuple\n"
+                     "def f(x: Optional[int]): return json.dumps(x)\n")
+    assert _unused_imports(tree) == [(3, "Tuple")]

@@ -48,6 +48,8 @@ def test_profile_raises_when_root_fails():
     model = load_model(_model(unreachable))
     with pytest.raises(RootFailed):
         profile_event(SimDriver(model), ProfileConfig(m=3, seed=0))
+    with pytest.raises(RootFailed):
+        oracle_tree(model)
 
 
 def test_profile_marks_essential_flow_failed():

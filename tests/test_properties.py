@@ -12,6 +12,7 @@ from flowprof import (
     HostRef,
     HttpSelector,
     ParsedPacket,
+    Rule,
     SigTree,
     Transport,
     canonicalize,
@@ -107,6 +108,8 @@ def test_rules_render_parse_identity(flows):
     parsed = parse_rules(text)
     assert parsed == rules
     assert render(parsed) == text
+    for flow in flows:
+        assert Rule.from_flow(flow).to_flow() == flow
 
 
 @given(st.lists(flow_ids(), min_size=1, max_size=6))

@@ -9,7 +9,6 @@ from flowprof import (
     FlowId,
     HostRef,
     ParsedPacket,
-    SeedSource,
     Topology,
     Trace,
     Transport,
@@ -72,8 +71,7 @@ def test_latest_observation_wins(topo):
 
 
 def test_table_accepts_seed_entries(topo):
-    table = DnsTable(topo, SeedSource.MODEL_RECORDS, {CLOUD: "a.example"})
-    assert table.seed_source is SeedSource.MODEL_RECORDS
+    table = DnsTable(topo, {CLOUD: "a.example"})
     assert table.lookup(CLOUD) == "a.example"
 
 
@@ -81,7 +79,7 @@ def test_table_accepts_seed_entries(topo):
 
 
 def test_name_endpoints_covers_all_kinds(topo):
-    table = DnsTable(topo, SeedSource.MODEL_RECORDS, {CLOUD: "a.example"})
+    table = DnsTable(topo, {CLOUD: "a.example"})
     src, dst = name_endpoints(_pkt(DEVICE, CLOUD), table, topo)
     assert src == HostRef.role("device")
     assert dst == HostRef.domain("a.example")
@@ -122,7 +120,7 @@ def test_naming_follows_updates_for_every_spelling_of_an_address(topo):
 
 
 def test_naming_under_another_topology_is_not_the_tables(topo):
-    table = DnsTable(topo, SeedSource.MODEL_RECORDS, {CLOUD: "a.example"})
+    table = DnsTable(topo, {CLOUD: "a.example"})
     packet = _pkt(DEVICE, CLOUD)
     assert name_endpoints(packet, table, topo) == (
         HostRef.role("device"), HostRef.domain("a.example"))
