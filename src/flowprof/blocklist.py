@@ -26,7 +26,6 @@ from .core import (
     HostKind,
     HostRef,
     ParsedPacket,
-    Topology,
     Transport,
     app_from_items,
     app_items,
@@ -37,6 +36,9 @@ from .signature import DnsTable, name_endpoints
 
 MATCHER_KEYS = tuple(f"{proto}.{f.name}" for proto, cls in SELECTORS.items()
                      for f in fields(cls))
+# keys of bool selector fields, whose values are "true" or "false"
+_BOOL_KEYS = frozenset(f"{proto}.{f.name}" for proto, cls in SELECTORS.items()
+                       for f in fields(cls) if f.type == "bool")
 
 
 class RuleSyntaxError(ValueError):
@@ -68,6 +70,9 @@ class Rule:
                 raise ValueError(f"duplicate matcher key {key!r}")
             if any(c.isspace() for c in value):
                 raise ValueError(f"matcher value may not contain spaces: {value!r}")
+            if key in _BOOL_KEYS and value not in ("true", "false"):
+                raise ValueError(f"matcher {key} must be true or false, "
+                                 f"not {value!r}")
             seen.add(key)
         for port in (self.init_port, self.resp_port):
             if port is not None and not (1 <= port <= 65535):
@@ -179,8 +184,8 @@ def matches_flow(rules: RuleSet, flow: FlowId) -> bool:
 _PACKET_TRANSPORTS = {t.value: t for t in Transport}
 
 
-def matches_packet(rules: RuleSet, packet: ParsedPacket, table: DnsTable,
-                   topo: Topology) -> bool:
+def matches_packet(rules: RuleSet, packet: ParsedPacket,
+                   table: DnsTable) -> bool:
     """Packet-level verdict with endpoints resolved through the DNS table.
 
     A Domain host matches any address the table maps to it; an Address host
@@ -191,7 +196,7 @@ def matches_packet(rules: RuleSet, packet: ParsedPacket, table: DnsTable,
     transport = _PACKET_TRANSPORTS.get(packet.transport)
     if transport is None:
         return False
-    src_ref, dst_ref = name_endpoints(packet, table, topo)
+    src_ref, dst_ref = name_endpoints(packet, table)
     return _rules_hit(rules, transport, packet.app,
                       (src_ref, packet.src_addr, packet.src_port),
                       (dst_ref, packet.dst_addr, packet.dst_port))

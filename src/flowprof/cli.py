@@ -141,12 +141,12 @@ def cmd_extract(args) -> int:
     if len(flags) != args.m or not set(flags) <= {"0", "1"}:
         raise ValueError(
             f"success.txt must hold {args.m} 0/1 flags, one per capture")
-    topo = load_model(args.model).topology
+    table = DnsTable(load_model(args.model).topology)
     traces = [read_pcap(path.read_bytes()) for path in pcaps]
     successful = [t for t, flag in zip(traces, flags) if flag == "1"]
     if successful:
         filtered = [filter_control_plane(t) for t in successful]
-        flow_sets = aggregate_flows(filtered, topo, DnsTable(topo))
+        flow_sets = aggregate_flows(filtered, table)
         signature = extract_signature(flow_sets, m=args.m)
     else:
         signature = EventSignature(flows=frozenset(), m=args.m, m_plus=0)
@@ -264,7 +264,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     for index, capture in enumerate(captures):
         _write_bytes(out_dir / f"capture_{index:03d}.pcap",
-                     write_pcap(capture.trace, model.topology))
+                     write_pcap(capture.trace))
     flags = "".join(("1" if c.success else "0") + "\n" for c in captures)
     _write_text(out_dir / "success.txt", flags)
     return 0

@@ -2,8 +2,9 @@
 
 Everything downstream (aggregation, blocking rules, tree search, the simulator)
 speaks in terms of these types.  A FlowId is a multi-layer, bidirectional flow
-descriptor; its canonical JSON serialization doubles as equality/sort key and
-as the on-disk representation inside signature and tree files.
+descriptor and, being frozen, its own identity in sets and dicts; its
+canonical JSON serialization is the sort key and the on-disk representation
+inside signature and tree files.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def app_items(app) -> Tuple[str, tuple]:
                                for f in _FIELDS[cls])
 
 
-def app_from_items(proto, values: dict, as_bool=bool) -> AppSelector:
+def app_from_items(proto, values: dict, as_bool) -> AppSelector:
     """Selector of protocol `proto` from its field values, bool fields
     through `as_bool`; raises KeyError for a missing field without default."""
     cls = SELECTORS.get(proto)
@@ -260,7 +261,13 @@ def app_from_obj(obj) -> AppSelector:
         return None
     if not isinstance(obj, dict):
         raise ValueError("app selector must be an object or null")
-    return app_from_items(obj.get("proto"), obj)
+    return app_from_items(obj.get("proto"), obj, as_bool=_json_bool)
+
+
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"selector flag must be true or false, not {value!r}")
+    return value
 
 
 # -- flow identifiers --------------------------------------------------------
@@ -285,7 +292,12 @@ class FlowId:
 
     def __post_init__(self):
         for port in (self.initiator_port, self.responder_port):
-            if port is not None and not (1 <= port <= 65535):
+            if port is None:
+                continue
+            # a float or bool port equals an int one yet serializes apart
+            if isinstance(port, bool) or not isinstance(port, int):
+                raise ValueError(f"port {port!r} is not an integer")
+            if not (1 <= port <= 65535):
                 raise ValueError(f"port {port} out of range")
         if isinstance(self.app, DnsSelector):
             if self.transport is not Transport.UDP:
@@ -483,7 +495,8 @@ class ParsedPacket:
     `transport` is a lowercase token: "tcp", "udp", or a degraded label such
     as "arp", "icmp", "ip-proto-47" for frames the dissector cannot refine.
     `dns_answers` holds (name, address) pairs when the packet is a DNS
-    response; `sni` is the TLS ClientHello server name when present.
+    response; `sni` is the TLS ClientHello server name when present.  The
+    address slots hold IPv4/IPv6 literals, or "" when the frame has none.
     """
 
     ts_us: int

@@ -20,8 +20,6 @@ from .core import (
     DnsSelector,
     HttpSelector,
     ParsedPacket,
-    ROLES,
-    Topology,
     is_valid_domain,
 )
 
@@ -35,7 +33,7 @@ class TruncatedRecord(ValueError):
 
 
 class UnresolvedHost(ValueError):
-    """A packet references a role with no topology binding."""
+    """A packet address slot holds no address literal."""
 
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -142,19 +140,12 @@ def dissect(frame: bytes, ts_us: int = 0) -> ParsedPacket:
     try:
         return _dissect(frame, ts_us)
     except Exception:
-        return ParsedPacket(
-            ts_us=ts_us, src_addr="", dst_addr="", transport="undecoded",
-            wire_len=len(frame),
-        )
+        return _opaque(ts_us, len(frame), "undecoded")
 
 
 def _dissect(frame: bytes, ts_us: int) -> ParsedPacket:
-    wire_len = len(frame)
-    if wire_len < 14:
-        return ParsedPacket(
-            ts_us=ts_us, src_addr="", dst_addr="", transport="short",
-            wire_len=wire_len,
-        )
+    if len(frame) < 14:
+        return _opaque(ts_us, len(frame), "short")
     ethertype = int.from_bytes(frame[12:14], "big")
     if ethertype == ETH_ARP:
         return _dissect_arp(frame, ts_us)
@@ -162,10 +153,7 @@ def _dissect(frame: bytes, ts_us: int) -> ParsedPacket:
         return _dissect_ipv4(frame, ts_us)
     if ethertype == ETH_IPV6:
         return _dissect_ipv6(frame, ts_us)
-    return ParsedPacket(
-        ts_us=ts_us, src_addr="", dst_addr="",
-        transport=f"ether-0x{ethertype:04x}", wire_len=wire_len,
-    )
+    return _opaque(ts_us, len(frame), f"ether-0x{ethertype:04x}")
 
 
 def _dissect_arp(frame: bytes, ts_us: int) -> ParsedPacket:
@@ -182,13 +170,12 @@ def _dissect_arp(frame: bytes, ts_us: int) -> ParsedPacket:
 
 
 def _dissect_ipv4(frame: bytes, ts_us: int) -> ParsedPacket:
-    wire_len = len(frame)
     ip = frame[14:]
     if len(ip) < 20 or (ip[0] >> 4) != 4:
-        return _opaque(frame, ts_us, "ipv4-bad")
+        return _opaque(ts_us, len(frame), "ipv4-bad")
     ihl = (ip[0] & 0x0F) * 4
     if ihl < 20 or len(ip) < ihl:
-        return _opaque(frame, ts_us, "ipv4-bad")
+        return _opaque(ts_us, len(frame), "ipv4-bad")
     total_len = int.from_bytes(ip[2:4], "big")
     frag = int.from_bytes(ip[6:8], "big")
     proto = ip[9]
@@ -196,20 +183,16 @@ def _dissect_ipv4(frame: bytes, ts_us: int) -> ParsedPacket:
     dst = _addr_text(bytes(ip[16:20]))
     if frag & 0x1FFF:
         # Later fragment: no transport header; reassembly is out of scope.
-        return ParsedPacket(
-            ts_us=ts_us, src_addr=src, dst_addr=dst, transport="ip-frag",
-            wire_len=wire_len,
-        )
+        return _opaque(ts_us, len(frame), "ip-frag", src, dst)
     end = min(len(ip), total_len) if total_len >= ihl else len(ip)
     payload = ip[ihl:end]
     return _dissect_l4(frame, ts_us, proto, src, dst, payload, icmp6=False)
 
 
 def _dissect_ipv6(frame: bytes, ts_us: int) -> ParsedPacket:
-    wire_len = len(frame)
     ip = frame[14:]
     if len(ip) < 40 or (ip[0] >> 4) != 6:
-        return _opaque(frame, ts_us, "ipv6-bad")
+        return _opaque(ts_us, len(frame), "ipv6-bad")
     nxt = ip[6]
     src = _addr_text(bytes(ip[8:24]))
     dst = _addr_text(bytes(ip[24:40]))
@@ -218,15 +201,12 @@ def _dissect_ipv6(frame: bytes, ts_us: int) -> ParsedPacket:
     for _ in range(8):
         if nxt in (0, 43, 60):
             if len(ip) < pos + 8:
-                return _opaque(frame, ts_us, "ipv6-bad", src, dst)
+                return _opaque(ts_us, len(frame), "ipv6-bad", src, dst)
             length = (ip[pos + 1] + 1) * 8
             nxt = ip[pos]
             pos += length
         elif nxt == 44:
-            return ParsedPacket(
-                ts_us=ts_us, src_addr=src, dst_addr=dst, transport="ip-frag",
-                wire_len=wire_len,
-            )
+            return _opaque(ts_us, len(frame), "ip-frag", src, dst)
         else:
             break
     payload = ip[pos:]
@@ -239,10 +219,11 @@ def _addr_text(packed: bytes) -> str:
     return str(ipaddress.ip_address(packed))
 
 
-def _opaque(frame, ts_us, token, src="", dst=""):
+def _opaque(ts_us, wire_len, token, src="", dst=""):
+    """A frame degraded to the transport token `token`, app None."""
     return ParsedPacket(
         ts_us=ts_us, src_addr=src, dst_addr=dst, transport=token,
-        wire_len=len(frame),
+        wire_len=wire_len,
     )
 
 
@@ -258,18 +239,12 @@ def _dissect_l4(frame, ts_us, proto, src, dst, payload, icmp6):
         return _dissect_tcp(ts_us, src, dst, payload, wire_len)
     if proto == 17:
         return _dissect_udp(ts_us, src, dst, payload, wire_len)
-    return ParsedPacket(
-        ts_us=ts_us, src_addr=src, dst_addr=dst,
-        transport=f"ip-proto-{proto}", wire_len=wire_len,
-    )
+    return _opaque(ts_us, wire_len, f"ip-proto-{proto}", src, dst)
 
 
 def _dissect_tcp(ts_us, src, dst, seg, wire_len):
     if len(seg) < 20:
-        return ParsedPacket(
-            ts_us=ts_us, src_addr=src, dst_addr=dst, transport="tcp-bad",
-            wire_len=wire_len,
-        )
+        return _opaque(ts_us, wire_len, "tcp-bad", src, dst)
     sport, dport = struct.unpack_from(">HH", seg, 0)
     offset = (seg[12] >> 4) * 4
     flags = seg[13]
@@ -295,10 +270,7 @@ def _dissect_tcp(ts_us, src, dst, seg, wire_len):
 
 def _dissect_udp(ts_us, src, dst, seg, wire_len):
     if len(seg) < 8:
-        return ParsedPacket(
-            ts_us=ts_us, src_addr=src, dst_addr=dst, transport="udp-bad",
-            wire_len=wire_len,
-        )
+        return _opaque(ts_us, wire_len, "udp-bad", src, dst)
     sport, dport, ulen, _ck = struct.unpack_from(">HHHH", seg, 0)
     end = min(len(seg), ulen) if ulen >= 8 else len(seg)
     payload = seg[8:end]
@@ -563,18 +535,18 @@ def _coap_ext(payload: bytes, nibble: int, pos: int):
 # -- writing ----------------------------------------------------------------------
 
 
-def write_pcap(trace: Trace, topo: Topology = None) -> bytes:
+def write_pcap(trace: Trace) -> bytes:
     """Serialize a trace to classic pcap bytes.
 
     Packets must carry enough to synthesize Ethernet/IP/transport headers;
-    role tokens in the address slots resolve through `topo` or raise
-    UnresolvedHost.  read_pcap(write_pcap(t)) reproduces the ParsedPacket
-    sequence field for field (wire_len may be recomputed).
+    an address slot that holds no address literal raises UnresolvedHost.
+    read_pcap(write_pcap(t)) reproduces the ParsedPacket sequence field for
+    field (wire_len may be recomputed).
     """
     out = bytearray(_GLOBAL_LE.pack(PCAP_MAGIC, 2, 4, 0, 0, 65535,
                                     LINKTYPE_ETHERNET))
     for pkt in trace.packets:
-        frame = _synth_frame(pkt, topo)
+        frame = _synth_frame(pkt)
         out += _REC_LE.pack(
             pkt.ts_us // 1_000_000, pkt.ts_us % 1_000_000, len(frame), len(frame)
         )
@@ -587,7 +559,7 @@ def write_pcap(trace: Trace, topo: Topology = None) -> bytes:
 _FIXED_FRAME_LEN = {"arp": 14 + 28, "icmp": 14 + 20 + 8, "icmpv6": 14 + 40 + 8}
 
 
-def frame_len(pkt: ParsedPacket, topo: Topology = None) -> int:
+def frame_len(pkt: ParsedPacket) -> int:
     """Length of the frame write_pcap would emit for `pkt` before wire_len
     padding (pkt.wire_len is ignored), computed without building the frame.
 
@@ -601,8 +573,8 @@ def frame_len(pkt: ParsedPacket, topo: Topology = None) -> int:
         return fixed
     if pkt.transport not in ("tcp", "udp"):
         raise ValueError(f"cannot synthesize transport {pkt.transport!r}")
-    src = _resolve_addr(pkt.src_addr, topo)
-    if src.version != _resolve_addr(pkt.dst_addr, topo).version:
+    src = _endpoint(pkt.src_addr)
+    if src.version != _endpoint(pkt.dst_addr).version:
         raise ValueError("mixed address families in one packet")
     payload = len(_synth_payload(pkt))
     if not payload and not pkt.control_plane and pkt.transport == "udp":
@@ -627,22 +599,14 @@ class _Endpoint:
         self.mac = mac
 
 
-def _resolve_addr(raw: str, topo: Topology) -> _Endpoint:
-    if raw in ROLES:
-        if topo is None:
-            raise UnresolvedHost(f"role {raw!r} has no topology binding")
-        return _endpoint(topo.addr_of(raw))
-    try:
-        return _endpoint(raw)
-    except ValueError:
-        raise UnresolvedHost(
-            f"cannot resolve host {raw!r} to an address") from None
-
-
 @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
 def _endpoint(literal: str) -> _Endpoint:
-    """Parse an address literal once; raises ValueError if it is none."""
-    addr = ipaddress.ip_address(literal)
+    """Parse an address literal once; raises UnresolvedHost if it is none."""
+    try:
+        addr = ipaddress.ip_address(literal)
+    except ValueError:
+        raise UnresolvedHost(
+            f"cannot resolve host {literal!r} to an address") from None
     return _Endpoint(addr.version, addr.packed, _mac_for(addr))
 
 
@@ -667,15 +631,15 @@ def _ipv4_checksum(header: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-def _synth_frame(pkt: ParsedPacket, topo: Topology) -> bytes:
+def _synth_frame(pkt: ParsedPacket) -> bytes:
     if pkt.transport == "arp":
-        return _synth_arp(pkt, topo)
+        return _synth_arp(pkt)
     if pkt.transport in ("icmp", "icmpv6"):
-        return _synth_icmp(pkt, topo)
+        return _synth_icmp(pkt)
     if pkt.transport not in ("tcp", "udp"):
         raise ValueError(f"cannot synthesize transport {pkt.transport!r}")
-    src = _resolve_addr(pkt.src_addr, topo)
-    dst = _resolve_addr(pkt.dst_addr, topo)
+    src = _endpoint(pkt.src_addr)
+    dst = _endpoint(pkt.dst_addr)
     if src.version != dst.version:
         raise ValueError("mixed address families in one packet")
     payload = _synth_payload(pkt)
@@ -702,6 +666,11 @@ def _synth_frame(pkt: ParsedPacket, topo: Topology) -> bytes:
     else:
         l4 = struct.pack(">HHHH", sport, dport, 8 + len(payload), 0) + payload
         proto = 17
+    return _ip_frame(src, dst, proto, l4)
+
+
+def _ip_frame(src: _Endpoint, dst: _Endpoint, proto: int, l4: bytes) -> bytes:
+    """Ethernet frame carrying `l4` in one IP packet of src's family."""
     if src.version == 4:
         header = struct.pack(
             ">BBHHHBBH4s4s", 0x45, 0, 20 + len(l4), 0, 0, 64, proto, 0,
@@ -718,9 +687,9 @@ def _synth_frame(pkt: ParsedPacket, topo: Topology) -> bytes:
     return dst.mac + src.mac + ethertype.to_bytes(2, "big") + header + l4
 
 
-def _synth_arp(pkt: ParsedPacket, topo: Topology) -> bytes:
-    src = _resolve_addr(pkt.src_addr, topo)
-    dst = _resolve_addr(pkt.dst_addr, topo)
+def _synth_arp(pkt: ParsedPacket) -> bytes:
+    src = _endpoint(pkt.src_addr)
+    dst = _endpoint(pkt.dst_addr)
     if src.version != 4 or dst.version != 4:
         raise ValueError("ARP synthesis needs IPv4 endpoints")
     body = struct.pack(
@@ -730,27 +699,15 @@ def _synth_arp(pkt: ParsedPacket, topo: Topology) -> bytes:
     return b"\xff" * 6 + src.mac + ETH_ARP.to_bytes(2, "big") + body
 
 
-def _synth_icmp(pkt: ParsedPacket, topo: Topology) -> bytes:
-    src = _resolve_addr(pkt.src_addr, topo)
-    dst = _resolve_addr(pkt.dst_addr, topo)
-    if pkt.transport == "icmpv6":
-        if src.version != 6:
-            raise ValueError("icmpv6 needs IPv6 endpoints")
-        body = struct.pack(">BBHI", 128, 0, 0, 0)
-        header = struct.pack(
-            ">IHBB16s16s", 0x60000000, len(body), 58, 64, src.packed, dst.packed
-        )
-        return dst.mac + src.mac + ETH_IPV6.to_bytes(2, "big") + header + body
-    if src.version != 4:
-        raise ValueError("icmp needs IPv4 endpoints")
-    body = struct.pack(">BBHI", 8, 0, 0, 0)
-    header = struct.pack(
-        ">BBHHHBBH4s4s", 0x45, 0, 20 + len(body), 0, 0, 64, 1, 0,
-        src.packed, dst.packed,
-    )
-    checksum = _ipv4_checksum(header)
-    header = header[:10] + checksum.to_bytes(2, "big") + header[12:]
-    return dst.mac + src.mac + ETH_IPV4.to_bytes(2, "big") + header + body
+def _synth_icmp(pkt: ParsedPacket) -> bytes:
+    """An ICMP or ICMPv6 echo request."""
+    src = _endpoint(pkt.src_addr)
+    dst = _endpoint(pkt.dst_addr)
+    version, proto, echo = (6, 58, 128) if pkt.transport == "icmpv6" \
+        else (4, 1, 8)
+    if src.version != version:
+        raise ValueError(f"{pkt.transport} needs IPv{version} endpoints")
+    return _ip_frame(src, dst, proto, struct.pack(">BBHI", echo, 0, 0, 0))
 
 
 def _synth_payload(pkt: ParsedPacket) -> bytes:

@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from .core import DnsSelector, HostKind, Topology
+from .core import DnsSelector, HostKind
 from .blocklist import compile_rules, matches_packet
 from .pcapio import filter_control_plane
 from .signature import (
@@ -52,8 +52,7 @@ def profile_event(driver, config: ProfileConfig) -> SigTree:
     intersection signature of the successful captures becomes its children.
     The DNS table persists across experiments.
     """
-    topo = driver.topology()
-    table = DnsTable(topo, dict(driver.dns_seed())
+    table = DnsTable(driver.topology(), dict(driver.dns_seed())
                      if hasattr(driver, "dns_seed") else {})
     experiments = 0
 
@@ -64,12 +63,12 @@ def profile_event(driver, config: ProfileConfig) -> SigTree:
                               config.seed + experiments * config.m)
         experiments += 1
         if config.audit_blocking:
-            _audit_blocking(captures, rules, table, topo)
+            _audit_blocking(captures, rules, table)
         successes = [filter_control_plane(c.trace)
                      for c in captures if c.success]
         if not successes:
             return None
-        signature = extract_signature(aggregate_flows(successes, topo, table),
+        signature = extract_signature(aggregate_flows(successes, table),
                                       m=config.m)
         return signature if accept_signature(signature) else None
 
@@ -79,10 +78,10 @@ def profile_event(driver, config: ProfileConfig) -> SigTree:
     return tree
 
 
-def _audit_blocking(captures, rules, table: DnsTable, topo: Topology):
+def _audit_blocking(captures, rules, table: DnsTable):
     for capture in captures:
         for pkt in capture.trace.packets:
-            if matches_packet(rules, pkt, table, topo):
+            if matches_packet(rules, pkt, table):
                 raise BlockingViolation(
                     f"capture seed {capture.seed}: packet at {pkt.ts_us}us "
                     f"({pkt.src_addr} -> {pkt.dst_addr}) matches active rules")

@@ -49,8 +49,9 @@ class DnsTable:
     observation wins.  Only non-local unicast addresses are ever inserted.
     Construction is a sequential fold over packets in timestamp order.
 
-    The table also memoizes how it names each address under its own
-    topology; any insert that adds or changes a mapping clears the memo.
+    The table owns the LAN topology that names the three roles, and memoizes
+    how it names each address; any insert that adds or changes a mapping
+    clears the memo.
     """
 
     def __init__(self, topo: Topology, entries: Optional[dict] = None):
@@ -101,28 +102,25 @@ class DnsTable:
         if ref is None:
             if len(self._names) >= ADDRESS_CACHE_SIZE:
                 self._names.clear()
-            ref = self._names[addr] = _name_addr(addr, self, self.topo)
+            ref = self._names[addr] = _name_addr(addr, self)
         return ref
 
 
-def name_endpoints(packet: ParsedPacket, table: DnsTable,
-                   topo: Topology) -> tuple:
+def name_endpoints(packet: ParsedPacket, table: DnsTable) -> tuple:
     """(src_ref, dst_ref) for a packet: broadcast/multicast refs, role refs
-    for the three local roles, table-named domains, else address literals."""
-    if topo is table.topo:
-        return table._name(packet.src_addr), table._name(packet.dst_addr)
-    return (_name_addr(packet.src_addr, table, topo),
-            _name_addr(packet.dst_addr, table, topo))
+    for the three local roles of the table's topology, table-named domains,
+    else address literals."""
+    return table._name(packet.src_addr), table._name(packet.dst_addr)
 
 
-def _name_addr(addr: str, table: DnsTable, topo: Topology) -> HostRef:
+def _name_addr(addr: str, table: DnsTable) -> HostRef:
     ip = ipaddress.ip_address(addr)
     norm = str(ip)
     if norm == BROADCAST_ADDR:
         return HostRef.broadcast()
     if ip.is_multicast:
         return HostRef.multicast(norm)
-    role = topo.role_of(norm)
+    role = table.topo.role_of(norm)
     if role is not None:
         return HostRef.role(role)
     name = table.lookup(norm)
@@ -159,8 +157,7 @@ def _group_key(src: HostRef, dst: HostRef, transport: Transport,
     return (pair, transport, app)
 
 
-def aggregate_flows(traces: Iterable[Trace], topo: Topology,
-                    seed_table: DnsTable) -> list:
+def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     """Aggregate each trace into a set of canonical FlowIds.
 
     Two phases: per-trace grouping by unordered endpoint pair + transport +
@@ -184,7 +181,7 @@ def aggregate_flows(traces: Iterable[Trace], topo: Topology,
                 continue
             if packet.control_plane:
                 continue
-            src, dst = name_endpoints(packet, seed_table, topo)
+            src, dst = name_endpoints(packet, seed_table)
             key = _group_key(src, dst, Transport(packet.transport), packet.app)
             group = groups.get(key)
             if group is None:

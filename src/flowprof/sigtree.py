@@ -65,7 +65,7 @@ class SigTree:
         self.pruning = pruning
         self.nodes = [SigNode(flow=None, parent=None, depth=0)]
         self.frontier = deque([0])
-        self._explored: set = set()  # canonical flows with Expanded/Failed nodes
+        self._explored: set = set()  # flows with Expanded/Failed nodes
         self.experiment_count = 0
         self.capture_count = 0
 
@@ -84,7 +84,7 @@ class SigTree:
             if (
                 self.pruning
                 and node.flow is not None
-                and node.flow.canonical_json() in self._explored
+                and node.flow in self._explored
             ):
                 node.status = NodeStatus.PRUNED
                 node.reason = "duplicate"
@@ -101,10 +101,9 @@ class SigTree:
         node = self.nodes[handle]
         if node.status is not NodeStatus.UNEXPLORED:
             raise NodeAlreadyVisited(f"node {handle} is {node.status.value}")
-        on_path = {f.canonical_json() for f in self.blocking_set(handle)}
-        fresh = [f for f in signature.flows if f.canonical_json() not in on_path]
+        fresh = signature.flows - set(self.blocking_set(handle))
         handles = []
-        for flow in sorted_flows(set(fresh)):
+        for flow in sorted_flows(fresh):
             child = SigNode(flow=flow, parent=handle, depth=node.depth + 1)
             self.nodes.append(child)
             child_handle = len(self.nodes) - 1
@@ -113,7 +112,7 @@ class SigTree:
             handles.append(child_handle)
         node.status = NodeStatus.EXPANDED
         if node.flow is not None:
-            self._explored.add(node.flow.canonical_json())
+            self._explored.add(node.flow)
         return handles
 
     def mark_failed(self, handle: int):
@@ -123,7 +122,7 @@ class SigTree:
         if node.status is not NodeStatus.UNEXPLORED:
             raise NodeAlreadyVisited(f"node {handle} is {node.status.value}")
         node.status = NodeStatus.FAILED
-        self._explored.add(node.flow.canonical_json())
+        self._explored.add(node.flow)
 
     def prune(self, handle: int, reason: str):
         node = self.nodes[handle]
@@ -152,10 +151,9 @@ class SigTree:
         for handle, node in enumerate(self.nodes):
             if handle == self.root:
                 continue
-            key = node.flow.canonical_json()
-            unique.add(key)
+            unique.add(node.flow)
             if node.depth == 1:
-                first_level.add(key)
+                first_level.add(node.flow)
             if node.status is NodeStatus.PRUNED:
                 pruned[node.depth] = pruned.get(node.depth, 0) + 1
             elif node.status is NodeStatus.FAILED:
@@ -218,7 +216,7 @@ class SigTree:
                 handle = len(tree.nodes) - 1
                 tree.nodes[parent].children.append(handle)
             if node.status in (NodeStatus.EXPANDED, NodeStatus.FAILED) and flow:
-                tree._explored.add(flow.canonical_json())
+                tree._explored.add(flow)
             if node.status is NodeStatus.UNEXPLORED:
                 tree.frontier.append(handle)
             for child in node_obj.get("children", ()):

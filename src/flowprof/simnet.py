@@ -36,6 +36,7 @@ from .pcapio import (
     TCP_PSH,
     TCP_SYN,
     Trace,
+    _headers_len,
     frame_len,
     read_pcap,
     write_pcap,
@@ -146,9 +147,9 @@ def _validate(obj: dict, name: str) -> DeviceModel:
     record_names = {rec_name for rec_name, _ in records}
     record_ips = {ip for _, ip in records}
 
-    flows = [_validate_spec(entry, topo, noise=False)
+    flows = [_validate_spec(entry, noise=False)
              for entry in _expect_list(obj, "flows")]
-    noise = [_validate_spec(entry, topo, noise=True)
+    noise = [_validate_spec(entry, noise=True)
              for entry in obj.get("noise", [])]
     all_specs = flows + noise
 
@@ -156,9 +157,9 @@ def _validate(obj: dict, name: str) -> DeviceModel:
     for flow_id in ids:
         if ids.count(flow_id) > 1:
             raise SchemaError(f"duplicate flow id {flow_id!r}")
-    templates = [spec.flow.canonical_json() for spec in all_specs]
+    templates = [spec.flow for spec in all_specs]
     for spec in all_specs:
-        if templates.count(spec.flow.canonical_json()) > 1:
+        if templates.count(spec.flow) > 1:
             raise SchemaError(f"flow {spec.id!r} duplicates another template")
 
     id_set = set(ids)
@@ -241,7 +242,7 @@ def _validate_records(raw, topo: Topology) -> Tuple[Tuple[str, str], ...]:
     return tuple(records)
 
 
-def _validate_spec(entry, topo: Topology, noise: bool) -> FlowSpec:
+def _validate_spec(entry, noise: bool) -> FlowSpec:
     if not isinstance(entry, dict):
         raise SchemaError(f"flow entry must be an object, got {entry!r}")
     flow_id = entry.get("id")
@@ -396,8 +397,7 @@ def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
     # Not redundant with skipping blocked specs: `blocked` compares whole
     # flows, direction included, so a uni rule never blocks a bi flow on the
     # same endpoints, yet it matches that flow's packets in its own direction.
-    packets = [p for p in packets
-               if not matches_packet(rules, p, table, model.topology)]
+    packets = [p for p in packets if not matches_packet(rules, p, table)]
     trace = Trace(packets=tuple(packets), capture_duration=CAPTURE_SECONDS,
                   label=f"{model.name}-seed{seed}")
     return CaptureResult(
@@ -479,6 +479,7 @@ def _emit_flow(model: DeviceModel, spec: FlowSpec,
                 sni = host.value
                 break
 
+    headers = _headers_len(transport, 6 if ":" in init_addr else 4)
     data = []
     for k in range(spec.shape.count):
         if k:
@@ -502,18 +503,12 @@ def _emit_flow(model: DeviceModel, spec: FlowSpec,
             tcp_flags=(TCP_PSH | TCP_ACK) if transport == "tcp" else None,
         )
         size = spec.shape.sizes[k % len(spec.shape.sizes)]
-        overhead = 14 + _ip_overhead(init_addr) + (20 if transport == "tcp"
-                                                   else 8)
-        wire_len = max(frame_len(ParsedPacket(**fields)), overhead + size)
+        wire_len = max(frame_len(ParsedPacket(**fields)), headers + size)
         data.append(ParsedPacket(**fields, wire_len=wire_len))
 
     if transport != "tcp":
         return data
     return _tcp_dressing(data)
-
-
-def _ip_overhead(addr: str) -> int:
-    return 40 if ":" in addr else 20
 
 
 def _tcp_dressing(data: list) -> list:
@@ -577,8 +572,7 @@ class SimDriver:
         return {ip: rec_name for rec_name, ip in self.model.dns_records}
 
     def run(self, rules: RuleSet, m: int, seed: int) -> List[CaptureResult]:
-        topo = self.model.topology
-        return [replace(r, trace=read_pcap(write_pcap(r.trace, topo)))
+        return [replace(r, trace=read_pcap(write_pcap(r.trace)))
                 for r in run_experiment(self.model, rules, m, seed)]
 
 

@@ -257,7 +257,7 @@ def test_signature_soundness_monotonicity_and_noise_rejection(topo):
         rng = random.Random(case)
         n = rng.randint(2, 5)
         traces = [_random_trace(rng, f"case{case}-{i}") for i in range(n)]
-        flow_sets = aggregate_flows(traces, topo, DnsTable(topo))
+        flow_sets = aggregate_flows(traces, DnsTable(topo))
         sig = extract_signature(flow_sets, m=n)
         for flow_set in flow_sets:
             assert sig.flows <= frozenset(flow_set), case
@@ -447,7 +447,7 @@ def _pcap_frames(blob):
     return frames
 
 
-def test_codec_round_trips_and_dissector_fuzz(topo):
+def test_codec_round_trips_and_dissector_fuzz():
     rng = random.Random(6)
     for case in range(1000):
         ts = 1_700_000_000_000_000
@@ -457,8 +457,8 @@ def test_codec_round_trips_and_dissector_fuzz(topo):
             pkts.append(_random_packet(rng, ts))
         trace = Trace(packets=tuple(pkts), capture_duration=20.0,
                       label=f"case{case}")
-        blob = write_pcap(trace, topo)
-        blob2 = write_pcap(read_pcap(blob), topo)
+        blob = write_pcap(trace)
+        blob2 = write_pcap(read_pcap(blob))
         assert blob2 == blob, case
 
     for case in range(1000):
@@ -494,8 +494,7 @@ def test_codec_round_trips_and_dissector_fuzz(topo):
             ts += rng.randint(1, 100_000)
             pkts.append(_random_packet(rng, ts))
         seeds.extend(_pcap_frames(write_pcap(
-            Trace(packets=tuple(pkts), capture_duration=20.0, label="s"),
-            topo)))
+            Trace(packets=tuple(pkts), capture_duration=20.0, label="s"))))
     for i in range(100_000):
         if i % 2 == 0:
             frame = bytes(rng.getrandbits(8)

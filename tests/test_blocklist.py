@@ -105,6 +105,8 @@ def test_parse_normalizes_matcher_order_and_duplicates():
      "match dns.qtype=A", 1),
     ("block tcp init device resp phone dir bi trailing", 1),
     ("# fine\nblock tcp init bad..host resp phone dir bi", 2),
+    ("# fine\nblock tcp init device resp phone dir bi "
+     "match http.is_response=yes", 2),
 ])
 def test_parse_reports_line_numbers(line, lineno):
     with pytest.raises(RuleSyntaxError) as err:
@@ -209,22 +211,22 @@ def _pkt(src, dst, sport, dport, transport="tcp", **kw):
 def test_matches_packet_names_roles_and_domains(topo):
     table = DnsTable(topo, {CLOUD: "a.example"})
     rules = compile_rules([_flow()])
-    assert matches_packet(rules, _pkt(DEVICE, CLOUD, 49000, 443), table, topo)
-    assert matches_packet(rules, _pkt(CLOUD, DEVICE, 443, 49000), table, topo)
+    assert matches_packet(rules, _pkt(DEVICE, CLOUD, 49000, 443), table)
+    assert matches_packet(rules, _pkt(CLOUD, DEVICE, 443, 49000), table)
     assert not matches_packet(rules, _pkt(DEVICE, "52.0.0.9", 49000, 443),
-                              table, topo)
+                              table)
 
 
 def test_address_rule_matches_raw_literal(topo):
     rules = parse("block tcp init device resp ip:52.0.0.9:443 dir bi\n")
     assert matches_packet(rules, _pkt(DEVICE, "52.0.0.9", 49000, 443),
-                          DnsTable(topo), topo)
+                          DnsTable(topo))
 
 
 def test_domain_rule_needs_table_entry(topo):
     rules = compile_rules([_flow()])
     assert not matches_packet(rules, _pkt(DEVICE, CLOUD, 49000, 443),
-                              DnsTable(topo), topo)
+                              DnsTable(topo))
 
 
 def test_dns_response_matches_via_question(topo):
@@ -237,25 +239,25 @@ def test_dns_response_matches_via_question(topo):
     response = _pkt(gw, DEVICE, 53, 50000, "udp", app=sel,
                     dns_answers=(("a.example", CLOUD),))
     table = DnsTable(topo)
-    assert matches_packet(rules, query, table, topo)
-    assert matches_packet(rules, response, table, topo)
+    assert matches_packet(rules, query, table)
+    assert matches_packet(rules, response, table)
 
 
 def test_control_packets_of_blocked_flow_match(topo):
     rules = parse("block tcp init device resp ip:52.0.0.9:443 dir bi\n")
     syn = _pkt(DEVICE, "52.0.0.9", 49000, 443, tcp_flags=TCP_SYN,
                control_plane=True)
-    assert matches_packet(rules, syn, DnsTable(topo), topo)
+    assert matches_packet(rules, syn, DnsTable(topo))
 
 
 def test_non_ip_packets_never_match(topo):
     rules = parse("block tcp init device resp phone dir bi\n")
     arp = ParsedPacket(ts_us=0, src_addr=DEVICE, dst_addr=topo.phone_addr,
                        transport="arp", wire_len=42, control_plane=True)
-    assert not matches_packet(rules, arp, DnsTable(topo), topo)
+    assert not matches_packet(rules, arp, DnsTable(topo))
 
 
 def test_empty_ruleset_matches_nothing(topo):
     assert not matches_flow(RuleSet(), _flow())
     assert not matches_packet(RuleSet(), _pkt(DEVICE, CLOUD, 49000, 443),
-                              DnsTable(topo), topo)
+                              DnsTable(topo))

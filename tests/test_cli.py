@@ -211,6 +211,21 @@ def test_bad_manifest_rejected(tmp_path, mini_model):
                      "--out-dir", str(tmp_path / "out")]) == 1
 
 
+def test_string_selector_flag_exits_one(tmp_path):
+    flow = {"initiator": "device", "responder": "phone",
+            "app": {"proto": "http", "is_response": "false"}}
+    flows_path = tmp_path / "flows.json"
+    flows_path.write_text(json.dumps([flow]))
+    assert main(["rules", str(flows_path), "--out-dir", str(tmp_path)]) == 1
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps({"root": {
+        "status": "expanded", "depth": 0, "children": [
+            {"flow": flow, "status": "unexplored", "depth": 1}]}}))
+    assert main(["analyze", str(tree_path), "--out-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / "rules.txt").exists()
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_analyze_rejects_missing_and_bad_trees(tmp_path):
     assert main(["analyze", "--out-dir", str(tmp_path)]) == 1
     junk = tmp_path / "junk.json"

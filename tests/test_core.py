@@ -104,6 +104,24 @@ def test_flow_port_bounds():
         _flow(responder_port=65536)
 
 
+@pytest.mark.parametrize("port", [80.0, 80.5, True])
+def test_flow_ports_must_be_integers(port):
+    obj = _flow().to_obj()
+    obj["responder_port"] = port
+    with pytest.raises(ValueError, match="not an integer"):
+        FlowId.from_obj(obj)
+
+
+def test_selector_flags_must_be_json_booleans():
+    obj = _flow(app=HttpSelector(is_response=True)).to_obj()
+    for flag in ("false", 1):
+        obj["app"]["is_response"] = flag
+        with pytest.raises(ValueError, match="true or false"):
+            FlowId.from_obj(obj)
+    obj["app"]["is_response"] = False
+    assert FlowId.from_obj(obj).app == HttpSelector(is_response=False)
+
+
 def test_dns_flows_are_udp_with_pinned_port():
     sel = DnsSelector(qtype="A", qname="a.example")
     _flow(transport=Transport.UDP, responder_port=53, app=sel)
@@ -261,7 +279,7 @@ def test_address_memos_stay_within_their_bound(topo):
         pcapio._addr_text(ip.packed)
         blocklist._address_ref(addr)
         name_endpoints(ParsedPacket(ts_us=0, src_addr=addr, dst_addr=addr),
-                       table, topo)
+                       table)
     for memo in (core._is_local, pcapio._endpoint, pcapio._addr_text,
                  blocklist._address_ref):
         info = memo.cache_info()

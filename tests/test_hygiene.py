@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import and private function or class
+in the package is used by its own module."""
 
 import ast
 import pathlib
@@ -23,6 +24,17 @@ def _unused_imports(tree: ast.Module) -> list:
                   if name not in used)
 
 
+def _unloaded_privates(tree: ast.Module) -> list:
+    defined = {node.name: node.lineno for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name not in loaded)
+
+
 def test_module_level_imports_are_used():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -39,3 +51,20 @@ def test_check_flags_an_unused_import():
                      "import json\nfrom typing import Optional, Tuple\n"
                      "def f(x: Optional[int]): return json.dumps(x)\n")
     assert _unused_imports(tree) == [(3, "Tuple")]
+
+
+def test_module_level_private_definitions_are_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [f"{path.name}:{line}: {name}"
+                   for line, name in _unloaded_privates(tree)]
+    assert unused == []
+
+
+def test_check_flags_an_unused_private_function():
+    tree = ast.parse("def _used(): return 1\n"
+                     "def _left_over(addr): return 40\n"
+                     "class _Slot: pass\n"
+                     "def public(): return _used(), _Slot()\n")
+    assert _unloaded_privates(tree) == [(2, "_left_over")]

@@ -225,5 +225,5 @@ def test_frame_len_matches_the_synthesized_frame(path):
     for rules in [RuleSet()] + [compile_rules([f]) for f in first_level]:
         for seed in range(5):
             for pkt in run_capture(model, rules, seed).trace.packets:
-                frame = _synth_frame(replace(pkt, wire_len=0), model.topology)
-                assert frame_len(pkt, model.topology) == len(frame)
+                frame = _synth_frame(replace(pkt, wire_len=0))
+                assert frame_len(pkt) == len(frame)

@@ -85,6 +85,15 @@ def test_flow_obj_round_trip(flow):
     assert FlowId.from_obj(json.loads(flow.canonical_json())) == flow
 
 
+@given(flow_ids(), st.booleans(), flow_ids())
+def test_flow_equality_is_canonical_json_equality(a, copy, other):
+    # sets key on FlowId equality, files on canonical JSON: both must agree
+    b = FlowId.from_obj(json.loads(a.canonical_json())) if copy else other
+    assert (a == b) == (a.canonical_json() == b.canonical_json())
+    if a == b:
+        assert hash(a) == hash(b)
+
+
 @given(flow_ids())
 def test_canonicalize_idempotent(flow):
     once = canonicalize(flow)
@@ -190,4 +199,4 @@ def synthesizable_packets(draw):
 
 @given(synthesizable_packets())
 def test_frame_len_is_the_unpadded_synthesized_length(pkt):
-    assert frame_len(pkt) == len(_synth_frame(replace(pkt, wire_len=0), None))
+    assert frame_len(pkt) == len(_synth_frame(replace(pkt, wire_len=0)))

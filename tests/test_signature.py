@@ -9,7 +9,6 @@ from flowprof import (
     FlowId,
     HostRef,
     ParsedPacket,
-    Topology,
     Trace,
     Transport,
     accept_signature,
@@ -80,14 +79,14 @@ def test_table_accepts_seed_entries(topo):
 
 def test_name_endpoints_covers_all_kinds(topo):
     table = DnsTable(topo, {CLOUD: "a.example"})
-    src, dst = name_endpoints(_pkt(DEVICE, CLOUD), table, topo)
+    src, dst = name_endpoints(_pkt(DEVICE, CLOUD), table)
     assert src == HostRef.role("device")
     assert dst == HostRef.domain("a.example")
-    src, dst = name_endpoints(_pkt(PHONE, "255.255.255.255"), table, topo)
+    src, dst = name_endpoints(_pkt(PHONE, "255.255.255.255"), table)
     assert (src.token(), dst.token()) == ("phone", "broadcast")
-    src, dst = name_endpoints(_pkt(PHONE, "224.0.0.251"), table, topo)
+    src, dst = name_endpoints(_pkt(PHONE, "224.0.0.251"), table)
     assert dst.token() == "multicast:224.0.0.251"
-    src, dst = name_endpoints(_pkt(GATEWAY, "8.8.8.8"), table, topo)
+    src, dst = name_endpoints(_pkt(GATEWAY, "8.8.8.8"), table)
     assert (src.token(), dst.token()) == ("gateway", "ip:8.8.8.8")
 
 
@@ -100,35 +99,23 @@ def _answer(name, addr=CLOUD):
 def test_naming_follows_each_table_update(topo):
     table = DnsTable(topo)
     to_cloud = _pkt(DEVICE, CLOUD, 49321, 443, transport="tcp")
-    assert name_endpoints(to_cloud, table, topo)[1] == HostRef.address(CLOUD)
+    assert name_endpoints(to_cloud, table)[1] == HostRef.address(CLOUD)
     table.update(_answer("old.example"))
-    assert name_endpoints(to_cloud, table, topo)[1] == \
+    assert name_endpoints(to_cloud, table)[1] == \
         HostRef.domain("old.example")
     table.update(_answer("new.example"))  # latest wins
-    assert name_endpoints(to_cloud, table, topo)[1] == \
+    assert name_endpoints(to_cloud, table)[1] == \
         HostRef.domain("new.example")
 
 
 def test_naming_follows_updates_for_every_spelling_of_an_address(topo):
     table = DnsTable(topo)
     spelled = _pkt(DEVICE, "2001:DB8:0:0::10")
-    assert name_endpoints(spelled, table, topo)[1] == \
+    assert name_endpoints(spelled, table)[1] == \
         HostRef.address("2001:db8::10")
     table.update(_answer("v6.example", "2001:db8::10"))
-    assert name_endpoints(spelled, table, topo)[1] == \
+    assert name_endpoints(spelled, table)[1] == \
         HostRef.domain("v6.example")
-
-
-def test_naming_under_another_topology_is_not_the_tables(topo):
-    table = DnsTable(topo, {CLOUD: "a.example"})
-    packet = _pkt(DEVICE, CLOUD)
-    assert name_endpoints(packet, table, topo) == (
-        HostRef.role("device"), HostRef.domain("a.example"))
-    moved = Topology(device_addr="192.168.1.99", phone_addr=PHONE,
-                     gateway_addr=GATEWAY, local_prefixes=("192.168.1.0/24",))
-    assert name_endpoints(packet, table, moved) == (
-        HostRef.address(DEVICE), HostRef.domain("a.example"))
-    assert name_endpoints(packet, table, topo)[0] == HostRef.role("device")
 
 
 # -- aggregation -------------------------------------------------------------------
@@ -149,7 +136,7 @@ def test_bidirectional_flow_with_ephemeral_port_dropped(topo):
             _pkt(CLOUD, DEVICE, 443, 51800, "tcp"),
         ),
     ]
-    sets = aggregate_flows(traces, topo, DnsTable(topo))
+    sets = aggregate_flows(traces, DnsTable(topo))
     assert len(sets) == 2 and sets[0] == sets[1]
     (flow,) = sets[0]
     assert flow.initiator == HostRef.role("device")
@@ -167,7 +154,7 @@ def test_constant_non_well_known_port_is_retained(topo):
         _trace(_pkt(DEVICE, PHONE, 8899, 51111, "tcp"),
                _pkt(PHONE, DEVICE, 51111, 8899, "tcp")),
     ]
-    sets = aggregate_flows(traces, topo, DnsTable(topo))
+    sets = aggregate_flows(traces, DnsTable(topo))
     (flow,) = sets[0]
     assert flow.initiator_port == 8899
     assert flow.responder_port is None
@@ -177,7 +164,7 @@ def test_one_way_traffic_stays_unidirectional(topo):
     sets = aggregate_flows(
         [_trace(_pkt(PHONE, "255.255.255.255", 49000, 9999),
                 _pkt(PHONE, "255.255.255.255", 49000, 9999, ts_us=10))],
-        topo, DnsTable(topo))
+        DnsTable(topo))
     (flow,) = sets[0]
     assert flow.direction is Direction.UNIDIRECTIONAL
     assert flow.initiator.token() == "phone"
@@ -193,7 +180,7 @@ def test_dns_response_joins_its_query_group(topo):
             _pkt(GATEWAY, DEVICE, 53, 50000, app=sel,
                  dns_answers=(("a.example", CLOUD),)),
         )],
-        topo, DnsTable(topo))
+        DnsTable(topo))
     (flow,) = sets[0]
     assert flow.app == sel
     assert flow.direction is Direction.BIDIRECTIONAL
@@ -209,7 +196,7 @@ def test_answers_name_later_endpoints_within_the_set(topo):
             _pkt(DEVICE, CLOUD, 49200, 443, "tcp"),
             _pkt(CLOUD, DEVICE, 443, 49200, "tcp"),
         )],
-        topo, DnsTable(topo))
+        DnsTable(topo))
     tokens = {f.responder.token() for f in sets[0]} \
         | {f.initiator.token() for f in sets[0]}
     assert "dom:a.example" in tokens
@@ -221,7 +208,7 @@ def test_response_only_dns_group_drops_client_port(topo):
     sets = aggregate_flows(
         [_trace(_pkt(GATEWAY, DEVICE, 53, 50000, app=sel,
                      dns_answers=(("a.example", CLOUD),)))],
-        topo, DnsTable(topo))
+        DnsTable(topo))
     (flow,) = sets[0]
     assert flow.direction is Direction.UNIDIRECTIONAL
     assert flow.initiator_port == 53
@@ -236,7 +223,7 @@ def test_control_plane_and_non_ip_packets_ignored(topo):
             _pkt(DEVICE, PHONE, 49000, 80, "tcp", control_plane=True),
             _pkt(DEVICE, PHONE, 49000, 80, "tcp"),
         )],
-        topo, DnsTable(topo))
+        DnsTable(topo))
     assert len(sets[0]) == 1
 
 
@@ -246,7 +233,7 @@ def test_selector_splits_groups(topo):
     sets = aggregate_flows(
         [_trace(_pkt(DEVICE, GATEWAY, 50000, 53, app=a),
                 _pkt(DEVICE, GATEWAY, 50000, 53, app=b))],
-        topo, DnsTable(topo))
+        DnsTable(topo))
     assert len(sets[0]) == 2
 
 

@@ -301,7 +301,7 @@ def test_packet_refilter_drops_what_flow_blocking_lets_through():
     topo = model.topology
     captures = SimDriver(model).run(RuleSet(), m=3, seed=0)
     flow_sets = aggregate_flows([filter_control_plane(c.trace)
-                                 for c in captures], topo, DnsTable(topo))
+                                 for c in captures], DnsTable(topo))
     observed = extract_signature(flow_sets, m=3).flows
     x_flow, = [f for f in observed if f.direction is Direction.UNIDIRECTIONAL]
     rules = compile_rules([x_flow])
@@ -399,5 +399,5 @@ def test_oracle_depth_cap_prunes():
 def test_pcap_file_of_capture_round_trips():
     model = load_model(_model())
     trace = run_capture(model, RuleSet(), seed=3).trace
-    again = read_pcap(write_pcap(trace, model.topology))
+    again = read_pcap(write_pcap(trace))
     assert again.packets == trace.packets
