@@ -1,9 +1,9 @@
 """Deny-list rules: compilation from FlowIds, matching, text grammar.
 
-A rule mirrors a FlowId (lossless in both directions for compiled rules).
-Unspecified rule ports are wildcards; a rule with no matchers places no
-constraint on the application selector.  The text grammar is line-oriented
-and bit-exact:
+A rule is a FlowId pattern plus application matchers (lossless in both
+directions for compiled rules).  Unspecified rule ports are wildcards; a
+rule with no matchers places no constraint on the application selector.
+The text grammar is line-oriented and bit-exact:
 
     block <tcp|udp> init <host>[:<port>] resp <host>[:<port>] dir <uni|bi>
         [match <key>=<value>]*
@@ -14,7 +14,7 @@ with full-line '#' comments and '\\n' terminators.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional
 
 from .core import (
@@ -30,7 +30,6 @@ from .core import (
     app_from_items,
     app_items,
     canonicalize,
-    sorted_flows,
 )
 from .signature import DnsTable, name_endpoints
 
@@ -51,17 +50,18 @@ class RuleSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Rule:
-    """One deny rule; field-for-field image of a FlowId."""
+    """One deny rule: a flow pattern and the application matchers.
 
-    transport: Transport
-    init_host: HostRef
-    resp_host: HostRef
-    init_port: Optional[int] = None
-    resp_port: Optional[int] = None
-    direction: Direction = Direction.BIDIRECTIONAL
+    The pattern is a FlowId without app; a None port is a wildcard.  The
+    matchers are (key, value text) pairs kept in MATCHER_KEYS order; none
+    places no constraint on the application selector."""
+
+    pattern: FlowId
     matchers: tuple = ()
 
     def __post_init__(self):
+        if self.pattern.app is not None:
+            raise ValueError("a rule pattern carries no app selector")
         seen = set()
         for key, value in self.matchers:
             if key not in MATCHER_KEYS:
@@ -74,21 +74,12 @@ class Rule:
                 raise ValueError(f"matcher {key} must be true or false, "
                                  f"not {value!r}")
             seen.add(key)
-        for port in (self.init_port, self.resp_port):
-            if port is not None and not (1 <= port <= 65535):
-                raise ValueError(f"port {port} out of range")
+        object.__setattr__(self, "matchers", tuple(sorted(
+            self.matchers, key=lambda kv: MATCHER_KEYS.index(kv[0]))))
 
     @staticmethod
     def from_flow(flow: FlowId) -> "Rule":
-        return Rule(
-            transport=flow.transport,
-            init_host=flow.initiator,
-            resp_host=flow.responder,
-            init_port=flow.initiator_port,
-            resp_port=flow.responder_port,
-            direction=flow.direction,
-            matchers=_matchers(flow.app),
-        )
+        return Rule(replace(flow, app=None), _matchers(flow.app))
 
     def to_flow(self) -> FlowId:
         """Reconstruct the FlowId image; requires a complete matcher set."""
@@ -99,22 +90,15 @@ class Rule:
                 raise ValueError("matchers span multiple protocols")
             values = {key.split(".")[1]: value for key, value in self.matchers}
             app = app_from_items(protos.pop(), values, as_bool="true".__eq__)
-        return FlowId(
-            initiator=self.init_host,
-            responder=self.resp_host,
-            initiator_port=self.init_port,
-            responder_port=self.resp_port,
-            transport=self.transport,
-            direction=self.direction,
-            app=app,
-        )
+        return replace(self.pattern, app=app)
 
     def render(self) -> str:
+        pattern = self.pattern
         parts = [
-            "block", self.transport.value,
-            "init", _host_port(self.init_host, self.init_port),
-            "resp", _host_port(self.resp_host, self.resp_port),
-            "dir", self.direction.value,
+            "block", pattern.transport.value,
+            "init", _host_port(pattern.initiator, pattern.initiator_port),
+            "resp", _host_port(pattern.responder, pattern.responder_port),
+            "dir", pattern.direction.value,
         ]
         for key, value in self.matchers:
             parts.append("match")
@@ -162,23 +146,23 @@ class RuleSet:
 
 
 def compile_rules(flows: Iterable[FlowId]) -> RuleSet:
-    """One rule per FlowId, canonicalized; deterministic order."""
-    canon = [canonicalize(f) for f in flows]
-    return RuleSet(tuple(Rule.from_flow(f) for f in sorted_flows(set(canon))))
+    """One rule per distinct canonical FlowId, in RuleSet order."""
+    return RuleSet(tuple(Rule.from_flow(canonicalize(f)) for f in flows))
 
 
 # -- matching -------------------------------------------------------------------
 
 
 def matches_flow(rules: RuleSet, flow: FlowId) -> bool:
-    """True iff some rule's FlowId image equals the flow on all specified
-    fields; unspecified rule ports and an empty matcher list are wildcards.
-    Bidirectional rules match either endpoint orientation."""
-    flow = canonicalize(flow)
+    """True iff some rule would drop one of the flow's packets: its pattern
+    equals the flow on all specified fields, in the flow's orientation or,
+    when the rule or the flow is bidirectional, the reverse one.  So a uni
+    rule also blocks a bi flow on the same endpoints.  Unspecified rule
+    ports and an empty matcher list are wildcards."""
     return _rules_hit(rules, flow.transport, flow.app,
                       (flow.initiator, None, flow.initiator_port),
                       (flow.responder, None, flow.responder_port),
-                      flow.direction)
+                      flow.direction is Direction.BIDIRECTIONAL)
 
 
 _PACKET_TRANSPORTS = {t.value: t for t in Transport}
@@ -199,31 +183,30 @@ def matches_packet(rules: RuleSet, packet: ParsedPacket,
     src_ref, dst_ref = name_endpoints(packet, table)
     return _rules_hit(rules, transport, packet.app,
                       (src_ref, packet.src_addr, packet.src_port),
-                      (dst_ref, packet.dst_addr, packet.dst_port))
+                      (dst_ref, packet.dst_addr, packet.dst_port), False)
 
 
 def _rules_hit(rules, transport: Transport, app: AppSelector, init: tuple,
-               resp: tuple, direction: Optional[Direction] = None) -> bool:
+               resp: tuple, two_way: bool) -> bool:
     """The rule loop of both verdicts.  `init` and `resp` are (host ref, raw
-    address or None, port) ends; bidirectional rules also try them swapped.
-    A direction of None (packets) matches rules of either direction."""
+    address or None, port) ends; they are also tried swapped when the rule
+    is bidirectional or `two_way` is set."""
     app_matchers = None
     for rule in rules:
-        if rule.transport is not transport:
-            continue
-        if direction is not None and rule.direction is not direction:
+        pattern = rule.pattern
+        if pattern.transport is not transport:
             continue
         if rule.matchers:
             if app_matchers is None:
                 app_matchers = set(_matchers(app))
             if not app_matchers.issuperset(rule.matchers):
                 continue
-        if _end_hits(rule.init_host, rule.init_port, init) \
-                and _end_hits(rule.resp_host, rule.resp_port, resp):
+        if _end_hits(pattern.initiator, pattern.initiator_port, init) \
+                and _end_hits(pattern.responder, pattern.responder_port, resp):
             return True
-        if rule.direction is Direction.BIDIRECTIONAL \
-                and _end_hits(rule.init_host, rule.init_port, resp) \
-                and _end_hits(rule.resp_host, rule.resp_port, init):
+        if (two_way or pattern.direction is Direction.BIDIRECTIONAL) \
+                and _end_hits(pattern.initiator, pattern.initiator_port, resp) \
+                and _end_hits(pattern.responder, pattern.responder_port, init):
             return True
     return False
 
@@ -266,73 +249,34 @@ def parse(text: str) -> RuleSet:
 
 def _parse_line(lineno: int, line: str) -> Rule:
     tokens = line.split()
-    pos = 0
-
-    def take(expected: str = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise RuleSyntaxError(lineno, "unexpected end of rule")
-        token = tokens[pos]
-        pos += 1
-        if expected is not None and token != expected:
-            raise RuleSyntaxError(lineno, f"expected {expected!r}, got {token!r}")
-        return token
-
-    take("block")
-    transport = take()
-    if transport not in ("tcp", "udp"):
-        raise RuleSyntaxError(lineno, f"unknown transport {transport!r}")
-    take("init")
-    init_host, init_port = _parse_host_port(lineno, take())
-    take("resp")
-    resp_host, resp_port = _parse_host_port(lineno, take())
-    take("dir")
-    direction = take()
-    if direction not in ("uni", "bi"):
-        raise RuleSyntaxError(lineno, f"unknown direction {direction!r}")
+    keywords = ["block", "init", "resp", "dir"] + ["match"] * len(tokens)
+    for token, keyword in zip(tokens[::2], keywords):
+        if token != keyword:
+            raise RuleSyntaxError(lineno, f"expected {keyword!r}, got {token!r}")
+    if len(tokens) < 8 or len(tokens) % 2:
+        raise RuleSyntaxError(lineno, "unexpected end of rule")
     matchers = []
-    seen = set()
-    while pos < len(tokens):
-        take("match")
-        pair = take()
-        if "=" not in pair:
+    for pair in tokens[9::2]:
+        key, sep, value = pair.partition("=")
+        if not sep:
             raise RuleSyntaxError(lineno, f"matcher {pair!r} is not key=value")
-        key, value = pair.split("=", 1)
-        if key not in MATCHER_KEYS:
-            raise RuleSyntaxError(lineno, f"unknown matcher key {key!r}")
-        if key in seen:
-            raise RuleSyntaxError(lineno, f"duplicate matcher key {key!r}")
-        seen.add(key)
         matchers.append((key, value))
-    matchers.sort(key=lambda kv: MATCHER_KEYS.index(kv[0]))
     try:
-        return Rule(
-            transport=Transport(transport),
-            init_host=init_host,
-            resp_host=resp_host,
-            init_port=init_port,
-            resp_port=resp_port,
-            direction=Direction.BIDIRECTIONAL if direction == "bi"
-            else Direction.UNIDIRECTIONAL,
-            matchers=tuple(matchers),
-        )
+        initiator, initiator_port = _parse_host_port(tokens[3])
+        responder, responder_port = _parse_host_port(tokens[5])
+        pattern = FlowId(initiator, responder, initiator_port, responder_port,
+                         Transport(tokens[1]), Direction(tokens[7]))
+        return Rule(pattern, tuple(matchers))
     except ValueError as exc:
         raise RuleSyntaxError(lineno, str(exc)) from exc
 
 
-def _parse_host_port(lineno: int, token: str):
+def _parse_host_port(token: str) -> tuple:
+    """(host, port or None) of a `<host>[:<port>]` token; raises ValueError."""
     try:
         return HostRef.from_token(token), None
     except ValueError:
-        pass
-    host_part, sep, port_part = token.rpartition(":")
-    if sep and port_part.isdigit():
-        try:
-            host = HostRef.from_token(host_part)
-        except ValueError as exc:
-            raise RuleSyntaxError(lineno, f"bad host {token!r}: {exc}") from exc
-        port = int(port_part)
-        if not (1 <= port <= 65535):
-            raise RuleSyntaxError(lineno, f"port {port} out of range")
-        return host, port
-    raise RuleSyntaxError(lineno, f"bad host {token!r}")
+        host, sep, port = token.rpartition(":")
+        if not (sep and port.isdigit()):
+            raise
+    return HostRef.from_token(host), int(port)

@@ -566,16 +566,14 @@ def frame_len(pkt: ParsedPacket) -> int:
     TCP/UDP frames are Ethernet + IP + transport header + the synthesized
     payload, where an empty UDP payload outside the control plane becomes one
     byte; ARP and ICMP frames have fixed lengths.  Raises what write_pcap
-    raises for unresolvable hosts and mixed address families.
+    raises for unresolvable hosts and mixed or wrong address families.
     """
     fixed = _FIXED_FRAME_LEN.get(pkt.transport)
+    if fixed is None and pkt.transport not in ("tcp", "udp"):
+        raise ValueError(f"cannot synthesize transport {pkt.transport!r}")
+    src, _ = _endpoints(pkt)
     if fixed is not None:
         return fixed
-    if pkt.transport not in ("tcp", "udp"):
-        raise ValueError(f"cannot synthesize transport {pkt.transport!r}")
-    src = _endpoint(pkt.src_addr)
-    if src.version != _endpoint(pkt.dst_addr).version:
-        raise ValueError("mixed address families in one packet")
     payload = len(_synth_payload(pkt))
     if not payload and not pkt.control_plane and pkt.transport == "udp":
         payload = 1
@@ -610,6 +608,20 @@ def _endpoint(literal: str) -> _Endpoint:
     return _Endpoint(addr.version, addr.packed, _mac_for(addr))
 
 
+def _endpoints(pkt: ParsedPacket) -> tuple:
+    """(src, dst) endpoints of a packet, of one address family and of the
+    family its transport needs when it builds a fixed-size control frame."""
+    src = _endpoint(pkt.src_addr)
+    dst = _endpoint(pkt.dst_addr)
+    if src.version != dst.version:
+        raise ValueError("mixed address families in one packet")
+    if pkt.transport in _FIXED_FRAME_LEN:
+        version = 6 if pkt.transport == "icmpv6" else 4
+        if src.version != version:
+            raise ValueError(f"{pkt.transport} needs IPv{version} endpoints")
+    return src, dst
+
+
 def _mac_for(addr) -> bytes:
     if str(addr) == BROADCAST_ADDR:
         return b"\xff" * 6
@@ -638,10 +650,7 @@ def _synth_frame(pkt: ParsedPacket) -> bytes:
         return _synth_icmp(pkt)
     if pkt.transport not in ("tcp", "udp"):
         raise ValueError(f"cannot synthesize transport {pkt.transport!r}")
-    src = _endpoint(pkt.src_addr)
-    dst = _endpoint(pkt.dst_addr)
-    if src.version != dst.version:
-        raise ValueError("mixed address families in one packet")
+    src, dst = _endpoints(pkt)
     payload = _synth_payload(pkt)
     want = pkt.wire_len - _headers_len(pkt.transport, src.version)
     if len(payload) < want:
@@ -688,10 +697,7 @@ def _ip_frame(src: _Endpoint, dst: _Endpoint, proto: int, l4: bytes) -> bytes:
 
 
 def _synth_arp(pkt: ParsedPacket) -> bytes:
-    src = _endpoint(pkt.src_addr)
-    dst = _endpoint(pkt.dst_addr)
-    if src.version != 4 or dst.version != 4:
-        raise ValueError("ARP synthesis needs IPv4 endpoints")
+    src, dst = _endpoints(pkt)
     body = struct.pack(
         ">HHBBH6s4s6s4s", 1, ETH_IPV4, 6, 4, 1,
         src.mac, src.packed, b"\x00" * 6, dst.packed,
@@ -701,12 +707,8 @@ def _synth_arp(pkt: ParsedPacket) -> bytes:
 
 def _synth_icmp(pkt: ParsedPacket) -> bytes:
     """An ICMP or ICMPv6 echo request."""
-    src = _endpoint(pkt.src_addr)
-    dst = _endpoint(pkt.dst_addr)
-    version, proto, echo = (6, 58, 128) if pkt.transport == "icmpv6" \
-        else (4, 1, 8)
-    if src.version != version:
-        raise ValueError(f"{pkt.transport} needs IPv{version} endpoints")
+    src, dst = _endpoints(pkt)
+    proto, echo = (58, 128) if pkt.transport == "icmpv6" else (1, 8)
     return _ip_frame(src, dst, proto, struct.pack(">BBHI", echo, 0, 0, 0))
 
 

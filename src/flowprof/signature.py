@@ -9,13 +9,12 @@ per-trace sets into the event signature.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
     ADDRESS_CACHE_SIZE,
     BROADCAST_ADDR,
-    AppSelector,
     Direction,
     DnsSelector,
     FlowId,
@@ -132,31 +131,6 @@ def _name_addr(addr: str, table: DnsTable) -> HostRef:
 # -- aggregation ----------------------------------------------------------------
 
 
-@dataclass
-class _Group:
-    """Per-trace packet group keyed by endpoint pair + transport + app."""
-
-    first_src: HostRef
-    first_dst: HostRef
-    transport: Transport
-    app: AppSelector
-    ports: dict = field(default_factory=dict)   # token -> set of ports
-    directions: set = field(default_factory=set)  # ordered (src, dst) token pairs
-
-    def add(self, src: HostRef, dst: HostRef, sport, dport) -> None:
-        if sport is not None:
-            self.ports.setdefault(src.token(), set()).add(sport)
-        if dport is not None:
-            self.ports.setdefault(dst.token(), set()).add(dport)
-        self.directions.add((src.token(), dst.token()))
-
-
-def _group_key(src: HostRef, dst: HostRef, transport: Transport,
-               app: AppSelector):
-    pair = frozenset((src.token(), dst.token()))
-    return (pair, transport, app)
-
-
 def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     """Aggregate each trace into a set of canonical FlowIds.
 
@@ -175,21 +149,24 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
 
     per_trace_groups = []
     for trace in traces:
+        # (endpoint pair, transport, app) -> (first (src, dst), ports per
+        # HostRef, (src, dst) pairs seen)
         groups: dict = {}
         for packet in trace.packets:
-            if packet.transport not in (Transport.TCP.value, Transport.UDP.value):
-                continue
-            if packet.control_plane:
+            if packet.control_plane or packet.transport not in (
+                    Transport.TCP.value, Transport.UDP.value):
                 continue
             src, dst = name_endpoints(packet, seed_table)
-            key = _group_key(src, dst, Transport(packet.transport), packet.app)
+            key = (frozenset((src, dst)), packet.transport, packet.app)
             group = groups.get(key)
             if group is None:
-                group = _Group(first_src=src, first_dst=dst,
-                               transport=Transport(packet.transport),
-                               app=packet.app)
-                groups[key] = group
-            group.add(src, dst, packet.src_port, packet.dst_port)
+                group = groups[key] = ((src, dst), {}, set())
+            _, ports, pairs = group
+            if packet.src_port is not None:
+                ports.setdefault(src, set()).add(packet.src_port)
+            if packet.dst_port is not None:
+                ports.setdefault(dst, set()).add(packet.dst_port)
+            pairs.add((src, dst))
         per_trace_groups.append(groups)
 
     retained = _retained_ports(per_trace_groups)
@@ -197,27 +174,24 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     flow_sets = []
     for groups in per_trace_groups:
         flows = set()
-        for key, group in groups.items():
+        for key, ((init, resp), _, pairs) in groups.items():
+            _, transport, app = key
             ports = retained[key]
-            init, resp = group.first_src, group.first_dst
-            direction = (
-                Direction.UNIDIRECTIONAL
-                if len(group.directions) == 1
+            direction = Direction.UNIDIRECTIONAL if len(pairs) == 1 \
                 else Direction.BIDIRECTIONAL
-            )
-            resp_port = ports.get(resp.token())
-            if isinstance(group.app, DnsSelector) \
-                    and resp_port not in (None, 53, 5353):
+            responder_port = ports.get(resp)
+            if isinstance(app, DnsSelector) \
+                    and responder_port not in (None, 53, 5353):
                 # Response-only group: the client slot is never DNS identity.
-                resp_port = None
+                responder_port = None
             flow = FlowId(
                 initiator=init,
                 responder=resp,
-                initiator_port=ports.get(init.token()),
-                responder_port=resp_port,
-                transport=group.transport,
+                initiator_port=ports.get(init),
+                responder_port=responder_port,
+                transport=Transport(transport),
                 direction=direction,
-                app=group.app,
+                app=app,
             )
             flows.add(canonicalize(flow))
         flow_sets.append(flows)
@@ -225,26 +199,23 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
 
 
 def _retained_ports(per_trace_groups: list) -> dict:
-    """One port decision per (group key, endpoint token) across all traces."""
+    """One port decision per (group key, HostRef) across all traces."""
     observed: dict = {}
     for groups in per_trace_groups:
-        for key, group in groups.items():
-            observed.setdefault(key, []).append(group.ports)
+        for key, (_, ports, _) in groups.items():
+            observed.setdefault(key, []).append(ports)
     decisions: dict = {}
     for key, port_maps in observed.items():
-        tokens = set()
-        for ports in port_maps:
-            tokens.update(ports)
         decision = {}
-        for token in tokens:
-            seen = [ports.get(token, set()) for ports in port_maps]
+        for host in set().union(*port_maps):
+            seen = [ports.get(host, set()) for ports in port_maps]
             union = set().union(*seen)
             common = set(seen[0]).intersection(*seen[1:]) if seen else set()
             well_known = sorted(p for p in union if is_well_known_port(p))
             if well_known:
-                decision[token] = well_known[0]
+                decision[host] = well_known[0]
             elif common:
-                decision[token] = min(common)
+                decision[host] = min(common)
         decisions[key] = decision
     return decisions
 

@@ -394,9 +394,10 @@ def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
         packets.extend(_emit_flow(model, spec, rng))
     packets.sort(key=lambda p: p.ts_us)
     packets = _strictly_increasing(packets)
-    # Not redundant with skipping blocked specs: `blocked` compares whole
-    # flows, direction included, so a uni rule never blocks a bi flow on the
-    # same endpoints, yet it matches that flow's packets in its own direction.
+    # The packet-level firewall.  `blocked` already skips every flow some
+    # rule would drop a packet of; the re-filter catches what flow ids do not
+    # show, such as a randomly drawn ephemeral port equal to a rule's pinned
+    # port.
     packets = [p for p in packets if not matches_packet(rules, p, table)]
     trace = Trace(packets=tuple(packets), capture_duration=CAPTURE_SECONDS,
                   label=f"{model.name}-seed{seed}")
@@ -463,10 +464,11 @@ def _arp_dressing(model: DeviceModel) -> tuple:
 def _emit_flow(model: DeviceModel, spec: FlowSpec,
                rng: random.Random) -> list:
     flow = spec.flow
-    init_addr = _endpoint_addr(model, flow.initiator)
-    resp_addr = _endpoint_addr(model, flow.responder)
-    init_port = flow.initiator_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI)
-    resp_port = flow.responder_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI)
+    # (address, port) of each end; an unset port is drawn as ephemeral
+    init = (_endpoint_addr(model, flow.initiator),
+            flow.initiator_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI))
+    resp = (_endpoint_addr(model, flow.responder),
+            flow.responder_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI))
     transport = flow.transport.value
     is_dns = isinstance(flow.app, DnsSelector)
     start_s = rng.uniform(0.05, 0.8) if is_dns else rng.uniform(1.0, 3.0)
@@ -479,7 +481,7 @@ def _emit_flow(model: DeviceModel, spec: FlowSpec,
                 sni = host.value
                 break
 
-    headers = _headers_len(transport, 6 if ":" in init_addr else 4)
+    headers = _headers_len(transport, 6 if ":" in init[0] else 4)
     data = []
     for k in range(spec.shape.count):
         if k:
@@ -489,12 +491,13 @@ def _emit_flow(model: DeviceModel, spec: FlowSpec,
         answers = ()
         if is_dns and not forward:
             answers = _answers_for(model, flow.app)
+        src, dst = (init, resp) if forward else (resp, init)
         fields = dict(
             ts_us=ts,
-            src_addr=init_addr if forward else resp_addr,
-            dst_addr=resp_addr if forward else init_addr,
-            src_port=init_port if forward else resp_port,
-            dst_port=resp_port if forward else init_port,
+            src_addr=src[0],
+            dst_addr=dst[0],
+            src_port=src[1],
+            dst_port=dst[1],
             transport=transport,
             app=flow.app,
             dns_answers=answers,

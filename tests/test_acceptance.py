@@ -413,16 +413,15 @@ def _random_packet(rng, ts):
 
 
 def _random_rule(rng):
-    return Rule(
+    return Rule(FlowId(
         transport=rng.choice([Transport.TCP, Transport.UDP]),
-        init_host=HostRef.from_token(rng.choice(_RULE_TOKENS)),
-        resp_host=HostRef.from_token(rng.choice(_RULE_TOKENS)),
-        init_port=rng.choice([None, 443, 9999, 53]),
-        resp_port=rng.choice([None, 443, 80, 8883]),
+        initiator=HostRef.from_token(rng.choice(_RULE_TOKENS)),
+        responder=HostRef.from_token(rng.choice(_RULE_TOKENS)),
+        initiator_port=rng.choice([None, 443, 9999, 53]),
+        responder_port=rng.choice([None, 443, 80, 8883]),
         direction=rng.choice([Direction.BIDIRECTIONAL,
                               Direction.UNIDIRECTIONAL]),
-        matchers=rng.choice(_MATCHER_POOL),
-    )
+    ), matchers=rng.choice(_MATCHER_POOL))
 
 
 def _random_tree_flow(rng):

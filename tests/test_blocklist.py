@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from flowprof import (
@@ -67,6 +69,15 @@ def test_matchers_render_in_fixed_order():
     assert Rule.from_flow(coap).render() == (
         "block udp init device resp dom:a.example:5683 dir bi "
         "match coap.type=CON match coap.code=GET match coap.uri_path=/s")
+
+
+def test_rule_is_an_app_less_pattern_with_ordered_matchers():
+    pattern = _flow(transport=Transport.UDP, responder=HostRef.role("gateway"),
+                    responder_port=53)
+    rule = Rule(pattern, (("dns.qname", "a.example"), ("dns.qtype", "A")))
+    assert rule.matchers == (("dns.qtype", "A"), ("dns.qname", "a.example"))
+    with pytest.raises(ValueError):
+        Rule(replace(pattern, app=DnsSelector(qtype="A", qname="a.example")))
 
 
 def test_parse_render_identity():
@@ -156,7 +167,17 @@ def test_matches_flow_requires_transport_and_direction():
     assert matches_flow(rules, _flow())
     assert not matches_flow(rules, _flow(transport=Transport.UDP,
                                          responder_port=None))
-    assert not matches_flow(rules, _flow(direction=Direction.UNIDIRECTIONAL))
+    # a bi rule drops the packets of the uni flow on its endpoints
+    assert matches_flow(rules, _flow(direction=Direction.UNIDIRECTIONAL))
+    uni = compile_rules([_flow(direction=Direction.UNIDIRECTIONAL)])
+    reverse = FlowId(
+        initiator=HostRef.domain("a.example"),
+        responder=HostRef.role("device"),
+        initiator_port=443,
+        transport=Transport.TCP,
+        direction=Direction.UNIDIRECTIONAL,
+    )
+    assert not matches_flow(uni, reverse)
 
 
 def test_matches_flow_tries_both_orientations_for_bi():

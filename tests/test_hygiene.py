@@ -1,5 +1,6 @@
 """Source hygiene: every module-level import and private function or class
-in the package is used by its own module."""
+in the package is used by its own module, and only the modules that render
+the file formats call the text serializers."""
 
 import ast
 import pathlib
@@ -35,6 +36,18 @@ def _unloaded_privates(tree: ast.Module) -> list:
                   if name not in loaded)
 
 
+# text serializers, and the modules that render the file formats with them
+SERIALIZERS = ("token", "canonical_json")
+FORMAT_MODULES = ("core.py", "blocklist.py")
+
+
+def _serializer_calls(tree: ast.Module) -> list:
+    return sorted((node.lineno, node.func.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in SERIALIZERS)
+
+
 def test_module_level_imports_are_used():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -68,3 +81,21 @@ def test_check_flags_an_unused_private_function():
                      "class _Slot: pass\n"
                      "def public(): return _used(), _Slot()\n")
     assert _unloaded_privates(tree) == [(2, "_left_over")]
+
+
+def test_only_format_modules_serialize_to_text():
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in FORMAT_MODULES:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [f"{path.name}:{line}: .{name}()"
+                  for line, name in _serializer_calls(tree)]
+    assert calls == []
+
+
+def test_check_flags_a_serializer_call():
+    tree = ast.parse("def key(host, flow):\n"
+                     "    return (host.token(), flow.canonical_json(),\n"
+                     "            sorted([flow], key=FlowId.canonical_json))\n")
+    assert _serializer_calls(tree) == [(2, "canonical_json"), (2, "token")]

@@ -227,3 +227,22 @@ def test_frame_len_matches_the_synthesized_frame(path):
             for pkt in run_capture(model, rules, seed).trace.packets:
                 frame = _synth_frame(replace(pkt, wire_len=0))
                 assert frame_len(pkt) == len(frame)
+
+
+@pytest.mark.parametrize("transport,src,dst,message", [
+    ("icmp", "192.168.1.53", "2001:db8::1",
+     "mixed address families in one packet"),
+    ("icmpv6", "fd00::53", "192.168.1.53",
+     "mixed address families in one packet"),
+    ("arp", "192.168.1.53", "2001:db8::1",
+     "mixed address families in one packet"),
+    ("arp", "fd00::53", "2001:db8::1", "arp needs IPv4 endpoints"),
+    ("icmpv6", "192.168.1.53", "52.44.10.100", "icmpv6 needs IPv6 endpoints"),
+])
+def test_control_frames_check_address_families(transport, src, dst, message):
+    pkt = ParsedPacket(ts_us=0, src_addr=src, dst_addr=dst,
+                       transport=transport, control_plane=True)
+    with pytest.raises(ValueError, match=message):
+        write_pcap(Trace(packets=(pkt,)))
+    with pytest.raises(ValueError, match=message):
+        frame_len(pkt)

@@ -7,18 +7,22 @@ from flowprof import (
     CoapSelector,
     Direction,
     DnsSelector,
+    DnsTable,
     EventSignature,
     FlowId,
+    HostKind,
     HostRef,
     HttpSelector,
     ParsedPacket,
     Rule,
     SigTree,
+    Topology,
     Transport,
     canonicalize,
     compile_rules,
     extract_signature,
     matches_flow,
+    matches_packet,
     render,
     sorted_flows,
 )
@@ -126,6 +130,71 @@ def test_compiled_rules_match_their_flows(flows):
     rules = compile_rules(flows)
     for flow in flows:
         assert matches_flow(rules.rules, flow)
+
+
+TOPO = Topology("192.168.1.53", "192.168.1.77", "192.168.1.1")
+DOMAIN_ADDRS = {"a.example": "198.51.100.1",
+                "cdn.vendor-cloud.example": "198.51.100.2"}
+UNPINNED_PORT = 60001  # no rule pins it
+
+
+def _host_addr(host: HostRef) -> str:
+    if host.kind is HostKind.ROLE:
+        return TOPO.addr_of(host.value)
+    if host.kind is HostKind.DOMAIN:
+        return DOMAIN_ADDRS[host.value]
+    return host.display()
+
+
+def _loosen(line: str, keep: list) -> str:
+    """The rule line with the ports and matchers whose `keep` flag is false
+    dropped, so they become wildcards."""
+    tokens = line.split()
+    for i in (3, 5):
+        host, sep, port = tokens[i].rpartition(":")
+        if sep and port.isdigit() and not keep.pop():
+            tokens[i] = host
+    pairs = [tokens[j:j + 2] for j in range(8, len(tokens), 2)]
+    return " ".join(tokens[:8] + [t for pair in pairs if keep.pop()
+                                  for t in pair])
+
+
+@st.composite
+def near_flows(draw, flow):
+    """A drawn flow that shares each group of fields with `flow` at even
+    odds, its ends swapped at even odds, so rules often touch `flow`."""
+    near = draw(flow_ids())
+    for group in (("initiator", "responder"), ("initiator_port",),
+                  ("transport", "responder_port", "app"), ("direction",)):
+        if draw(st.booleans()):
+            near = replace(near, **{name: getattr(flow, name)
+                                    for name in group})
+    if draw(st.booleans()) and not isinstance(near.app, DnsSelector):
+        near = replace(near, initiator=near.responder,
+                       responder=near.initiator,
+                       initiator_port=near.responder_port,
+                       responder_port=near.initiator_port)
+    return near
+
+
+@given(flow_ids(), st.data())
+def test_a_rule_blocks_a_flow_iff_it_drops_one_of_its_packets(flow, data):
+    others = data.draw(st.lists(near_flows(flow), min_size=1, max_size=3))
+    lines = render(compile_rules(others)).splitlines()
+    text = "".join(_loosen(line, data.draw(st.lists(
+        st.booleans(), min_size=8, max_size=8))) + "\n" for line in lines)
+    rules = parse_rules(text)
+    ends = [(_host_addr(flow.initiator), flow.initiator_port or UNPINNED_PORT),
+            (_host_addr(flow.responder), flow.responder_port or UNPINNED_PORT)]
+    if flow.direction is Direction.BIDIRECTIONAL:
+        ends += [ends[1], ends[0]]
+    packets = [ParsedPacket(ts_us=0, src_addr=src[0], dst_addr=dst[0],
+                            src_port=src[1], dst_port=dst[1],
+                            transport=flow.transport.value, app=flow.app)
+               for src, dst in zip(ends[::2], ends[1::2])]
+    table = DnsTable(TOPO, {addr: name for name, addr in DOMAIN_ADDRS.items()})
+    assert matches_flow(rules, flow) == any(
+        matches_packet(rules, p, table) for p in packets)
 
 
 @given(st.data())

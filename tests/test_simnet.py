@@ -7,6 +7,7 @@ from flowprof import (
     Direction,
     DnsTable,
     GuardCycle,
+    ProfileConfig,
     RuleSet,
     SchemaError,
     SimDriver,
@@ -20,6 +21,7 @@ from flowprof import (
     load_model,
     matches_flow,
     oracle_tree,
+    profile_event,
     read_pcap,
     run_capture,
     run_experiment,
@@ -296,7 +298,7 @@ def _uni_beside_http(obj):
     obj["success"] = {"or": [{"flow": "x_uni"}, {"flow": "y_http"}]}
 
 
-def test_packet_refilter_drops_what_flow_blocking_lets_through():
+def test_uni_rule_blocks_the_bi_flow_beside_it():
     model = load_model(_model(_uni_beside_http))
     topo = model.topology
     captures = SimDriver(model).run(RuleSet(), m=3, seed=0)
@@ -306,20 +308,19 @@ def test_packet_refilter_drops_what_flow_blocking_lets_through():
     x_flow, = [f for f in observed if f.direction is Direction.UNIDIRECTIONAL]
     rules = compile_rules([x_flow])
     y_http = model.spec("y_http").flow
-    # the flow-level verdict lets y_http through: the directions differ
-    assert not matches_flow(rules, y_http)
-    up, down = (topo.device_addr, "52.1.1.1"), ("52.1.1.1", topo.device_addr)
-
-    def y_http_packets(rules, seed):
-        return [(p.src_addr, p.dst_addr)
-                for p in run_capture(model, rules, seed).trace.packets
-                if p.app == y_http.app]
-
+    # the uni rule would drop y_http's device->cloud packets, so it blocks
+    # the whole flow
+    assert matches_flow(rules, y_http)
     for seed in range(5):
-        assert sorted(y_http_packets(RuleSet(), seed)) == \
-            sorted([up, up, down, down])
-        # the re-filter drops the device->cloud half, packet by packet
-        assert y_http_packets(rules, seed) == [down, down]
+        assert any(p.app == y_http.app
+                   for p in run_capture(model, RuleSet(), seed).trace.packets)
+        assert not any(p.app == y_http.app
+                       for p in run_capture(model, rules, seed).trace.packets)
+    for config in (ProfileConfig(m=5), ProfileConfig(m=5, pruning=False,
+                                                     max_depth=3)):
+        assert profile_event(SimDriver(model), config).export_json() == \
+            oracle_tree(model, pruning=config.pruning,
+                        max_depth=config.max_depth).export_json()
 
 
 def test_run_experiment_seeds_sequentially():
