@@ -63,7 +63,6 @@ from .simnet import (
     SimDriver,
     UnknownFlowRef,
     UnresolvedDomain,
-    active_flows,
     load_model,
     oracle_tree,
     run_capture,
@@ -95,8 +94,8 @@ __all__ = [
     "NodeAlreadyVisited", "NodeStatus", "RootFailed", "SigNode", "SigTree",
     "TreeStats", "explore",
     "CaptureResult", "DeviceModel", "FlowSpec", "GuardCycle", "SchemaError",
-    "SimDriver", "UnknownFlowRef", "UnresolvedDomain", "active_flows",
-    "load_model", "oracle_tree", "run_capture", "run_experiment",
+    "SimDriver", "UnknownFlowRef", "UnresolvedDomain", "load_model",
+    "oracle_tree", "run_capture", "run_experiment",
     "BlockingViolation", "DnsStats", "EventReport", "ProfileConfig",
     "build_report", "dns_stats", "profile_event", "render_csv",
 ]

@@ -1,7 +1,7 @@
 """Deny-list rules: compilation from FlowIds, matching, text grammar.
 
-A rule is a FlowId pattern plus application matchers (lossless in both
-directions for compiled rules).  Unspecified rule ports are wildcards; a
+A rule is a FlowId pattern plus application matchers; a rule compiled from
+a flow names every field of it.  Unspecified rule ports are wildcards; a
 rule with no matchers places no constraint on the application selector.
 The text grammar is line-oriented and bit-exact:
 
@@ -27,7 +27,6 @@ from .core import (
     HostRef,
     ParsedPacket,
     Transport,
-    app_from_items,
     app_items,
     canonicalize,
 )
@@ -80,17 +79,6 @@ class Rule:
     @staticmethod
     def from_flow(flow: FlowId) -> "Rule":
         return Rule(replace(flow, app=None), _matchers(flow.app))
-
-    def to_flow(self) -> FlowId:
-        """Reconstruct the FlowId image; requires a complete matcher set."""
-        app = None
-        if self.matchers:
-            protos = {key.split(".")[0] for key, _ in self.matchers}
-            if len(protos) != 1:
-                raise ValueError("matchers span multiple protocols")
-            values = {key.split(".")[1]: value for key, value in self.matchers}
-            app = app_from_items(protos.pop(), values, as_bool="true".__eq__)
-        return replace(self.pattern, app=app)
 
     def render(self) -> str:
         pattern = self.pattern

@@ -39,6 +39,11 @@ def _write_bytes(path: Path, data: bytes):
     os.replace(tmp, path)
 
 
+def _write_tree(out_dir: Path, tree: SigTree, hide_failed: bool):
+    _write_text(out_dir / "tree.json", tree.export_json())
+    _write_text(out_dir / "tree.dot", tree.to_dot(hide_failed))
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -172,11 +177,9 @@ def cmd_profile(args) -> int:
     out_dir = Path(args.out_dir)
     if args.model:
         tree = _profile_one(args.model, args)
-        label = Path(args.model).stem
-        _write_text(out_dir / "tree.json", tree.export_json())
-        _write_text(out_dir / "tree.dot", tree.to_dot(args.hide_failed))
+        _write_tree(out_dir, tree, args.hide_failed)
         _write_text(out_dir / "report.csv",
-                    render_csv([build_report(tree, label)]))
+                    render_csv([build_report(tree, Path(args.model).stem)]))
         return 0
     entries = _load_manifest(Path(args.manifest))
     results = []
@@ -185,10 +188,8 @@ def cmd_profile(args) -> int:
         results.append((entry, tree))
     reports = []
     for entry, tree in results:
-        label = entry["label"]
-        _write_text(out_dir / label / "tree.json", tree.export_json())
-        _write_text(out_dir / label / "tree.dot", tree.to_dot(args.hide_failed))
-        reports.append(build_report(tree, label, entry.get("group")))
+        _write_tree(out_dir / entry["label"], tree, args.hide_failed)
+        reports.append(build_report(tree, entry["label"], entry.get("group")))
     _write_text(out_dir / "report.csv", render_csv(reports))
     return 0
 
@@ -202,11 +203,13 @@ def _load_manifest(path: Path) -> list:
         raise ValueError("manifest must be a non-empty JSON list")
     labels = set()
     for entry in entries:
-        if not isinstance(entry, dict) or not entry.get("label") \
-                or not entry.get("model_path"):
+        if not isinstance(entry, dict) or not all(
+                isinstance(entry.get(key), str) and entry[key]
+                for key in ("label", "model_path")):
             raise ValueError(f"bad manifest entry: {entry!r}")
         label = entry["label"]
-        if "/" in label or label in labels:
+        # the label names a subdirectory of --out-dir
+        if "/" in label or label in (".", "..") or label in labels:
             raise ValueError(f"bad or duplicate manifest label {label!r}")
         labels.add(label)
         group = entry.get("group", {})
@@ -231,7 +234,7 @@ def cmd_analyze(args) -> int:
     for path in paths:
         try:
             tree = SigTree.import_json(path.read_text())
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad tree file {path}: {exc}") from exc
         reports.append(build_report(tree, path.stem))
     _write_text(Path(args.out_dir) / "report.csv", render_csv(reports))
@@ -258,8 +261,6 @@ def cmd_simulate(args) -> int:
     rules = RuleSet()
     if args.rules_file:
         rules = parse_rules(Path(args.rules_file).read_text())
-    if args.m < 1:
-        raise ValueError("m must be at least 1")
     captures = run_experiment(model, rules, args.m, args.seed)
     out_dir = Path(args.out_dir)
     for index, capture in enumerate(captures):
@@ -274,9 +275,7 @@ def cmd_oracle(args) -> int:
     model = load_model(args.model)
     tree = oracle_tree(model, pruning=not args.no_pruning,
                        max_depth=args.max_depth)
-    out_dir = Path(args.out_dir)
-    _write_text(out_dir / "tree.json", tree.export_json())
-    _write_text(out_dir / "tree.dot", tree.to_dot(args.hide_failed))
+    _write_tree(Path(args.out_dir), tree, args.hide_failed)
     return 0
 
 

@@ -232,23 +232,6 @@ def app_items(app) -> Tuple[str, tuple]:
                                for f in _FIELDS[cls])
 
 
-def app_from_items(proto, values: dict, as_bool) -> AppSelector:
-    """Selector of protocol `proto` from its field values, bool fields
-    through `as_bool`; raises KeyError for a missing field without default."""
-    cls = SELECTORS.get(proto)
-    if cls is None:
-        raise ValueError(f"unknown app selector protocol {proto!r}")
-    kwargs = {}
-    for f in _FIELDS[cls]:
-        if f.name in values:
-            value = values[f.name]
-            # a string: this module has `from __future__ import annotations`
-            kwargs[f.name] = as_bool(value) if f.type == "bool" else value
-        elif f.default is MISSING:
-            raise KeyError(f.name)
-    return cls(**kwargs)
-
-
 def app_to_obj(app: AppSelector):
     if app is None:
         return None
@@ -257,17 +240,26 @@ def app_to_obj(app: AppSelector):
 
 
 def app_from_obj(obj) -> AppSelector:
+    """Selector from its JSON object; raises KeyError for a missing field
+    without default."""
     if obj is None:
         return None
     if not isinstance(obj, dict):
         raise ValueError("app selector must be an object or null")
-    return app_from_items(obj.get("proto"), obj, as_bool=_json_bool)
-
-
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"selector flag must be true or false, not {value!r}")
-    return value
+    cls = SELECTORS.get(obj.get("proto"))
+    if cls is None:
+        raise ValueError(f"unknown app selector protocol {obj.get('proto')!r}")
+    kwargs = {}
+    for f in _FIELDS[cls]:
+        if f.name in obj:
+            value = kwargs[f.name] = obj[f.name]
+            # f.type is a string under `from __future__ import annotations`
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(
+                    f"selector flag must be true or false, not {value!r}")
+        elif f.default is MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
 
 
 # -- flow identifiers --------------------------------------------------------
@@ -414,14 +406,6 @@ class Topology:
         if role not in ROLES:
             raise ValueError(f"unknown role {role!r}")
         return getattr(self, role + "_addr")
-
-    def to_obj(self) -> dict:
-        return {
-            "device": self.device_addr,
-            "phone": self.phone_addr,
-            "gateway": self.gateway_addr,
-            "local_prefixes": list(self.local_prefixes),
-        }
 
     @staticmethod
     def from_obj(obj: dict) -> "Topology":

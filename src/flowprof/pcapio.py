@@ -2,8 +2,10 @@
 
 Reads and writes the classic capture format only (24-byte global header,
 magic 0xA1B2C3D4, microsecond timestamps, linktype 1 = Ethernet).  pcapng
-input is rejected up front.  `dissect` is total: any byte string comes back
-as a ParsedPacket, degrading to an opaque transport token instead of raising.
+input is rejected up front.  A read Trace is the dissected packets in file
+order and nothing else of the file.  `dissect` is total: any byte string
+comes back as a ParsedPacket, degrading to an opaque transport token instead
+of raising.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import functools
 import ipaddress
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     ADDRESS_CACHE_SIZE,
@@ -72,17 +74,14 @@ _COAP_REQ_TOKENS = {name: code for code, name in _COAP_REQ_CODES.items()}
 
 @dataclass(frozen=True)
 class Trace:
-    """One capture: parsed packets plus capture metadata."""
+    """One capture: its parsed packets in capture order."""
 
     packets: tuple = ()
-    capture_duration: float = 0.0
-    label: str = ""
 
 
 def filter_control_plane(trace: Trace) -> Trace:
-    """Drop control-plane packets; order, duration and label are preserved."""
-    kept = tuple(p for p in trace.packets if not p.control_plane)
-    return replace(trace, packets=kept)
+    """Drop control-plane packets, keeping the others in order."""
+    return Trace(tuple(p for p in trace.packets if not p.control_plane))
 
 
 # -- reading ------------------------------------------------------------------
@@ -120,10 +119,7 @@ def read_pcap(data: bytes) -> Trace:
         frame = data[offset:offset + incl_len]
         offset += incl_len
         packets.append(dissect(frame, ts_sec * 1_000_000 + ts_usec))
-    duration = 0.0
-    if packets:
-        duration = (packets[-1].ts_us - packets[0].ts_us) / 1e6
-    return Trace(packets=tuple(packets), capture_duration=duration)
+    return Trace(tuple(packets))
 
 
 # -- dissection --------------------------------------------------------------

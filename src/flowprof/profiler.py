@@ -50,10 +50,9 @@ def profile_event(driver, config: ProfileConfig) -> SigTree:
     Each frontier node is profiled under the deny rules compiled from its
     blocking set, with seeds config.seed + k*m for the k-th experiment; the
     intersection signature of the successful captures becomes its children.
-    The DNS table persists across experiments.
+    The driver's DNS table persists across experiments.
     """
-    table = DnsTable(driver.topology(), dict(driver.dns_seed())
-                     if hasattr(driver, "dns_seed") else {})
+    table = driver.dns_table()
     experiments = 0
 
     def observe(blocking_set):
@@ -72,10 +71,7 @@ def profile_event(driver, config: ProfileConfig) -> SigTree:
                                       m=config.m)
         return signature if accept_signature(signature) else None
 
-    tree = explore(SigTree(pruning=config.pruning), observe, config.max_depth)
-    tree.experiment_count = experiments
-    tree.capture_count = experiments * config.m
-    return tree
+    return explore(SigTree(pruning=config.pruning), observe, config.max_depth)
 
 
 def _audit_blocking(captures, rules, table: DnsTable):
@@ -138,8 +134,6 @@ class EventReport:
     label: str
     stats: TreeStats
     dns: DnsStats
-    experiment_count: int
-    capture_count: int
     group: Tuple[Tuple[str, str], ...] = ()
 
     @property
@@ -148,14 +142,11 @@ class EventReport:
 
 
 def build_report(tree: SigTree, label: str, group=None) -> EventReport:
-    group_items = tuple(sorted((group or {}).items()))
     return EventReport(
         label=label,
         stats=tree.stats(),
         dns=dns_stats(tree),
-        experiment_count=getattr(tree, "experiment_count", 0),
-        capture_count=getattr(tree, "capture_count", 0),
-        group=group_items,
+        group=tuple(sorted((group or {}).items())),
     )
 
 

@@ -244,14 +244,6 @@ class EventSignature:
             "flows": [f.to_obj() for f in sorted_flows(self.flows)],
         }
 
-    @staticmethod
-    def from_obj(obj: dict) -> "EventSignature":
-        return EventSignature(
-            flows=frozenset(FlowId.from_obj(f) for f in obj["flows"]),
-            m=obj["m"],
-            m_plus=obj["m_plus"],
-        )
-
 
 def extract_signature(flow_sets: list, m: int) -> EventSignature:
     """Intersect the per-capture flow-ID sets; m_plus = len(flow_sets)."""

@@ -48,16 +48,11 @@ class SigNode:
 class TreeStats:
     unique_flows: int
     first_level: int
-    hidden_flows: int
+    hidden_flows: int  # flows reached only after blocking another
     pruned_per_depth: Tuple[Tuple[int, int], ...]  # (depth, count), sorted
     failed_count: int
     node_count: int  # non-root nodes
     expanded_count: int
-
-    @property
-    def robustness_score(self) -> int:
-        # flows reachable only after blocking something else
-        return self.hidden_flows
 
 
 class SigTree:
@@ -66,8 +61,6 @@ class SigTree:
         self.nodes = [SigNode(flow=None, parent=None, depth=0)]
         self.frontier = deque([0])
         self._explored: set = set()  # flows with Expanded/Failed nodes
-        self.experiment_count = 0
-        self.capture_count = 0
 
     @property
     def root(self) -> int:
@@ -198,6 +191,8 @@ class SigTree:
         tree.frontier.clear()
 
         def build(node_obj: dict, parent: Optional[int], depth: int) -> int:
+            if not isinstance(node_obj, dict):
+                raise TypeError(f"tree node must be an object, not {node_obj!r}")
             flow = None
             if node_obj.get("flow") is not None:
                 flow = FlowId.from_obj(node_obj["flow"])

@@ -63,7 +63,6 @@ class UnresolvedDomain(SchemaError):
 
 
 SCHEMA_VERSION = 1
-CAPTURE_SECONDS = 20.0
 BASE_TS_US = 1_700_000_000 * 1_000_000
 EPHEMERAL_LO, EPHEMERAL_HI = 49152, 65535
 
@@ -89,13 +88,11 @@ class FlowSpec:
 class CaptureResult:
     trace: Trace
     success: bool
-    emitted: frozenset
     seed: int
 
 
 @dataclass(frozen=True, eq=False)
 class DeviceModel:
-    name: str
     topology: Topology
     dns_records: Tuple[Tuple[str, str], ...]
     flows: Tuple[FlowSpec, ...]
@@ -114,15 +111,11 @@ class DeviceModel:
 
 def load_model(source) -> DeviceModel:
     """Parse and validate a device-model document (path, JSON text, or dict)."""
-    name = "model"
     if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        path = Path(source)
-        name = path.stem
         try:
-            text = path.read_text()
+            source = Path(source).read_text()
         except OSError as exc:
             raise SchemaError(f"cannot read model: {exc}") from exc
-        source = text
     if isinstance(source, (str, bytes)):
         try:
             source = json.loads(source)
@@ -130,10 +123,10 @@ def load_model(source) -> DeviceModel:
             raise SchemaError(f"model is not valid JSON: {exc}") from exc
     if not isinstance(source, dict):
         raise SchemaError("model document must be a JSON object")
-    return _validate(source, name)
+    return _validate(source)
 
 
-def _validate(obj: dict, name: str) -> DeviceModel:
+def _validate(obj: dict) -> DeviceModel:
     if obj.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {obj.get('schema')!r}")
     try:
@@ -203,7 +196,6 @@ def _validate(obj: dict, name: str) -> DeviceModel:
     _validate_formula(success, id_set)
 
     return DeviceModel(
-        name=name,
         topology=topo,
         dns_records=records,
         flows=tuple(flows),
@@ -346,13 +338,6 @@ def _guard_ok(spec: FlowSpec, blocked: Dict[str, bool]) -> bool:
     return any(all(blocked[ref] for ref in conj) for conj in spec.guard)
 
 
-def active_flows(model: DeviceModel, rules: RuleSet) -> List[str]:
-    """Ids of main flows whose guard holds under the deny list, whether or
-    not the flows themselves are blocked."""
-    blocked = _blocked_map(model, rules)
-    return [spec.id for spec in model.flows if _guard_ok(spec, blocked)]
-
-
 def _capture_flows(model: DeviceModel, blocked: Dict[str, bool],
                    rng: random.Random):
     """Shared emission logic: noise Bernoulli draws happen first, in
@@ -367,12 +352,11 @@ def _capture_flows(model: DeviceModel, blocked: Dict[str, bool],
 
 
 def capture_emission(model: DeviceModel, rules: RuleSet, seed: int):
-    """(emitted flow ids, delivered flow ids, success) without building
-    packets; mirrors run_capture's draws exactly."""
-    emitted, delivered = _capture_flows(model, _blocked_map(model, rules),
-                                        random.Random(seed))
-    return (frozenset(s.id for s in emitted), delivered,
-            eval_success(model.success, delivered))
+    """(delivered flow ids, success) without building packets; mirrors
+    run_capture's draws exactly."""
+    _, delivered = _capture_flows(model, _blocked_map(model, rules),
+                                  random.Random(seed))
+    return delivered, eval_success(model.success, delivered)
 
 
 @functools.lru_cache(maxsize=1)
@@ -399,12 +383,9 @@ def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
     # show, such as a randomly drawn ephemeral port equal to a rule's pinned
     # port.
     packets = [p for p in packets if not matches_packet(rules, p, table)]
-    trace = Trace(packets=tuple(packets), capture_duration=CAPTURE_SECONDS,
-                  label=f"{model.name}-seed{seed}")
     return CaptureResult(
-        trace=trace,
+        trace=Trace(packets=tuple(packets)),
         success=eval_success(model.success, delivered),
-        emitted=frozenset(s.id for s in emitted),
         seed=seed,
     )
 
@@ -568,11 +549,10 @@ class SimDriver:
     def __init__(self, model: DeviceModel):
         self.model = model
 
-    def topology(self) -> Topology:
-        return self.model.topology
-
-    def dns_seed(self) -> Dict[str, str]:
-        return {ip: rec_name for rec_name, ip in self.model.dns_records}
+    def dns_table(self) -> DnsTable:
+        """A fresh table seeded with the model's records; profiling mutates
+        the table it is given."""
+        return model_table(self.model)
 
     def run(self, rules: RuleSet, m: int, seed: int) -> List[CaptureResult]:
         return [replace(r, trace=read_pcap(write_pcap(r.trace)))

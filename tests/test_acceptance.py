@@ -238,7 +238,7 @@ NOISE_MODEL = {
 }
 
 
-def _random_trace(rng, label):
+def _random_trace(rng):
     ts = 1_700_000_000_000_000
     pkts = []
     for _ in range(rng.randint(3, 12)):
@@ -249,14 +249,14 @@ def _random_trace(rng, label):
             src_port=rng.choice(_PORTS), dst_port=rng.choice(_PORTS),
             transport=rng.choice(["tcp", "udp"]),
             wire_len=rng.randint(60, 700), tcp_flags=0x18))
-    return Trace(packets=tuple(pkts), capture_duration=20.0, label=label)
+    return Trace(packets=tuple(pkts))
 
 
 def test_signature_soundness_monotonicity_and_noise_rejection(topo):
     for case in range(1000):
         rng = random.Random(case)
         n = rng.randint(2, 5)
-        traces = [_random_trace(rng, f"case{case}-{i}") for i in range(n)]
+        traces = [_random_trace(rng) for _ in range(n)]
         flow_sets = aggregate_flows(traces, DnsTable(topo))
         sig = extract_signature(flow_sets, m=n)
         for flow_set in flow_sets:
@@ -271,7 +271,7 @@ def test_signature_soundness_monotonicity_and_noise_rejection(topo):
     for seed in range(1000):
         common = None
         for i in range(20):
-            _, delivered, success = capture_emission(model, RuleSet(), seed + i)
+            delivered, success = capture_emission(model, RuleSet(), seed + i)
             assert success
             common = delivered if common is None else common & delivered
         assert "chatter" not in common, seed
@@ -316,11 +316,8 @@ class _ForcedDriver:
         self._inner = SimDriver(model)
         self._flags = flags
 
-    def topology(self):
-        return self._inner.topology()
-
-    def dns_seed(self):
-        return self._inner.dns_seed()
+    def dns_table(self):
+        return self._inner.dns_table()
 
     def run(self, rules, m, seed):
         results = self._inner.run(rules, m, seed)
@@ -454,9 +451,7 @@ def test_codec_round_trips_and_dissector_fuzz():
         for _ in range(rng.randint(1, 8)):
             ts += rng.randint(1, 100_000)
             pkts.append(_random_packet(rng, ts))
-        trace = Trace(packets=tuple(pkts), capture_duration=20.0,
-                      label=f"case{case}")
-        blob = write_pcap(trace)
+        blob = write_pcap(Trace(packets=tuple(pkts)))
         blob2 = write_pcap(read_pcap(blob))
         assert blob2 == blob, case
 
@@ -493,7 +488,7 @@ def test_codec_round_trips_and_dissector_fuzz():
             ts += rng.randint(1, 100_000)
             pkts.append(_random_packet(rng, ts))
         seeds.extend(_pcap_frames(write_pcap(
-            Trace(packets=tuple(pkts), capture_duration=20.0, label="s"))))
+            Trace(packets=tuple(pkts)))))
     for i in range(100_000):
         if i % 2 == 0:
             frame = bytes(rng.getrandbits(8)

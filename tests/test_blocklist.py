@@ -21,6 +21,7 @@ from flowprof import (
     parse,
     render,
 )
+from flowprof.core import app_items
 from flowprof.pcapio import TCP_SYN
 
 
@@ -146,17 +147,56 @@ def test_compile_canonicalizes_orientation():
     assert render(rules) == "block tcp init device:9999 resp phone dir bi\n"
 
 
-def test_rule_to_flow_round_trip():
+# two valid values of each selector field: a variant takes the one its flow
+# does not hold
+_OTHER_VALUES = {
+    "qtype": ("A", "TXT"), "qname": ("a.example", "b.example"),
+    "method": ("GET", "PUT"), "uri": ("/s", "/t"),
+    "is_response": (False, True), "type": ("CON", "NON"),
+    "code": ("GET", "2.05"), "uri_path": ("/s", "/t"),
+}
+
+
+def one_field_variants(flow: FlowId) -> list:
+    """Flows that differ from `flow` in one pinned port or in one field of
+    its app selector."""
+    variants = []
+    for slot in ("initiator_port", "responder_port"):
+        if getattr(flow, slot) is None:
+            continue  # an unpinned port compiles to a wildcard
+        for port in (None, 53, 5353, 9999):
+            if port != getattr(flow, slot):
+                try:
+                    variants.append(replace(flow, **{slot: port}))
+                except ValueError:  # DNS pins its responder port
+                    pass
+    if flow.app is not None:
+        for name, value in app_items(flow.app)[1]:
+            other = next(v for v in _OTHER_VALUES[name] if v != value)
+            variants.append(replace(flow, app=replace(flow.app,
+                                                      **{name: other})))
+    return variants
+
+
+def test_compiled_rule_blocks_exactly_its_flow():
     flows = [
         _flow(),
+        _flow(initiator_port=9999, direction=Direction.UNIDIRECTIONAL),
         _flow(transport=Transport.UDP,
               responder=HostRef.role("gateway"), responder_port=53,
               app=DnsSelector(qtype="A", qname="a.example")),
         _flow(app=HttpSelector(method="GET", uri="/s", is_response=False),
               responder_port=80),
+        _flow(transport=Transport.UDP, responder_port=5683,
+              app=CoapSelector(type="CON", code="GET", uri_path="/s")),
     ]
     for flow in flows:
-        assert Rule.from_flow(flow).to_flow() == flow
+        rules = RuleSet((Rule.from_flow(flow),))
+        assert matches_flow(rules, flow)
+        variants = one_field_variants(flow)
+        assert variants
+        for variant in variants:
+            assert not matches_flow(rules, variant), variant
 
 
 # -- flow matching -----------------------------------------------------------------

@@ -170,6 +170,14 @@ def test_extract_rejects_bad_inputs(tmp_path, mini_model, capsys):
     assert "expected 5 captures, found 3" in capsys.readouterr().err
 
 
+def test_simulate_m_below_one_exits_one(tmp_path, mini_model, capsys):
+    out_dir = tmp_path / "caps"
+    assert main(["simulate", "--model", str(mini_model), "--m", "0",
+                 "--out-dir", str(out_dir)]) == 1
+    assert "m must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_profile_needs_exactly_one_source(tmp_path, mini_model):
     assert main(["profile"]) == 1
     assert main(["profile", "--model", str(mini_model),
@@ -205,10 +213,17 @@ def test_bad_manifest_rejected(tmp_path, mini_model):
     for body in ("[]", "{}", "not json",
                  json.dumps([{"label": "a/b", "model_path": "mini.json"}]),
                  json.dumps([{"label": "a", "model_path": "mini.json"},
-                             {"label": "a", "model_path": "mini.json"}])):
+                             {"label": "a", "model_path": "mini.json"}]),
+                 json.dumps([{"label": 5, "model_path": "mini.json"}]),
+                 json.dumps([{"label": "a", "model_path": 5}]),
+                 json.dumps([{"label": "..", "model_path": "mini.json"}]),
+                 json.dumps([{"label": ".", "model_path": "mini.json"}])):
         bad.write_text(body)
         assert main(["profile", "--manifest", str(bad),
-                     "--out-dir", str(tmp_path / "out")]) == 1
+                     "--out-dir", str(tmp_path / "out")]) == 1, body
+    # nothing was written, inside --out-dir or beside it
+    assert sorted(p.name for p in tmp_path.rglob("*")) \
+        == ["manifest.json", "mini.json"]
 
 
 def test_string_selector_flag_exits_one(tmp_path):
@@ -226,8 +241,14 @@ def test_string_selector_flag_exits_one(tmp_path):
     assert not (tmp_path / "report.csv").exists()
 
 
-def test_analyze_rejects_missing_and_bad_trees(tmp_path):
+def test_analyze_rejects_missing_and_bad_trees(tmp_path, capsys):
     assert main(["analyze", "--out-dir", str(tmp_path)]) == 1
     junk = tmp_path / "junk.json"
-    junk.write_text("{\"not\": \"a tree\"}")
-    assert main(["analyze", str(junk), "--out-dir", str(tmp_path)]) == 1
+    for body in ({"not": "a tree"}, {"root": []},
+                 {"root": {"status": "expanded", "depth": 0,
+                           "children": ["leaf"]}}):
+        junk.write_text(json.dumps(body))
+        capsys.readouterr()
+        assert main(["analyze", str(junk), "--out-dir", str(tmp_path)]) == 1
+        assert f"bad tree file {junk}" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()

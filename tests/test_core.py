@@ -256,7 +256,12 @@ def test_topology_rejects_bad_layouts():
 
 
 def test_topology_obj_round_trip(topo):
-    assert Topology.from_obj(topo.to_obj()) == topo
+    obj = {"device": topo.device_addr, "phone": topo.phone_addr,
+           "gateway": topo.gateway_addr,
+           "local_prefixes": list(topo.local_prefixes)}
+    assert Topology.from_obj(json.loads(json.dumps(obj))) == topo
+    del obj["local_prefixes"]
+    assert Topology.from_obj(obj).local_prefixes == ("192.168.0.0/16",)
 
 
 # -- per-address memos -----------------------------------------------------------

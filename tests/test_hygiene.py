@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import and private function or class
-in the package is used by its own module, and only the modules that render
-the file formats call the text serializers."""
+in the package is used by its own module, every exported name is used inside
+the package, and only the modules that render the file formats call the
+text serializers."""
 
 import ast
 import pathlib
@@ -34,6 +35,19 @@ def _unloaded_privates(tree: ast.Module) -> list:
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in defined.items()
                   if name not in loaded)
+
+
+def _unloaded_exports(exported, trees) -> list:
+    loaded = set()
+    for tree in trees:
+        names = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        # loading an import alias loads the name it was imported as
+        aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.asname}
+        loaded |= names | {aliases[name] for name in names & aliases.keys()}
+    return sorted(set(exported) - loaded)
 
 
 # text serializers, and the modules that render the file formats with them
@@ -81,6 +95,24 @@ def test_check_flags_an_unused_private_function():
                      "class _Slot: pass\n"
                      "def public(): return _used(), _Slot()\n")
     assert _unloaded_privates(tree) == [(2, "_left_over")]
+
+
+def test_exported_names_are_used_inside_the_package():
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"]
+    assert _unloaded_exports(flowprof.__all__, trees) == []
+
+
+def test_check_flags_an_export_nothing_loads():
+    trees = [ast.parse("def run(): return 1\n"
+                       "def left_over(): return run()\n"
+                       "def parse(text): return text\n"),
+             ast.parse("from .a import parse as parse_rules\n"
+                       "class Model: pass\n"
+                       "def load(): return Model(), parse_rules('')\n")]
+    assert _unloaded_exports(["run", "left_over", "parse", "Model", "load"],
+                             trees) == ["left_over", "load"]
 
 
 def test_only_format_modules_serialize_to_text():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from flowprof import (
@@ -38,8 +40,6 @@ def test_profile_matches_oracle_on_mini_model():
     tree = profile_event(SimDriver(model),
                          ProfileConfig(m=5, seed=0, audit_blocking=True))
     assert tree.export_json() == oracle_tree(model).export_json()
-    assert tree.experiment_count == 3          # root, ctrl, cloud
-    assert tree.capture_count == 15
 
 
 def test_profile_raises_when_root_fails():
@@ -76,18 +76,16 @@ def test_experiment_seeds_step_by_m():
     seen = []
 
     class Recorder:
-        def topology(self):
-            return model.topology
-
-        def dns_seed(self):
-            return {ip: name for name, ip in model.dns_records}
+        def dns_table(self):
+            return SimDriver(model).dns_table()
 
         def run(self, rules, m, seed):
-            seen.append(seed)
+            seen.append((seed, m))
             return SimDriver(model).run(rules, m, seed)
 
     profile_event(Recorder(), ProfileConfig(m=4, seed=100))
-    assert seen == [100, 104, 108]
+    # one experiment of m captures each at the root, ctrl and cloud
+    assert seen == [(100, 4), (104, 4), (108, 4)]
 
 
 def test_audit_catches_leaky_driver():
@@ -104,14 +102,9 @@ def test_audit_catches_leaky_driver():
                 dst_addr="192.168.1.77", src_port=9999, dst_port=50123,
                 transport="tcp", wire_len=100,
             )
-            first = results[0]
-            trace = first.trace
-            patched = trace.__class__(
-                packets=trace.packets + (bad,),
-                capture_duration=trace.capture_duration, label=trace.label)
-            results[0] = first.__class__(
-                trace=patched, success=first.success,
-                emitted=first.emitted, seed=first.seed)
+            trace = results[0].trace
+            results[0] = replace(results[0], trace=replace(
+                trace, packets=trace.packets + (bad,)))
             return results
 
     with pytest.raises(BlockingViolation):

@@ -14,7 +14,6 @@ from flowprof import (
     HostRef,
     HttpSelector,
     ParsedPacket,
-    Rule,
     SigTree,
     Topology,
     Transport,
@@ -28,6 +27,8 @@ from flowprof import (
 )
 from flowprof.blocklist import parse as parse_rules
 from flowprof.pcapio import _synth_frame, frame_len
+
+from test_blocklist import one_field_variants
 
 HOSTS = st.sampled_from([
     HostRef.role("device"),
@@ -121,8 +122,14 @@ def test_rules_render_parse_identity(flows):
     parsed = parse_rules(text)
     assert parsed == rules
     assert render(parsed) == text
-    for flow in flows:
-        assert Rule.from_flow(flow).to_flow() == flow
+
+
+@given(flow_ids())
+def test_compiled_rule_blocks_its_flow_and_no_one_field_variant(flow):
+    rules = compile_rules([flow])
+    assert matches_flow(rules, flow)
+    for variant in one_field_variants(flow):
+        assert not matches_flow(rules, variant), variant
 
 
 @given(st.lists(flow_ids(), min_size=1, max_size=6))

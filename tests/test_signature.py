@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from flowprof import (
@@ -281,7 +283,9 @@ def test_signature_validation():
 def test_signature_obj_round_trip():
     sig = EventSignature(
         frozenset({_flow("a.example"), _flow("b.example")}), m=20, m_plus=17)
-    again = EventSignature.from_obj(sig.to_obj())
+    obj = json.loads(json.dumps(sig.to_obj()))
+    again = EventSignature(frozenset(FlowId.from_obj(f) for f in obj["flows"]),
+                           m=obj["m"], m_plus=obj["m_plus"])
     assert again == sig
     tokens = [f["responder"] for f in sig.to_obj()["flows"]]
     assert tokens == sorted(tokens)

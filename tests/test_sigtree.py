@@ -136,7 +136,6 @@ def test_stats_counts_by_status_and_depth():
     assert stats.unique_flows == 3
     assert stats.first_level == 2
     assert stats.hidden_flows == 1
-    assert stats.robustness_score == 1
     assert stats.pruned_per_depth == ((2, 1),)
     assert stats.failed_count == 1
     assert stats.expanded_count == 2
@@ -184,8 +183,3 @@ def test_dot_output_marks_statuses():
     hidden = tree.to_dot(hide_failed=True)
     assert "[failed]" not in hidden
 
-
-def test_experiment_counters_default_zero():
-    tree = SigTree()
-    assert tree.experiment_count == 0
-    assert tree.capture_count == 0
