@@ -26,17 +26,20 @@ from .profiler import ProfileConfig, build_report, profile_event, render_csv
 
 
 def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    _write_bytes(path, text.encode())
 
 
 def _write_bytes(path: Path, data: bytes):
+    """Write through a temporary sibling file, removed again on failure."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        if tmp.is_file():
+            tmp.unlink()
+        raise
 
 
 def _write_tree(out_dir: Path, tree: SigTree, hide_failed: bool):
@@ -208,8 +211,9 @@ def _load_manifest(path: Path) -> list:
                 for key in ("label", "model_path")):
             raise ValueError(f"bad manifest entry: {entry!r}")
         label = entry["label"]
-        # the label names a subdirectory of --out-dir
-        if "/" in label or label in (".", "..") or label in labels:
+        # the label names a subdirectory of --out-dir, beside report.csv
+        if "/" in label or label in labels \
+                or label in (".", "..", "report.csv", "report.csv.tmp"):
             raise ValueError(f"bad or duplicate manifest label {label!r}")
         labels.add(label)
         group = entry.get("group", {})

@@ -165,25 +165,44 @@ class SigTree:
 
     # -- serialization ---------------------------------------------------------
 
-    def _node_obj(self, handle: int) -> dict:
-        node = self.nodes[handle]
-        obj: dict = {
-            "flow": None if node.flow is None else node.flow.to_obj(),
-            "status": node.status.value,
-            "depth": node.depth,
-        }
-        if node.reason is not None:
-            obj["reason"] = node.reason
-        obj["children"] = [self._node_obj(c) for c in node.children]
-        return obj
-
-    def to_obj(self) -> dict:
-        root_obj = self._node_obj(self.root)
-        del root_obj["flow"]
-        return {"root": root_obj}
-
     def export_json(self) -> str:
-        return json.dumps(self.to_obj(), indent=2) + "\n"
+        """The tree as `json.dumps(obj, indent=2) + "\n"`, where each node
+        object holds flow (except the root), status, depth, reason (Pruned
+        nodes) and children.  The text is written directly, because the
+        stdlib's indented encoder is pure Python; each flow's block is
+        encoded once per indent, by json.dumps itself."""
+        parts = ['{\n  "root": ']
+        flow_blocks: dict = {}
+
+        def block(value, inner: str) -> str:
+            return json.dumps(value, indent=2).replace("\n", "\n" + inner)
+
+        def write(handle: int, pad: str):
+            node = self.nodes[handle]
+            inner = pad + "  "
+            parts.append("{\n")
+            if handle != self.root:
+                key = (node.flow, inner)
+                if key not in flow_blocks:
+                    flow_blocks[key] = block(node.flow.to_obj(), inner)
+                parts.append(f'{inner}"flow": {flow_blocks[key]},\n')
+            parts.append(f'{inner}"status": "{node.status.value}",\n'
+                         f'{inner}"depth": {node.depth},\n')
+            if node.reason is not None:
+                reason = block(node.reason, inner)
+                parts.append(f'{inner}"reason": {reason},\n')
+            if not node.children:
+                parts.append(f'{inner}"children": []\n{pad}}}')
+                return
+            parts.append(f'{inner}"children": [\n')
+            for index, child in enumerate(node.children):
+                parts.append(",\n" + inner + "  " if index else inner + "  ")
+                write(child, inner + "  ")
+            parts.append(f"\n{inner}]\n{pad}}}")
+
+        write(self.root, "  ")
+        parts.append("\n}\n")
+        return "".join(parts)
 
     @staticmethod
     def from_obj(obj: dict) -> "SigTree":
@@ -193,9 +212,9 @@ class SigTree:
         def build(node_obj: dict, parent: Optional[int], depth: int) -> int:
             if not isinstance(node_obj, dict):
                 raise TypeError(f"tree node must be an object, not {node_obj!r}")
-            flow = None
-            if node_obj.get("flow") is not None:
-                flow = FlowId.from_obj(node_obj["flow"])
+            # every node but the root carries a flow; a root's is not read
+            flow = None if parent is None \
+                else FlowId.from_obj(node_obj.get("flow"))
             node = SigNode(
                 flow=flow,
                 parent=parent,
@@ -236,11 +255,12 @@ class SigTree:
                 node = self.nodes[child]
                 if hide_failed and node.status is NodeStatus.FAILED:
                     continue
-                label = node.flow.describe()
+                label = _dot_escape(node.flow.describe())
                 attrs = [f'label="{label}"']
                 if node.status is NodeStatus.PRUNED:
                     attrs.append("style=dashed")
-                    attrs.append(f'tooltip="pruned: {node.reason}"')
+                    reason = _dot_escape(node.reason)
+                    attrs.append(f'tooltip="pruned: {reason}"')
                 elif node.status is NodeStatus.FAILED:
                     attrs[0] = f'label="{label}\\n[failed]"'
                     attrs.append("color=red")
@@ -250,6 +270,12 @@ class SigTree:
 
         visit(self.root)
         return "\n".join(lines + edges + ["}"]) + "\n"
+
+
+def _dot_escape(text) -> str:
+    """Text for the inside of a DOT quoted string: backslashes and double
+    quotes escaped, so the string ends where it should."""
+    return str(text).replace("\\", "\\\\").replace('"', '\\"')
 
 
 def explore(tree: SigTree,

@@ -559,6 +559,28 @@ class SimDriver:
                 for r in run_experiment(self.model, rules, m, seed)]
 
 
+def _blocked_map_by_flow(model: DeviceModel):
+    """A function from a blocking set to the `_blocked_map` of the rules
+    compiled from it.
+
+    A rule set blocks a spec iff one of its rules does, and each rule comes
+    from one flow, so each flow's verdicts are computed once and a blocking
+    set's are their union."""
+    specs = model.flows + model.noise
+
+    @functools.cache
+    def verdicts(flow: FlowId) -> frozenset:
+        """Ids of the specs the rule compiled from `flow` blocks."""
+        rules = compile_rules([flow])
+        return frozenset(s.id for s in specs if matches_flow(rules, s.flow))
+
+    def blocked_map(blocking_set) -> Dict[str, bool]:
+        ids = frozenset().union(*map(verdicts, blocking_set))
+        return {s.id: s.id in ids for s in specs}
+
+    return blocked_map
+
+
 def oracle_tree(model: DeviceModel, pruning: bool = True,
                 max_depth: Optional[int] = None) -> SigTree:
     """Expected signature tree, computed symbolically from the model.
@@ -567,9 +589,10 @@ def oracle_tree(model: DeviceModel, pruning: bool = True,
     therefore in every intersection); sub-certain noise never survives.
     """
     certain = list(model.flows) + [s for s in model.noise if s.p >= 1.0]
+    blocked_map = _blocked_map_by_flow(model)
 
     def observe(blocking_set):
-        blocked = _blocked_map(model, compile_rules(blocking_set))
+        blocked = blocked_map(blocking_set)
         delivered = frozenset(
             s.id for s in certain if _guard_ok(s, blocked) and not blocked[s.id])
         if not eval_success(model.success, delivered):

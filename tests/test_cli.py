@@ -148,6 +148,16 @@ def test_no_temp_files_left_behind(tmp_path, mini_model):
 # -- error handling -----------------------------------------------------------------
 
 
+def test_failed_write_removes_its_temp_file(tmp_path, mini_model, capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "report.csv").mkdir(parents=True)
+    assert main(["profile", "--model", str(mini_model), "--m", "3",
+                 "--out-dir", str(out_dir)]) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) \
+        == ["report.csv", "tree.dot", "tree.json"]
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["extract"]) == 1
@@ -217,7 +227,11 @@ def test_bad_manifest_rejected(tmp_path, mini_model):
                  json.dumps([{"label": 5, "model_path": "mini.json"}]),
                  json.dumps([{"label": "a", "model_path": 5}]),
                  json.dumps([{"label": "..", "model_path": "mini.json"}]),
-                 json.dumps([{"label": ".", "model_path": "mini.json"}])):
+                 json.dumps([{"label": ".", "model_path": "mini.json"}]),
+                 json.dumps([{"label": "report.csv",
+                              "model_path": "mini.json"}]),
+                 json.dumps([{"label": "report.csv.tmp",
+                              "model_path": "mini.json"}])):
         bad.write_text(body)
         assert main(["profile", "--manifest", str(bad),
                      "--out-dir", str(tmp_path / "out")]) == 1, body
@@ -246,7 +260,10 @@ def test_analyze_rejects_missing_and_bad_trees(tmp_path, capsys):
     junk = tmp_path / "junk.json"
     for body in ({"not": "a tree"}, {"root": []},
                  {"root": {"status": "expanded", "depth": 0,
-                           "children": ["leaf"]}}):
+                           "children": ["leaf"]}},
+                 {"root": {"status": "expanded", "depth": 0,
+                           "children": [{"status": "unexplored",
+                                         "depth": 1}]}}):
         junk.write_text(json.dumps(body))
         capsys.readouterr()
         assert main(["analyze", str(junk), "--out-dir", str(tmp_path)]) == 1

@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import and private function or class
-in the package is used by its own module, every exported name is used inside
-the package, and only the modules that render the file formats call the
-text serializers."""
+in the package is used by its own module, every private method is loaded by
+its module outside its own body, every exported name is used inside the
+package, and only the modules that render the file formats call the text
+serializers."""
 
 import ast
 import pathlib
@@ -35,6 +36,27 @@ def _unloaded_privates(tree: ast.Module) -> list:
               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted((line, name) for name, line in defined.items()
                   if name not in loaded)
+
+
+def _unloaded_private_methods(tree: ast.Module) -> list:
+    """Private methods of the module's classes that no attribute load
+    outside the method's own body names."""
+    unused = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and method.name.startswith("_")
+                    and not method.name.startswith("__")):
+                continue
+            inside = {id(node) for node in ast.walk(method)}
+            if not any(isinstance(node, ast.Attribute)
+                       and node.attr == method.name
+                       and isinstance(node.ctx, ast.Load)
+                       and id(node) not in inside for node in ast.walk(tree)):
+                unused.append((method.lineno, f"{cls.name}.{method.name}"))
+    return sorted(unused)
 
 
 def _unloaded_exports(exported, trees) -> list:
@@ -95,6 +117,28 @@ def test_check_flags_an_unused_private_function():
                      "class _Slot: pass\n"
                      "def public(): return _used(), _Slot()\n")
     assert _unloaded_privates(tree) == [(2, "_left_over")]
+
+
+def test_private_methods_are_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [f"{path.name}:{line}: {name}"
+                   for line, name in _unloaded_private_methods(tree)]
+    assert unused == []
+
+
+def test_check_flags_an_unused_private_method():
+    tree = ast.parse("class Tree:\n"
+                     "    def _used(self): return 1\n"
+                     "    def _node_obj(self, n):\n"
+                     "        return [self._node_obj(c) for c in n]\n"
+                     "    def __len__(self): return 0\n"
+                     "    def public(self): return self._used()\n"
+                     "class Other:\n"
+                     "    def _spare(self): return 2\n")
+    assert _unloaded_private_methods(tree) == [(3, "Tree._node_obj"),
+                                               (8, "Other._spare")]
 
 
 def test_exported_names_are_used_inside_the_package():

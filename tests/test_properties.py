@@ -29,6 +29,7 @@ from flowprof.blocklist import parse as parse_rules
 from flowprof.pcapio import _synth_frame, frame_len
 
 from test_blocklist import one_field_variants
+from test_sigtree import assert_stdlib_encoding, dot_is_well_formed
 
 HOSTS = st.sampled_from([
     HostRef.role("device"),
@@ -139,6 +140,15 @@ def test_compiled_rules_match_their_flows(flows):
         assert matches_flow(rules.rules, flow)
 
 
+@given(flow_ids(), st.data())
+def test_a_rule_sets_verdict_is_the_or_of_its_parts(flow, data):
+    a = data.draw(st.lists(near_flows(flow), max_size=3))
+    b = data.draw(st.lists(near_flows(flow), max_size=3))
+    assert matches_flow(compile_rules(a + b), flow) == (
+        matches_flow(compile_rules(a), flow)
+        or matches_flow(compile_rules(b), flow))
+
+
 TOPO = Topology("192.168.1.53", "192.168.1.77", "192.168.1.1")
 DOMAIN_ADDRS = {"a.example": "198.51.100.1",
                 "cdn.vendor-cloud.example": "198.51.100.2"}
@@ -218,26 +228,42 @@ def test_signature_soundness_and_monotonicity(data):
     assert grown.flows <= sig.flows
 
 
+ODD_URIS = st.sampled_from(['/a"b\\', "/caf\u00e9/\u2603", '/\\"\u00fc"'])
+
+
+@st.composite
+def odd_uri_flows(draw):
+    """A drawn flow whose HTTP or CoAP URI, if it has one, holds characters
+    that JSON and DOT escape."""
+    flow = draw(flow_ids())
+    if isinstance(flow.app, HttpSelector):
+        return replace(flow, app=replace(flow.app, uri=draw(ODD_URIS)))
+    if isinstance(flow.app, CoapSelector):
+        return replace(flow, app=replace(flow.app, uri_path=draw(ODD_URIS)))
+    return flow
+
+
 @given(st.data())
 @settings(deadline=None)
 def test_tree_export_import_identity(data):
-    pool = data.draw(st.lists(flow_ids(), min_size=1, max_size=5,
-                              unique=True))
+    pool = data.draw(st.lists(st.one_of(flow_ids(), odd_uri_flows()),
+                              min_size=1, max_size=5, unique=True))
     tree = SigTree(pruning=data.draw(st.booleans()))
     for _ in range(6):
         node = tree.next_node()
         if node is None:
             break
-        if node != 0 and data.draw(st.booleans()):
+        action = data.draw(st.sampled_from(["expand", "fail", "prune"]))
+        if action == "prune":
+            tree.prune(node, data.draw(st.text(max_size=8)))
+        elif node != 0 and action == "fail":
             tree.mark_failed(node)
-            continue
-        picked = data.draw(st.frozensets(st.sampled_from(pool)))
-        tree.add_children(node, EventSignature(
-            flows=picked, m=3, m_plus=3))
-    blob = tree.export_json()
-    clone = SigTree.import_json(blob)
-    assert clone.export_json() == blob
-    assert clone.stats() == tree.stats()
+        else:
+            picked = data.draw(st.frozensets(st.sampled_from(pool)))
+            tree.add_children(node, EventSignature(
+                flows=picked, m=3, m_plus=3))
+    assert_stdlib_encoding(tree)
+    assert dot_is_well_formed(tree.to_dot())
 
 
 V4 = st.ip_addresses(v=4).map(str)

@@ -1,15 +1,28 @@
+import json
+import re
+from dataclasses import replace
+
 import pytest
 
 from flowprof import (
+    CoapSelector,
     Direction,
     EventSignature,
     FlowId,
     HostRef,
+    HttpSelector,
     NodeAlreadyVisited,
     NodeStatus,
+    ProfileConfig,
     SigTree,
+    SimDriver,
     Transport,
+    load_model,
+    oracle_tree,
+    profile_event,
 )
+
+from conftest import MODEL_DIR, model_path
 
 
 def _flow(name):
@@ -183,3 +196,80 @@ def test_dot_output_marks_statuses():
     hidden = tree.to_dot(hide_failed=True)
     assert "[failed]" not in hidden
 
+
+def assert_stdlib_encoding(tree):
+    """export_json is json.dumps(..., indent=2) + newline of what it holds,
+    and importing it gives back the same tree."""
+    text = tree.export_json()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    again = SigTree.import_json(text)
+    assert again.export_json() == text
+    assert again.stats() == tree.stats()
+
+
+# a DOT line of to_dot once each quoted string is replaced by S
+_DOT_LINE = re.compile(r"digraph sigtree \{|  rankdir=LR;|\}|  n\d+ -> n\d+;"
+                       r"|  n\d+ \[\w+=(S|\w+)(, \w+=(S|\w+))*\];")
+
+
+def dot_is_well_formed(dot: str) -> bool:
+    """Every quoted string of the DOT text ends where its attribute does."""
+    bare = re.sub(r'"(?:[^"\\]|\\.)*"', "S", dot, flags=re.S)
+    return all(_DOT_LINE.fullmatch(line) for line in bare.splitlines())
+
+
+def _odd_tree():
+    """Expanded nodes with and without children, a Failed node, Pruned
+    nodes carrying reasons, and HTTP and CoAP URIs that JSON and DOT
+    escape."""
+    http = replace(A, app=HttpSelector(method="GET", uri='/a"b\\'))
+    http2 = replace(A, app=HttpSelector(method="POST",
+                                        uri="/caf\u00e9/\u2603"))
+    coap = replace(A, transport=Transport.UDP, app=CoapSelector(
+        type="CON", code="GET", uri_path='/\\"\u00fc"'))
+    tree = SigTree()
+    tree.add_children(tree.next_node(), _sig(A, http, http2, coap))
+    while (handle := tree.next_node()) is not None:
+        node = tree.node(handle)
+        if node.depth > 1:
+            tree.prune(handle, "depth-capped")
+        elif node.flow == A:
+            tree.mark_failed(handle)
+        elif node.flow == http:
+            tree.add_children(handle, _sig())
+        elif node.flow == http2:
+            tree.prune(handle, 'capped "here" \\ \u00e9')
+        else:
+            tree.add_children(handle, _sig(http, B))  # http: a duplicate
+    return tree
+
+
+def test_export_is_the_stdlib_encoding():
+    tree = _odd_tree()
+    statuses = {n.status for n in tree.nodes}
+    assert statuses == set(NodeStatus) - {NodeStatus.UNEXPLORED}
+    assert any(n.status is NodeStatus.EXPANDED and not n.children
+               for n in tree.nodes)
+    assert_stdlib_encoding(tree)
+    assert_stdlib_encoding(SigTree())  # an unexplored root, no children
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in MODEL_DIR.glob("*.json")))
+def test_bundled_trees_export_as_the_stdlib_encoding(name):
+    model = load_model(model_path(name))
+    driver = SimDriver(model)
+    for tree in (oracle_tree(model),
+                 oracle_tree(model, pruning=False, max_depth=3),
+                 profile_event(driver, ProfileConfig(m=4, seed=0)),
+                 profile_event(driver, ProfileConfig(m=4, seed=0,
+                                                     pruning=False,
+                                                     max_depth=2))):
+        assert_stdlib_encoding(tree)
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    dot = _odd_tree().to_dot()
+    assert dot_is_well_formed(dot)
+    assert 'HTTP GET /a\\"b\\\\]' in dot
+    assert 'tooltip="pruned: capped \\"here\\" \\\\ \u00e9"' in dot

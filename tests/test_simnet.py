@@ -28,7 +28,14 @@ from flowprof import (
     write_pcap,
 )
 from flowprof.blocklist import matches_packet
-from flowprof.simnet import capture_emission, model_table
+from flowprof.simnet import (
+    _blocked_map,
+    _blocked_map_by_flow,
+    capture_emission,
+    model_table,
+)
+
+from conftest import MODEL_DIR, model_path
 
 BASE = {
     "schema": 1,
@@ -415,6 +422,18 @@ def test_oracle_depth_cap_prunes():
     assert stats.hidden_flows == 1
     assert stats.expanded_count == 1
     assert stats.pruned_per_depth == ((2, 1),)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in MODEL_DIR.glob("*.json")))
+def test_oracle_blocked_maps_compose_from_per_flow_verdicts(name):
+    model = load_model(model_path(name))
+    blocked_map = _blocked_map_by_flow(model)
+    tree = oracle_tree(model, pruning=False, max_depth=3)
+    for handle in range(len(tree.nodes)):
+        blocking_set = tree.blocking_set(handle)
+        assert blocked_map(blocking_set) \
+            == _blocked_map(model, compile_rules(blocking_set)), blocking_set
 
 
 def test_pcap_file_of_capture_round_trips():
