@@ -150,11 +150,14 @@ def cmd_extract(args) -> int:
         raise ValueError(
             f"success.txt must hold {args.m} 0/1 flags, one per capture")
     table = DnsTable(load_model(args.model).topology)
-    traces = [read_pcap(path.read_bytes()) for path in pcaps]
-    successful = [t for t, flag in zip(traces, flags) if flag == "1"]
+    # a corrupt capture errors even when it failed, so every one is read
+    successful = []
+    for path, flag in zip(pcaps, flags):
+        trace = read_pcap(path.read_bytes())
+        if flag == "1":
+            successful.append(filter_control_plane(trace))
     if successful:
-        filtered = [filter_control_plane(t) for t in successful]
-        flow_sets = aggregate_flows(filtered, table)
+        flow_sets = aggregate_flows(successful, table)
         signature = extract_signature(flow_sets, m=args.m)
     else:
         signature = EventSignature(flows=frozenset(), m=args.m, m_plus=0)

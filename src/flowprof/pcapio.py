@@ -1,9 +1,11 @@
 """Classic libpcap codec and frame dissection.
 
 Reads and writes the classic capture format only (24-byte global header,
-magic 0xA1B2C3D4, microsecond timestamps, linktype 1 = Ethernet).  pcapng
-input is rejected up front.  A read Trace is the dissected packets in file
-order and nothing else of the file.  `dissect` is total: any byte string
+linktype 1 = Ethernet).  The reader takes the microsecond magic 0xA1B2C3D4
+and the nanosecond magic 0xA1B23C4D in either byte order, truncating
+nanoseconds to microseconds; the writer emits little-endian microseconds.
+pcapng input is rejected up front.  A read Trace is the dissected packets in
+file order and nothing else of the file.  `dissect` is total: any byte string
 comes back as a ParsedPacket, degrading to an opaque transport token instead
 of raising.
 """
@@ -39,13 +41,22 @@ class UnresolvedHost(ValueError):
 
 
 PCAP_MAGIC = 0xA1B2C3D4
-PCAP_MAGIC_SWAPPED = 0xD4C3B2A1
 PCAPNG_MAGIC = 0x0A0D0D0A
+# magic read little-endian -> (byte order, timestamp fraction units per us)
+_MAGICS = {PCAP_MAGIC: ("<", 1), 0xD4C3B2A1: (">", 1),
+           0xA1B23C4D: ("<", 1000), 0x4D3CB2A1: (">", 1000)}
 LINKTYPE_ETHERNET = 1
 
 _GLOBAL_LE = struct.Struct("<IHHiIII")
 _REC_LE = struct.Struct("<IIII")
 _IPV4_HEADER_WORDS = struct.Struct(">10H")
+
+# the header fields the dissector reads, unpacked at the header's start
+_IPV4_HEAD = struct.Struct(">BxHxxHxBxx4s4s")  # IHL, len, frag, proto, addrs
+_IPV6_HEAD = struct.Struct(">B5xBx16s16s")  # version, next header, addrs
+_TCP_HEAD = struct.Struct(">HH8xBB")  # ports, data offset, flags
+_UDP_HEAD = struct.Struct(">HHH")  # ports, length
+_ARP_ADDRS = struct.Struct(">14x4s6x4s")  # sender and target IPv4 addresses
 
 ETH_IPV4 = 0x0800
 ETH_IPV6 = 0x86DD
@@ -93,12 +104,9 @@ def read_pcap(data: bytes) -> Trace:
     (le_magic,) = struct.unpack_from("<I", data, 0)
     if le_magic == PCAPNG_MAGIC:
         raise MalformedHeader("pcapng input is not supported; classic pcap only")
-    if le_magic == PCAP_MAGIC:
-        order = "<"
-    elif le_magic == PCAP_MAGIC_SWAPPED:
-        order = ">"
-    else:
+    if le_magic not in _MAGICS:
         raise MalformedHeader(f"unknown capture magic 0x{le_magic:08X}")
+    order, frac_per_us = _MAGICS[le_magic]
     hdr = struct.Struct(order + "IHHiIII")
     _, vmajor, _vminor, _zone, _sigfigs, _snaplen, network = hdr.unpack_from(data, 0)
     if vmajor != 2:
@@ -112,13 +120,14 @@ def read_pcap(data: bytes) -> Trace:
     while offset < total:
         if total - offset < 16:
             raise TruncatedRecord(f"record header truncated at offset {offset}")
-        ts_sec, ts_usec, incl_len, _orig_len = rec.unpack_from(data, offset)
+        ts_sec, ts_frac, incl_len, _orig_len = rec.unpack_from(data, offset)
         offset += 16
         if total - offset < incl_len:
             raise TruncatedRecord(f"record body truncated at offset {offset}")
         frame = data[offset:offset + incl_len]
         offset += incl_len
-        packets.append(dissect(frame, ts_sec * 1_000_000 + ts_usec))
+        packets.append(dissect(frame,
+                               ts_sec * 1_000_000 + ts_frac // frac_per_us))
     return Trace(tuple(packets))
 
 
@@ -142,23 +151,21 @@ def dissect(frame: bytes, ts_us: int = 0) -> ParsedPacket:
 def _dissect(frame: bytes, ts_us: int) -> ParsedPacket:
     if len(frame) < 14:
         return _opaque(ts_us, len(frame), "short")
-    ethertype = int.from_bytes(frame[12:14], "big")
-    if ethertype == ETH_ARP:
-        return _dissect_arp(frame, ts_us)
+    ethertype = frame[12] << 8 | frame[13]
     if ethertype == ETH_IPV4:
         return _dissect_ipv4(frame, ts_us)
     if ethertype == ETH_IPV6:
         return _dissect_ipv6(frame, ts_us)
+    if ethertype == ETH_ARP:
+        return _dissect_arp(frame, ts_us)
     return _opaque(ts_us, len(frame), f"ether-0x{ethertype:04x}")
 
 
 def _dissect_arp(frame: bytes, ts_us: int) -> ParsedPacket:
-    body = frame[14:]
     src = dst = ""
-    # hardware/protocol sizes at offsets 4/5; IPv4-over-Ethernet layout only.
-    if len(body) >= 28 and body[4] == 6 and body[5] == 4:
-        src = _addr_text(bytes(body[14:18]))
-        dst = _addr_text(bytes(body[24:28]))
+    # hardware/protocol sizes at body offsets 4/5; IPv4-over-Ethernet only.
+    if len(frame) >= 42 and frame[18] == 6 and frame[19] == 4:
+        src, dst = map(_addr_text, _ARP_ADDRS.unpack_from(frame, 14))
     return ParsedPacket(
         ts_us=ts_us, src_addr=src, dst_addr=dst, transport="arp",
         wire_len=len(frame), control_plane=True,
@@ -166,47 +173,45 @@ def _dissect_arp(frame: bytes, ts_us: int) -> ParsedPacket:
 
 
 def _dissect_ipv4(frame: bytes, ts_us: int) -> ParsedPacket:
-    ip = frame[14:]
-    if len(ip) < 20 or (ip[0] >> 4) != 4:
-        return _opaque(ts_us, len(frame), "ipv4-bad")
-    ihl = (ip[0] & 0x0F) * 4
-    if ihl < 20 or len(ip) < ihl:
-        return _opaque(ts_us, len(frame), "ipv4-bad")
-    total_len = int.from_bytes(ip[2:4], "big")
-    frag = int.from_bytes(ip[6:8], "big")
-    proto = ip[9]
-    src = _addr_text(bytes(ip[12:16]))
-    dst = _addr_text(bytes(ip[16:20]))
+    wire_len = len(frame)
+    if wire_len < 34:
+        return _opaque(ts_us, wire_len, "ipv4-bad")
+    ver_ihl, total_len, frag, proto, src, dst = _IPV4_HEAD.unpack_from(
+        frame, 14)
+    ihl = (ver_ihl & 0x0F) * 4
+    if ver_ihl >> 4 != 4 or ihl < 20 or wire_len - 14 < ihl:
+        return _opaque(ts_us, wire_len, "ipv4-bad")
+    src = _addr_text(src)
+    dst = _addr_text(dst)
     if frag & 0x1FFF:
         # Later fragment: no transport header; reassembly is out of scope.
-        return _opaque(ts_us, len(frame), "ip-frag", src, dst)
-    end = min(len(ip), total_len) if total_len >= ihl else len(ip)
-    payload = ip[ihl:end]
-    return _dissect_l4(frame, ts_us, proto, src, dst, payload, icmp6=False)
+        return _opaque(ts_us, wire_len, "ip-frag", src, dst)
+    end = min(wire_len, 14 + total_len) if total_len >= ihl else wire_len
+    return _dissect_l4(frame, ts_us, proto, src, dst, 14 + ihl, end, False)
 
 
 def _dissect_ipv6(frame: bytes, ts_us: int) -> ParsedPacket:
-    ip = frame[14:]
-    if len(ip) < 40 or (ip[0] >> 4) != 6:
-        return _opaque(ts_us, len(frame), "ipv6-bad")
-    nxt = ip[6]
-    src = _addr_text(bytes(ip[8:24]))
-    dst = _addr_text(bytes(ip[24:40]))
-    pos = 40
+    wire_len = len(frame)
+    if wire_len < 54:
+        return _opaque(ts_us, wire_len, "ipv6-bad")
+    version, nxt, src, dst = _IPV6_HEAD.unpack_from(frame, 14)
+    if version >> 4 != 6:
+        return _opaque(ts_us, wire_len, "ipv6-bad")
+    src = _addr_text(src)
+    dst = _addr_text(dst)
+    pos = 54
     # Walk simple extension headers; fragments degrade like IPv4.
     for _ in range(8):
         if nxt in (0, 43, 60):
-            if len(ip) < pos + 8:
-                return _opaque(ts_us, len(frame), "ipv6-bad", src, dst)
-            length = (ip[pos + 1] + 1) * 8
-            nxt = ip[pos]
+            if wire_len < pos + 8:
+                return _opaque(ts_us, wire_len, "ipv6-bad", src, dst)
+            nxt, length = frame[pos], (frame[pos + 1] + 1) * 8
             pos += length
         elif nxt == 44:
-            return _opaque(ts_us, len(frame), "ip-frag", src, dst)
+            return _opaque(ts_us, wire_len, "ip-frag", src, dst)
         else:
             break
-    payload = ip[pos:]
-    return _dissect_l4(frame, ts_us, nxt, src, dst, payload, icmp6=True)
+    return _dissect_l4(frame, ts_us, nxt, src, dst, pos, wire_len, True)
 
 
 @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
@@ -223,28 +228,27 @@ def _opaque(ts_us, wire_len, token, src="", dst=""):
     )
 
 
-def _dissect_l4(frame, ts_us, proto, src, dst, payload, icmp6):
-    wire_len = len(frame)
+def _dissect_l4(frame, ts_us, proto, src, dst, start, end, icmp6):
+    """The transport layer at frame[start:end]."""
+    if proto == 6:
+        return _dissect_tcp(frame, ts_us, src, dst, start, end)
+    if proto == 17:
+        return _dissect_udp(frame, ts_us, src, dst, start, end)
     if proto == 1 or (icmp6 and proto == 58):
         return ParsedPacket(
             ts_us=ts_us, src_addr=src, dst_addr=dst,
             transport="icmpv6" if proto == 58 else "icmp",
-            wire_len=wire_len, control_plane=True,
+            wire_len=len(frame), control_plane=True,
         )
-    if proto == 6:
-        return _dissect_tcp(ts_us, src, dst, payload, wire_len)
-    if proto == 17:
-        return _dissect_udp(ts_us, src, dst, payload, wire_len)
-    return _opaque(ts_us, wire_len, f"ip-proto-{proto}", src, dst)
+    return _opaque(ts_us, len(frame), f"ip-proto-{proto}", src, dst)
 
 
-def _dissect_tcp(ts_us, src, dst, seg, wire_len):
-    if len(seg) < 20:
-        return _opaque(ts_us, wire_len, "tcp-bad", src, dst)
-    sport, dport = struct.unpack_from(">HH", seg, 0)
-    offset = (seg[12] >> 4) * 4
-    flags = seg[13]
-    payload = seg[offset:] if offset >= 20 else b""
+def _dissect_tcp(frame, ts_us, src, dst, start, end):
+    if end - start < 20:
+        return _opaque(ts_us, len(frame), "tcp-bad", src, dst)
+    sport, dport, offset, flags = _TCP_HEAD.unpack_from(frame, start)
+    offset = (offset >> 4) * 4
+    payload = frame[start + offset:end] if offset >= 20 else b""
     app = None
     sni = None
     control = False
@@ -259,17 +263,18 @@ def _dissect_tcp(ts_us, src, dst, seg, wire_len):
             app = _parse_http(payload)
     return ParsedPacket(
         ts_us=ts_us, src_addr=src, dst_addr=dst, src_port=sport, dst_port=dport,
-        transport="tcp", app=app, sni=sni, wire_len=wire_len,
+        transport="tcp", app=app, sni=sni, wire_len=len(frame),
         control_plane=control, tcp_flags=flags,
     )
 
 
-def _dissect_udp(ts_us, src, dst, seg, wire_len):
-    if len(seg) < 8:
-        return _opaque(ts_us, wire_len, "udp-bad", src, dst)
-    sport, dport, ulen, _ck = struct.unpack_from(">HHHH", seg, 0)
-    end = min(len(seg), ulen) if ulen >= 8 else len(seg)
-    payload = seg[8:end]
+def _dissect_udp(frame, ts_us, src, dst, start, end):
+    if end - start < 8:
+        return _opaque(ts_us, len(frame), "udp-bad", src, dst)
+    sport, dport, ulen = _UDP_HEAD.unpack_from(frame, start)
+    if ulen >= 8:
+        end = min(end, start + ulen)
+    payload = frame[start + 8:end]
     app = None
     answers = ()
     control = False
@@ -283,7 +288,7 @@ def _dissect_udp(ts_us, src, dst, seg, wire_len):
         app = _parse_coap(payload)
     return ParsedPacket(
         ts_us=ts_us, src_addr=src, dst_addr=dst, src_port=sport, dst_port=dport,
-        transport="udp", app=app, dns_answers=answers, wire_len=wire_len,
+        transport="udp", app=app, dns_answers=answers, wire_len=len(frame),
         control_plane=control,
     )
 

@@ -131,6 +131,10 @@ def _name_addr(addr: str, table: DnsTable) -> HostRef:
 # -- aggregation ----------------------------------------------------------------
 
 
+# transport tokens that carry flows; every other packet is left out
+_FLOW_TRANSPORTS = (Transport.TCP.value, Transport.UDP.value)
+
+
 def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     """Aggregate each trace into a set of canonical FlowIds.
 
@@ -140,62 +144,76 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     iff it is well-known or the same value recurs for that endpoint in every
     trace containing the group.  The seed table is folded over all packets
     (and mutated) before any naming, so one address is never named two ways
-    within the trace set.
+    within the trace set.  Repeated packets change no group, so each trace's
+    distinct packet keys are grouped once, in first-seen order.
     """
     traces = list(traces)
     for trace in traces:
         for packet in trace.packets:
-            seed_table.update(packet)
+            if packet.dns_answers or packet.sni:
+                seed_table.update(packet)
 
     per_trace_groups = []
     for trace in traces:
         # (endpoint pair, transport, app) -> (first (src, dst), ports per
         # HostRef, (src, dst) pairs seen)
         groups: dict = {}
-        for packet in trace.packets:
-            if packet.control_plane or packet.transport not in (
-                    Transport.TCP.value, Transport.UDP.value):
-                continue
-            src, dst = name_endpoints(packet, seed_table)
-            key = (frozenset((src, dst)), packet.transport, packet.app)
+        for src_addr, dst_addr, sport, dport, transport, app in dict.fromkeys(
+                (p.src_addr, p.dst_addr, p.src_port, p.dst_port, p.transport,
+                 p.app)
+                for p in trace.packets
+                if not p.control_plane and p.transport in _FLOW_TRANSPORTS):
+            src = seed_table._name(src_addr)
+            dst = seed_table._name(dst_addr)
+            key = (frozenset((src, dst)), transport, app)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = ((src, dst), {}, set())
             _, ports, pairs = group
-            if packet.src_port is not None:
-                ports.setdefault(src, set()).add(packet.src_port)
-            if packet.dst_port is not None:
-                ports.setdefault(dst, set()).add(packet.dst_port)
+            if sport is not None:
+                ports.setdefault(src, set()).add(sport)
+            if dport is not None:
+                ports.setdefault(dst, set()).add(dport)
             pairs.add((src, dst))
         per_trace_groups.append(groups)
 
     retained = _retained_ports(per_trace_groups)
 
+    # groups alike across traces share one FlowId, built once per call
+    flow_ids: dict = {}
     flow_sets = []
     for groups in per_trace_groups:
         flows = set()
-        for key, ((init, resp), _, pairs) in groups.items():
-            _, transport, app = key
-            ports = retained[key]
-            direction = Direction.UNIDIRECTIONAL if len(pairs) == 1 \
-                else Direction.BIDIRECTIONAL
-            responder_port = ports.get(resp)
-            if isinstance(app, DnsSelector) \
-                    and responder_port not in (None, 53, 5353):
-                # Response-only group: the client slot is never DNS identity.
-                responder_port = None
-            flow = FlowId(
-                initiator=init,
-                responder=resp,
-                initiator_port=ports.get(init),
-                responder_port=responder_port,
-                transport=Transport(transport),
-                direction=direction,
-                app=app,
-            )
-            flows.add(canonicalize(flow))
+        for key, (ends, _, pairs) in groups.items():
+            shape = (key, ends, len(pairs) == 1)
+            if shape not in flow_ids:
+                flow_ids[shape] = _flow_id(*shape, retained[key])
+            flows.add(flow_ids[shape])
         flow_sets.append(flows)
     return flow_sets
+
+
+def _flow_id(key: tuple, ends: tuple, unidirectional: bool,
+             ports: dict) -> FlowId:
+    """The canonical FlowId of one group under its retained ports."""
+    _, transport, app = key
+    init, resp = ends
+    direction = Direction.UNIDIRECTIONAL if unidirectional \
+        else Direction.BIDIRECTIONAL
+    responder_port = ports.get(resp)
+    if isinstance(app, DnsSelector) \
+            and responder_port not in (None, 53, 5353):
+        # Response-only group: the client slot is never DNS identity.
+        responder_port = None
+    return canonicalize(FlowId(
+        initiator=init,
+        responder=resp,
+        initiator_port=ports.get(init),
+        responder_port=responder_port,
+        transport=Transport(transport),
+        direction=direction,
+        app=app,
+    ))
 
 
 def _retained_ports(per_trace_groups: list) -> dict:

@@ -215,12 +215,15 @@ class SigTree:
             # every node but the root carries a flow; a root's is not read
             flow = None if parent is None \
                 else FlowId.from_obj(node_obj.get("flow"))
+            reason = node_obj.get("reason")
+            if reason is not None and not isinstance(reason, str):
+                raise TypeError("reason must be a string")
             node = SigNode(
                 flow=flow,
                 parent=parent,
                 depth=depth,
                 status=NodeStatus(node_obj["status"]),
-                reason=node_obj.get("reason"),
+                reason=reason,
             )
             if parent is None:
                 tree.nodes[0] = node

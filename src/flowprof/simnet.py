@@ -531,7 +531,7 @@ def _strictly_increasing(packets: list) -> list:
     prev = -1
     for pkt in packets:
         ts = max(pkt.ts_us, prev + 1)
-        out.append(pkt if ts == pkt.ts_us else replace(pkt, ts_us=ts))
+        out.append(pkt if ts == pkt.ts_us else pkt._replace(ts_us=ts))
         prev = ts
     return out
 

@@ -263,9 +263,15 @@ def test_analyze_rejects_missing_and_bad_trees(tmp_path, capsys):
                            "children": ["leaf"]}},
                  {"root": {"status": "expanded", "depth": 0,
                            "children": [{"status": "unexplored",
-                                         "depth": 1}]}}):
+                                         "depth": 1}]}},
+                 {"root": {"status": "expanded", "depth": 0,
+                           "reason": {"a": [1]}}}):
         junk.write_text(json.dumps(body))
         capsys.readouterr()
         assert main(["analyze", str(junk), "--out-dir", str(tmp_path)]) == 1
         assert f"bad tree file {junk}" in capsys.readouterr().err
+    # junk.json still holds the last body, whose reason is not a string
+    assert main(["analyze", str(junk), "--out-dir", str(tmp_path)]) == 1
+    assert f"bad tree file {junk}: reason must be a string" \
+        in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()

@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import and private function or class
 in the package is used by its own module, every private method is loaded by
 its module outside its own body, every exported name is used inside the
-package, and only the modules that render the file formats call the text
-serializers."""
+package, only the modules that render the file formats call the text
+serializers, and every packet is built with its fields named."""
 
 import ast
 import pathlib
@@ -175,3 +175,33 @@ def test_check_flags_a_serializer_call():
                      "    return (host.token(), flow.canonical_json(),\n"
                      "            sorted([flow], key=FlowId.canonical_json))\n")
     assert _serializer_calls(tree) == [(2, "canonical_json"), (2, "token")]
+
+
+def _positional_packet_calls(tree: ast.Module) -> list:
+    """Lines that build a ParsedPacket from positional arguments, whose
+    values a reorder of its fields would shift silently."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and node.args
+                  and "ParsedPacket" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None)))
+
+
+def test_packets_are_built_with_keywords():
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [f"{path.name}:{line}: ParsedPacket(...)"
+                  for line in _positional_packet_calls(tree)]
+    assert calls == []
+
+
+def test_check_flags_a_positional_packet():
+    tree = ast.parse("def build(ts, src, dst, fields, args):\n"
+                     "    return [ParsedPacket(ts_us=ts, src_addr=src,\n"
+                     "                         dst_addr=dst),\n"
+                     "            ParsedPacket(**fields),\n"
+                     "            ParsedPacket(ts, src, dst),\n"
+                     "            core.ParsedPacket(ts, src_addr=src,\n"
+                     "                              dst_addr=dst),\n"
+                     "            ParsedPacket(*args)]\n")
+    assert _positional_packet_calls(tree) == [5, 6, 8]

@@ -1,5 +1,6 @@
+import hashlib
+import random
 import struct
-from dataclasses import replace
 
 import pytest
 
@@ -49,6 +50,20 @@ def _data(**kw):
 # -- file level ---------------------------------------------------------------
 
 
+def _rewritten(data: bytes, order: str, magic: int, frac) -> bytes:
+    """A write_pcap capture re-encoded in byte order `order` under `magic`,
+    each record's microsecond fraction mapped through `frac`."""
+    header = struct.unpack_from("<IHHiIII", data, 0)
+    out = bytearray(struct.pack(order + "IHHiIII", magic, *header[1:]))
+    offset = 24
+    while offset < len(data):
+        sec, usec, incl, orig = struct.unpack_from("<IIII", data, offset)
+        out += struct.pack(order + "IIII", sec, frac(usec), incl, orig)
+        out += data[offset + 16:offset + 16 + incl]
+        offset += 16 + incl
+    return bytes(out)
+
+
 def test_rejects_non_pcap_input():
     with pytest.raises(MalformedHeader):
         read_pcap(b"not a capture file at all....")
@@ -56,6 +71,11 @@ def test_rejects_non_pcap_input():
         read_pcap(struct.pack("<IHHiIII", 0x0A0D0D0A, 2, 4, 0, 0, 0, 1))
     with pytest.raises(MalformedHeader):
         read_pcap(b"\x00" * 10)
+    capture = write_pcap(Trace(packets=(_data(),)))
+    for magic in (0xA1B23C4E, 0xA1B2C3D5, 0x4D3CB2A2):
+        with pytest.raises(MalformedHeader,
+                           match=f"unknown capture magic 0x{magic:08X}"):
+            read_pcap(_rewritten(capture, "<", magic, lambda usec: usec))
 
 
 def test_rejects_truncated_record():
@@ -64,6 +84,21 @@ def test_rejects_truncated_record():
         read_pcap(data[:-3])
     with pytest.raises(TruncatedRecord):
         read_pcap(data[: 24 + 7])
+
+
+@pytest.mark.parametrize("order", ["<", ">"])
+def test_reads_nanosecond_captures_in_either_byte_order(order):
+    pkts = (_data(ts_us=5), _data(ts_us=1_700_000_001_000_999, wire_len=200),
+            _data(ts_us=1_700_000_002_999_999, dst_port=80))
+    data = write_pcap(Trace(packets=pkts))
+    nano = _rewritten(data, order, 0xA1B23C4D,
+                      lambda usec: usec * 1000 + 999)
+    assert nano[:4] == struct.pack(order + "I", 0xA1B23C4D)
+    back = read_pcap(nano)
+    assert back == read_pcap(data)
+    assert [p.ts_us for p in back.packets] == [p.ts_us for p in pkts]
+    micro = _rewritten(data, order, 0xA1B2C3D4, lambda usec: usec)
+    assert read_pcap(micro) == back
 
 
 def test_empty_capture_round_trips():
@@ -225,7 +260,7 @@ def test_frame_len_matches_the_synthesized_frame(path):
     for rules in [RuleSet()] + [compile_rules([f]) for f in first_level]:
         for seed in range(5):
             for pkt in run_capture(model, rules, seed).trace.packets:
-                frame = _synth_frame(replace(pkt, wire_len=0))
+                frame = _synth_frame(pkt._replace(wire_len=0))
                 assert frame_len(pkt) == len(frame)
 
 
@@ -246,3 +281,86 @@ def test_control_frames_check_address_families(transport, src, dst, message):
         write_pcap(Trace(packets=(pkt,)))
     with pytest.raises(ValueError, match=message):
         frame_len(pkt)
+
+
+# -- dissector pin --------------------------------------------------------------
+
+
+def _ipv4_parts(frame: bytes):
+    """(IPv4 header, transport bytes) of a synthesized IPv4 frame."""
+    ihl = (frame[14] & 0x0F) * 4
+    return frame[14:14 + ihl], frame[14 + ihl:]
+
+
+def _as_ipv6(frame: bytes, hop_by_hop: bool) -> bytes:
+    """The IPv4 frame's transport bytes in an IPv6 packet, the addresses
+    mapped into fd00::/8, optionally behind an 8-byte hop-by-hop header."""
+    header, l4 = _ipv4_parts(frame)
+    nxt = header[9]
+    if hop_by_hop:
+        l4 = bytes([nxt, 0, 1, 4, 0, 0, 0, 0]) + l4
+        nxt = 0
+    pad = b"\xfd" + b"\x00" * 11
+    ip6 = struct.pack(">IHBB16s16s", 0x60000000, len(l4), nxt, 64,
+                      pad + header[12:16], pad + header[16:20])
+    return frame[:12] + b"\x86\xdd" + ip6 + l4
+
+
+def _with_ipv4_options(frame: bytes) -> bytes:
+    """The IPv4 frame with one word of NOP options: IHL 6, total + 4."""
+    header, l4 = _ipv4_parts(frame)
+    total = int.from_bytes(header[2:4], "big") + 4
+    header = bytes([0x46]) + header[1:2] + total.to_bytes(2, "big") \
+        + header[4:] + b"\x01" * 4
+    return frame[:14] + header + l4
+
+
+def _mutated(frame: bytes, rng) -> bytes:
+    """Byte flips (mostly in the headers), a truncation, or appended bytes."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return frame[:rng.randrange(len(frame) + 1)]
+    if kind == 1:
+        return frame + bytes(rng.randrange(256)
+                             for _ in range(rng.randint(1, 40)))
+    out = bytearray(frame)
+    for _ in range(rng.randint(1, 3)):
+        span = 80 if kind == 2 else len(out)
+        out[rng.randrange(min(span, len(out)))] ^= rng.randint(1, 255)
+    return bytes(out)
+
+
+def _pinned_frames() -> list:
+    """Seeded simulator frames of every bundled model, with nothing and with
+    each first-level flow blocked, IPv6 and IP-option variants of them, and
+    20,000 mutations of those."""
+    bases = []
+    for path in sorted(MODEL_DIR.glob("*.json")):
+        model = load_model(path)
+        tree = oracle_tree(model)
+        first_level = [tree.node(h).flow
+                       for h in tree.node(tree.root).children]
+        for seed, rules in enumerate(
+                [RuleSet()] + [compile_rules([f]) for f in first_level]):
+            for pkt in run_capture(model, rules, seed).trace.packets:
+                frame = _synth_frame(pkt)
+                bases.append(frame)
+                if frame[12:14] == b"\x08\x00":
+                    bases.append(_as_ipv6(frame, len(bases) % 2 == 1))
+                    bases.append(_with_ipv4_options(frame))
+    rng = random.Random(8)
+    return bases + [_mutated(rng.choice(bases), rng) for _ in range(20_000)]
+
+
+def test_dissector_output_is_pinned():
+    """A digest of what dissect returns for every pinned frame, so any
+    change to its output shows; a bytearray frame dissects like its bytes
+    (an address slice left a bytearray is unhashable for the address cache,
+    which would degrade the frame to `undecoded`)."""
+    digest = hashlib.sha256()
+    for i, frame in enumerate(_pinned_frames()):
+        pkt = dissect(frame, i)
+        assert dissect(bytearray(frame), i) == pkt
+        digest.update(repr(pkt).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "7280730cf20dd8d2c7fb602fb8a4f5c65ce32a3c094fec4b51b3623633bd7bb0")

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,15 +17,19 @@ from flowprof import (
     ParsedPacket,
     SigTree,
     Topology,
+    Trace,
     Transport,
+    aggregate_flows,
     canonicalize,
     compile_rules,
     extract_signature,
     matches_flow,
     matches_packet,
+    name_endpoints,
     render,
     sorted_flows,
 )
+from flowprof import signature
 from flowprof.blocklist import parse as parse_rules
 from flowprof.pcapio import _synth_frame, frame_len
 
@@ -301,4 +306,94 @@ def synthesizable_packets(draw):
 
 @given(synthesizable_packets())
 def test_frame_len_is_the_unpadded_synthesized_length(pkt):
-    assert frame_len(pkt) == len(_synth_frame(replace(pkt, wire_len=0)))
+    assert frame_len(pkt) == len(_synth_frame(pkt._replace(wire_len=0)))
+
+
+ADDRS = st.sampled_from([
+    TOPO.device_addr, TOPO.phone_addr, TOPO.gateway_addr,
+    *DOMAIN_ADDRS.values(), "203.0.113.9", "2001:db8::17", "224.0.0.251",
+    "255.255.255.255",
+])
+
+
+@st.composite
+def data_packets(draw, dns=True):
+    """Packets aggregation groups: TCP or UDP, any app selector (a DNS one
+    only if `dns`), DNS answers and SNI that name the drawn addresses."""
+    app = draw(apps() if dns else
+               apps().filter(lambda app: not isinstance(app, DnsSelector)))
+    transport = "udp" if isinstance(app, DnsSelector) \
+        else draw(st.sampled_from(["tcp", "udp"]))
+    answers = tuple(draw(st.lists(st.tuples(QNAMES, ADDRS), max_size=2))) \
+        if isinstance(app, DnsSelector) else ()
+    sni = draw(st.one_of(st.none(), QNAMES)) \
+        if app is None and transport == "tcp" else None
+    return ParsedPacket(
+        ts_us=0, src_addr=draw(ADDRS), dst_addr=draw(ADDRS),
+        src_port=draw(PORTS), dst_port=draw(PORTS), transport=transport,
+        app=app, dns_answers=answers, sni=sni)
+
+
+@st.composite
+def control_packets(draw):
+    """Control-plane packets that carry no name for the DNS table."""
+    return ParsedPacket(
+        ts_us=0, src_addr=draw(ADDRS), dst_addr=draw(ADDRS),
+        src_port=draw(PORTS), dst_port=draw(PORTS),
+        transport=draw(st.sampled_from(["tcp", "udp", "arp", "icmp"])),
+        app=draw(apps()), control_plane=True)
+
+
+TRACE_SETS = st.lists(st.lists(data_packets(), max_size=8),
+                      min_size=1, max_size=4)
+
+
+def _aggregate(traces: list) -> tuple:
+    """(flow sets, the DNS table they were named by) of packet lists."""
+    table = DnsTable(TOPO, {addr: name for name, addr in DOMAIN_ADDRS.items()})
+    flow_sets = aggregate_flows([Trace(tuple(t)) for t in traces], table)
+    return flow_sets, table
+
+
+@given(TRACE_SETS, st.data())
+def test_aggregation_ignores_repeats_and_control_plane_packets(traces, data):
+    changed = []
+    for packets in traces:
+        out = []
+        for pkt in packets:
+            out += data.draw(st.lists(control_packets(), max_size=2))
+            out += [pkt] * data.draw(st.integers(1, 2))
+        changed.append(out + data.draw(st.lists(control_packets(),
+                                                max_size=2)))
+    assert _aggregate(changed)[0] == _aggregate(traces)[0]
+
+
+def _swapped(flow: FlowId) -> FlowId:
+    return replace(flow, initiator=flow.responder, responder=flow.initiator,
+                   initiator_port=flow.responder_port,
+                   responder_port=flow.initiator_port)
+
+
+@given(TRACE_SETS, data_packets(dns=False), st.data())
+def test_the_first_direction_seen_names_the_initiator(traces, pkt, data):
+    # Canonicalization is patched out so the orientation shows; DNS groups
+    # are left out because their client slot never keeps a non-DNS port.
+    index = data.draw(st.integers(0, len(traces) - 1))
+    back = pkt._replace(src_addr=pkt.dst_addr, dst_addr=pkt.src_addr,
+                        src_port=pkt.dst_port, dst_port=pkt.src_port)
+
+    def led_by(first, second):
+        return traces[:index] + [[first, second] + traces[index]] \
+            + traces[index + 1:]
+
+    with mock.patch.object(signature, "canonicalize", lambda flow: flow):
+        forward, table = _aggregate(led_by(pkt, back))
+        reverse, _ = _aggregate(led_by(back, pkt))
+    src, dst = name_endpoints(pkt, table)
+    (flow,) = [f for f in forward[index]
+               if f.transport.value == pkt.transport and f.app == pkt.app
+               and {f.initiator, f.responder} == {src, dst}]
+    assert flow.initiator == src
+    assert reverse[index] == forward[index] - {flow} | {_swapped(flow)}
+    del forward[index], reverse[index]
+    assert reverse == forward

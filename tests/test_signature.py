@@ -205,6 +205,17 @@ def test_answers_name_later_endpoints_within_the_set(topo):
     assert f"ip:{CLOUD}" not in tokens
 
 
+def test_sni_names_endpoints_in_every_trace_of_the_set(topo):
+    data = (_pkt(DEVICE, CLOUD, 49200, 443, "tcp"),
+            _pkt(CLOUD, DEVICE, 443, 49200, "tcp"))
+    hello = _pkt(DEVICE, CLOUD, 49300, 443, "tcp", sni="api.example")
+    sets = aggregate_flows([_trace(*data), _trace(hello, *data)],
+                           DnsTable(topo))
+    assert sets[0] == sets[1]
+    (flow,) = sets[0]
+    assert flow.responder.token() == "dom:api.example"
+
+
 def test_response_only_dns_group_drops_client_port(topo):
     sel = DnsSelector(qtype="A", qname="a.example")
     sets = aggregate_flows(

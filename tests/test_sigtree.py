@@ -180,6 +180,20 @@ def test_import_restores_frontier_and_dedupe():
     assert any(n.status is NodeStatus.PRUNED for n in resumed.nodes)
 
 
+def test_import_refuses_a_reason_that_is_not_a_string():
+    tree = SigTree()
+    (a,) = tree.add_children(tree.next_node(), _sig(A))
+    tree.prune(a, "depth")
+    obj = json.loads(tree.export_json())
+    child = obj["root"]["children"][0]
+    assert child["reason"] == "depth"
+    assert SigTree.from_obj(obj).export_json() == tree.export_json()
+    for bad in ({"a": [1]}, 7, ["depth"], True):
+        child["reason"] = bad
+        with pytest.raises(TypeError, match="reason must be a string"):
+            SigTree.from_obj(obj)
+
+
 def test_dot_output_marks_statuses():
     tree = SigTree()
     tree.add_children(tree.next_node(), _sig(A, B))
