@@ -237,15 +237,30 @@ def cmd_analyze(args) -> int:
         paths.extend(sorted(tree_dir.glob("*.json")))
     if not paths:
         raise ValueError("no tree files given")
-    reports = []
+    labels = {}
     for path in paths:
+        label = _tree_label(path)
+        if label in labels:
+            raise ValueError(f"{labels[label]} and {path} would both be "
+                             f"reported as {label!r}")
+        labels[label] = path
+    reports = []
+    for label, path in labels.items():
         try:
             tree = SigTree.import_json(path.read_text())
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad tree file {path}: {exc}") from exc
-        reports.append(build_report(tree, path.stem))
+        reports.append(build_report(tree, label))
     _write_text(Path(args.out_dir) / "report.csv", render_csv(reports))
     return 0
+
+
+def _tree_label(path: Path) -> str:
+    """Report label of a tree file: `profile` writes `<label>/tree.json`,
+    so such a file is named by its directory, any other by its stem."""
+    if path.name == "tree.json":
+        return path.resolve().parent.name
+    return path.stem
 
 
 def cmd_rules(args) -> int:

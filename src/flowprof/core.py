@@ -5,6 +5,12 @@ speaks in terms of these types.  A FlowId is a multi-layer, bidirectional flow
 descriptor and, being frozen, its own identity in sets and dicts; its
 canonical JSON serialization is the sort key and the on-disk representation
 inside signature and tree files.
+
+FlowId and HostRef compute their hash once, when built, and a FlowId encodes
+its canonical JSON once, on first use; both are kept on the instance.  Build
+them only through their constructors or `dataclasses.replace` (copy and
+pickle go through the constructor too): a field changed in place would leave
+both stale.
 """
 
 from __future__ import annotations
@@ -86,6 +92,15 @@ class HostRef:
             if addr.is_multicast or str(addr) == BROADCAST_ADDR:
                 raise ValueError(f"{self.value} needs a broadcast/multicast ref")
             object.__setattr__(self, "value", str(addr))
+        # the value is final now; a dataclass hash would rehash it per call
+        object.__setattr__(self, "_hash", hash((self.kind, self.value)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a str hash differs per process
+        return HostRef, (self.kind, self.value)
 
     # -- constructors ------------------------------------------------------
 
@@ -296,6 +311,18 @@ class FlowId:
                 raise ValueError("DNS flows are UDP")
             if self.responder_port not in (None, 53, 5353):
                 raise ValueError("DNS responder port must be 53 or 5353")
+        object.__setattr__(self, "_hash", hash((
+            self.initiator, self.responder, self.initiator_port,
+            self.responder_port, self.transport, self.direction, self.app)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor, as HostRef is
+        return FlowId, (self.initiator, self.responder, self.initiator_port,
+                        self.responder_port, self.transport, self.direction,
+                        self.app)
 
     def to_obj(self) -> dict:
         return {
@@ -309,8 +336,14 @@ class FlowId:
         }
 
     def canonical_json(self) -> str:
-        """Exact serialization used as sort/tie-break key and export format."""
-        return json.dumps(self.to_obj(), separators=(",", ":"), ensure_ascii=True)
+        """Exact serialization used as sort/tie-break key and export format,
+        encoded on the first call and kept on the instance."""
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = json.dumps(self.to_obj(), separators=(",", ":"),
+                              ensure_ascii=True)
+            object.__setattr__(self, "_json", text)
+        return text
 
     @staticmethod
     def from_obj(obj: dict) -> "FlowId":

@@ -61,6 +61,9 @@ class SigTree:
         self.nodes = [SigNode(flow=None, parent=None, depth=0)]
         self.frontier = deque([0])
         self._explored: set = set()  # flows with Expanded/Failed nodes
+        # one instance per distinct flow, so that each flow's hash and
+        # canonical JSON are computed once per tree, not once per node
+        self._flows: dict = {}
 
     @property
     def root(self) -> int:
@@ -96,7 +99,8 @@ class SigTree:
             raise NodeAlreadyVisited(f"node {handle} is {node.status.value}")
         fresh = signature.flows - set(self.blocking_set(handle))
         handles = []
-        for flow in sorted_flows(fresh):
+        for flow in sorted_flows(self._flows.setdefault(flow, flow)
+                                 for flow in fresh):
             child = SigNode(flow=flow, parent=handle, depth=node.depth + 1)
             self.nodes.append(child)
             child_handle = len(self.nodes) - 1
@@ -169,28 +173,28 @@ class SigTree:
         """The tree as `json.dumps(obj, indent=2) + "\n"`, where each node
         object holds flow (except the root), status, depth, reason (Pruned
         nodes) and children.  The text is written directly, because the
-        stdlib's indented encoder is pure Python; each flow's block is
-        encoded once per indent, by json.dumps itself."""
+        stdlib's indented encoder is pure Python; each flow's and each
+        reason's block is encoded once per indent, by json.dumps itself."""
         parts = ['{\n  "root": ']
-        flow_blocks: dict = {}
+        blocks: dict = {}  # (flow or reason, indent) -> encoded block
 
         def block(value, inner: str) -> str:
-            return json.dumps(value, indent=2).replace("\n", "\n" + inner)
+            key = (value, inner)
+            if key not in blocks:
+                text = json.dumps(value, indent=2, default=FlowId.to_obj)
+                blocks[key] = text.replace("\n", "\n" + inner)
+            return blocks[key]
 
         def write(handle: int, pad: str):
             node = self.nodes[handle]
             inner = pad + "  "
             parts.append("{\n")
             if handle != self.root:
-                key = (node.flow, inner)
-                if key not in flow_blocks:
-                    flow_blocks[key] = block(node.flow.to_obj(), inner)
-                parts.append(f'{inner}"flow": {flow_blocks[key]},\n')
+                parts.append(f'{inner}"flow": {block(node.flow, inner)},\n')
             parts.append(f'{inner}"status": "{node.status.value}",\n'
                          f'{inner}"depth": {node.depth},\n')
             if node.reason is not None:
-                reason = block(node.reason, inner)
-                parts.append(f'{inner}"reason": {reason},\n')
+                parts.append(f'{inner}"reason": {block(node.reason, inner)},\n')
             if not node.children:
                 parts.append(f'{inner}"children": []\n{pad}}}')
                 return
@@ -252,13 +256,17 @@ class SigTree:
         lines = ["digraph sigtree {", "  rankdir=LR;",
                  '  n0 [label="event", shape=box];']
         edges = []
+        labels: dict = {}  # flow -> escaped describe()
 
         def visit(handle: int):
             for child in self.nodes[handle].children:
                 node = self.nodes[child]
                 if hide_failed and node.status is NodeStatus.FAILED:
                     continue
-                label = _dot_escape(node.flow.describe())
+                label = labels.get(node.flow)
+                if label is None:
+                    label = labels[node.flow] = _dot_escape(
+                        node.flow.describe())
                 attrs = [f'label="{label}"']
                 if node.status is NodeStatus.PRUNED:
                     attrs.append("style=dashed")

@@ -119,7 +119,33 @@ def test_analyze_rebuilds_report(tmp_path, mini_model):
                  "--out-dir", str(by_dir)]) == 0
     report = (out_dir / "report.csv").read_text()
     assert report == (by_dir / "report.csv").read_text()
-    assert report.splitlines()[1].startswith("tree,")
+    # a tree.json is labelled by its directory, as profile --manifest lays out
+    assert report.splitlines()[1].startswith("prof,")
+
+
+def test_analyze_labels_manifest_trees_by_directory(tmp_path, mini_model,
+                                                    capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([
+        {"label": label, "model_path": str(mini_model)}
+        for label in ("a", "b")]))
+    out_dir = tmp_path / "out"
+    assert main(["profile", "--manifest", str(manifest), "--m", "3",
+                 "--out-dir", str(out_dir)]) == 0
+    trees = [str(out_dir / label / "tree.json") for label in ("a", "b")]
+    copy = tmp_path / "b.json"
+    copy.write_bytes((out_dir / "b" / "tree.json").read_bytes())
+    assert main(["analyze", *trees, "--out-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "report.csv").read_text().splitlines()[1:3]
+    assert [row.split(",")[0] for row in rows] == ["a", "b"]
+    # b/tree.json and b.json both label as b: refused, naming both files
+    (tmp_path / "report.csv").unlink()
+    capsys.readouterr()
+    assert main(["analyze", *trees, str(copy),
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert trees[1] in err and str(copy) in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_rules_command_round_trips(tmp_path):

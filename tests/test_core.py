@@ -1,5 +1,9 @@
 import ipaddress
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -233,6 +237,46 @@ def test_sorted_flows_orders_by_canonical_json():
     ordered = sorted_flows({c, b, a})
     assert ordered == sorted(ordered, key=lambda f: f.canonical_json())
     assert set(ordered) == {a, b, c}
+
+
+# built alike in both processes of the pickling test below
+_PICKLED_FLOWS = """
+from flowprof import FlowId, HostRef, HttpSelector, Transport
+flows = [
+    FlowId(HostRef.role("device"), HostRef.domain("a.example"),
+           responder_port=443, app=HttpSelector(method="GET", uri="/x")),
+    FlowId(HostRef.address("2001:db8::17"), HostRef.multicast("ff02::fb"),
+           5353, 5353, Transport.UDP),
+]
+"""
+
+
+def _run_python(code: str, hash_seed: int, stdin: str = "") -> str:
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=str(pathlib.Path(core.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _PICKLED_FLOWS + code],
+                          input=stdin, capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_flows_pickled_in_one_process_hash_right_in_another():
+    # a str hashes differently per process, so a hash kept on the instance
+    # must not travel in the pickle
+    dumped = _run_python(
+        "import pickle\n"
+        "for flow in flows:\n"
+        "    hash(flow), flow.canonical_json()\n"
+        "print(pickle.dumps(flows).hex())\n", hash_seed=1)
+    _run_python(
+        "import pickle, sys\n"
+        "loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "assert loaded == flows\n"
+        "assert all(flow in set(flows) for flow in loaded)\n"
+        "hosts = {h for f in flows for h in (f.initiator, f.responder)}\n"
+        "assert all(f.initiator in hosts and f.responder in hosts\n"
+        "           for f in loaded)\n", hash_seed=2, stdin=dumped)
 
 
 # -- topology ------------------------------------------------------------------

@@ -2,7 +2,8 @@
 in the package is used by its own module, every private method is loaded by
 its module outside its own body, every exported name is used inside the
 package, only the modules that render the file formats call the text
-serializers, and every packet is built with its fields named."""
+serializers, every packet is built with its fields named, and no frozen
+value is changed after it was built."""
 
 import ast
 import pathlib
@@ -205,3 +206,36 @@ def test_check_flags_a_positional_packet():
                      "                              dst_addr=dst),\n"
                      "            ParsedPacket(*args)]\n")
     assert _positional_packet_calls(tree) == [5, 6, 8]
+
+
+def _outside_mutations(tree: ast.Module) -> list:
+    """Lines that call object.__setattr__ on anything but `self`: a frozen
+    value changed after its constructor returned keeps a stale hash."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__setattr__"
+                  and getattr(node.func.value, "id", None) == "object"
+                  and getattr(node.args[0] if node.args else None,
+                              "id", None) != "self")
+
+
+def test_frozen_values_are_set_only_while_built():
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += [f"{path.name}:{line}: object.__setattr__(...)"
+                  for line in _outside_mutations(tree)]
+    assert calls == []
+
+
+def test_check_flags_a_flow_changed_from_outside():
+    tree = ast.parse("def bump(flow):\n"
+                     "    object.__setattr__(flow, 'responder_port', 80)\n"
+                     "class HostRef:\n"
+                     "    def __post_init__(self):\n"
+                     "        object.__setattr__(self, 'value', 'x')\n"
+                     "        setattr(self, 'kind', 'role')\n"
+                     "def touch(args):\n"
+                     "    object.__setattr__(*args)\n")
+    assert _outside_mutations(tree) == [2, 8]

@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 from unittest import mock
@@ -103,6 +104,66 @@ def test_flow_equality_is_canonical_json_equality(a, copy, other):
     assert (a == b) == (a.canonical_json() == b.canonical_json())
     if a == b:
         assert hash(a) == hash(b)
+
+
+def _one_identity(a, b):
+    """Equal values hash equal and encode alike, as sets and files need."""
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.canonical_json() == b.canonical_json()
+    for host_a, host_b in ((a.initiator, b.initiator),
+                           (a.responder, b.responder)):
+        assert host_a == host_b and hash(host_a) == hash(host_b)
+
+
+def _rebuilt_in_a_tree(flow: FlowId) -> FlowId:
+    tree = SigTree()
+    tree.add_children(tree.next_node(), EventSignature(
+        flows=frozenset([flow]), m=1, m_plus=1))
+    return SigTree.import_json(tree.export_json()).node(1).flow
+
+
+@given(flow_ids())
+def test_equal_flows_hash_and_encode_alike_however_built(flow):
+    for built in (FlowId.from_obj(flow.to_obj()),
+                  replace(flow),
+                  replace(replace(flow, initiator_port=None),
+                          initiator_port=flow.initiator_port),
+                  copy.deepcopy(flow),
+                  _rebuilt_in_a_tree(flow)):
+        _one_identity(flow, built)
+    _one_identity(canonicalize(flow), canonicalize(replace(flow)))
+    if flow.direction is Direction.BIDIRECTIONAL \
+            and not isinstance(flow.app, DnsSelector):
+        _one_identity(canonicalize(flow), canonicalize(_swapped(flow)))
+
+
+# host texts that normalize to the same host
+ALIKE_HOSTS = st.sampled_from([
+    ("ip:[::0001]", "ip:[::1]"),
+    ("ip:[2001:DB8:0::17]", "ip:[2001:db8::17]"),
+    ("multicast:FF02::FB", "multicast:ff02:0:0::fb"),
+])
+
+
+@given(flow_ids(), ALIKE_HOSTS, st.booleans())
+def test_hosts_written_two_ways_are_one_identity(flow, texts, as_initiator):
+    one, other = (HostRef.from_token(text) for text in texts)
+    assert one == other and hash(one) == hash(other)
+    assert one.token() == other.token()
+    slot = "initiator" if as_initiator else "responder"
+    _one_identity(replace(flow, **{slot: one}),
+                  replace(flow, **{slot: other}))
+
+
+@given(flow_ids())
+def test_canonical_json_is_the_compact_encoding_on_every_call(flow):
+    fresh = replace(flow)  # nothing has encoded this instance yet
+    text = json.dumps(flow.to_obj(), separators=(",", ":"),
+                      ensure_ascii=True)
+    assert fresh.canonical_json() == text
+    assert fresh.canonical_json() == text
+    assert flow.canonical_json() == text
 
 
 @given(flow_ids())

@@ -282,6 +282,76 @@ def test_bundled_trees_export_as_the_stdlib_encoding(name):
         assert_stdlib_encoding(tree)
 
 
+def test_equal_flows_share_one_instance_per_tree():
+    # a flow's hash and canonical JSON are kept on its instance, so a tree
+    # keeps one instance of each flow however many signatures rebuild it
+    tree = SigTree(pruning=False)
+    tree.add_children(tree.next_node(), _sig(A, B))
+    tree.add_children(tree.next_node(), _sig(replace(B)))
+    first, again = (n.flow for n in tree.nodes if n.flow == B)
+    assert first is again
+
+
+def test_a_flow_and_a_reason_at_two_depths_export_as_the_stdlib_encoding():
+    # export_json reuses each flow's and reason's block per indent
+    tree = SigTree(pruning=False)
+    tree.add_children(tree.next_node(), _sig(A, B))
+    tree.add_children(tree.next_node(), _sig(B))  # B again, below A
+    while (handle := tree.next_node()) is not None:
+        tree.prune(handle, "depth-capped")
+    assert sorted((n.depth, n.reason) for n in tree.nodes if n.flow == B) \
+        == [(1, "depth-capped"), (2, "depth-capped")]
+    assert_stdlib_encoding(tree)
+
+
+def _dot_by_hand(tree, hide_failed: bool) -> str:
+    """The DOT text rendered node by node from each flow's describe()."""
+    def quoted(text):
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
+    nodes, edges = [], []
+
+    def visit(handle):
+        for child in tree.node(handle).children:
+            node = tree.node(child)
+            label = quoted(node.flow.describe())
+            if node.status is NodeStatus.FAILED:
+                if hide_failed:
+                    continue
+                attrs = f'label="{label}\\n[failed]", color=red'
+            elif node.status is NodeStatus.PRUNED:
+                attrs = (f'label="{label}", style=dashed, '
+                         f'tooltip="pruned: {quoted(node.reason)}"')
+            else:
+                attrs = f'label="{label}"'
+            nodes.append(f"  n{child} [{attrs}];")
+            edges.append(f"  n{handle} -> n{child};")
+            visit(child)
+
+    visit(tree.root)
+    return "\n".join(["digraph sigtree {", "  rankdir=LR;",
+                      '  n0 [label="event", shape=box];',
+                      *nodes, *edges, "}"]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in MODEL_DIR.glob("*.json")))
+def test_bundled_trees_render_dot_node_by_node(name):
+    model = load_model(model_path(name))
+    for tree in (oracle_tree(model),
+                 oracle_tree(model, pruning=False, max_depth=3)):
+        for hide_failed in (False, True):
+            assert tree.to_dot(hide_failed) == _dot_by_hand(tree, hide_failed)
+
+
+def test_odd_tree_renders_dot_node_by_node():
+    tree = _odd_tree()
+    dot = tree.to_dot()
+    assert '\\n[failed]", color=red' in dot
+    assert dot == _dot_by_hand(tree, False)
+    assert tree.to_dot(True) == _dot_by_hand(tree, True)
+
+
 def test_dot_labels_escape_quotes_and_backslashes():
     dot = _odd_tree().to_dot()
     assert dot_is_well_formed(dot)
