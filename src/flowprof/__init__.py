@@ -28,7 +28,6 @@ from .pcapio import (
 )
 from .signature import (
     DnsTable,
-    EmptyTraceSet,
     EventSignature,
     accept_signature,
     aggregate_flows,
@@ -87,7 +86,7 @@ __all__ = [
     "Transport", "canonicalize", "sorted_flows",
     "MalformedHeader", "Trace", "TruncatedRecord", "UnresolvedHost",
     "dissect", "filter_control_plane", "read_pcap", "write_pcap",
-    "DnsTable", "EmptyTraceSet", "EventSignature", "accept_signature",
+    "DnsTable", "EventSignature", "accept_signature",
     "aggregate_flows", "extract_signature", "name_endpoints",
     "Rule", "RuleSet", "RuleSyntaxError", "compile_rules", "matches_flow",
     "matches_packet", "parse", "render",

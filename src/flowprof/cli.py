@@ -17,8 +17,7 @@ from pathlib import Path
 
 from .core import FlowId
 from .pcapio import filter_control_plane, read_pcap, write_pcap
-from .signature import DnsTable, EventSignature, aggregate_flows, \
-    extract_signature
+from .signature import DnsTable, aggregate_flows, extract_signature
 from .blocklist import RuleSet, compile_rules, parse as parse_rules, render
 from .sigtree import RootFailed, SigTree
 from .simnet import SimDriver, load_model, oracle_tree, run_experiment
@@ -156,11 +155,7 @@ def cmd_extract(args) -> int:
         trace = read_pcap(path.read_bytes())
         if flag == "1":
             successful.append(filter_control_plane(trace))
-    if successful:
-        flow_sets = aggregate_flows(successful, table)
-        signature = extract_signature(flow_sets, m=args.m)
-    else:
-        signature = EventSignature(flows=frozenset(), m=args.m, m_plus=0)
+    signature = extract_signature(aggregate_flows(successful, table), m=args.m)
     out = Path(args.out_dir) / "signature.json"
     _write_text(out, json.dumps(signature.to_obj(), indent=2) + "\n")
     return 0

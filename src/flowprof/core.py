@@ -28,6 +28,8 @@ log = logging.getLogger(__name__)
 
 ROLES = ("device", "phone", "gateway")
 BROADCAST_ADDR = "255.255.255.255"
+# UDP ports that carry DNS: unicast DNS and multicast DNS
+DNS_PORTS = (53, 5353)
 
 _LABEL_RE = re.compile(r"^[a-z0-9_-]+$")
 _QTYPE_RE = re.compile(r"^[A-Z][A-Z0-9]*$")
@@ -309,7 +311,7 @@ class FlowId:
         if isinstance(self.app, DnsSelector):
             if self.transport is not Transport.UDP:
                 raise ValueError("DNS flows are UDP")
-            if self.responder_port not in (None, 53, 5353):
+            if self.responder_port not in (None, *DNS_PORTS):
                 raise ValueError("DNS responder port must be 53 or 5353")
         object.__setattr__(self, "_hash", hash((
             self.initiator, self.responder, self.initiator_port,

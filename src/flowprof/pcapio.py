@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .core import (
     ADDRESS_CACHE_SIZE,
     BROADCAST_ADDR,
+    DNS_PORTS,
     CoapSelector,
     DnsSelector,
     HttpSelector,
@@ -280,7 +281,7 @@ def _dissect_udp(frame, ts_us, src, dst, start, end):
     control = False
     if sport in (67, 68) or dport in (67, 68):
         control = True
-    elif sport in (53, 5353) or dport in (53, 5353):
+    elif sport in DNS_PORTS or dport in DNS_PORTS:
         parsed = _parse_dns(payload)
         if parsed is not None:
             app, answers = parsed
@@ -578,10 +579,10 @@ def frame_len(pkt: ParsedPacket) -> int:
     payload = len(_synth_payload(pkt))
     if not payload and not pkt.control_plane and pkt.transport == "udp":
         payload = 1
-    return _headers_len(pkt.transport, src.version) + payload
+    return headers_len(pkt.transport, src.version) + payload
 
 
-def _headers_len(transport: str, version: int) -> int:
+def headers_len(transport: str, version: int) -> int:
     """Ethernet, IP and TCP/UDP header bytes of a synthesized frame."""
     return 14 + (20 if version == 4 else 40) + (20 if transport == "tcp" else 8)
 
@@ -653,7 +654,7 @@ def _synth_frame(pkt: ParsedPacket) -> bytes:
         raise ValueError(f"cannot synthesize transport {pkt.transport!r}")
     src, dst = _endpoints(pkt)
     payload = _synth_payload(pkt)
-    want = pkt.wire_len - _headers_len(pkt.transport, src.version)
+    want = pkt.wire_len - headers_len(pkt.transport, src.version)
     if len(payload) < want:
         pad = want - len(payload)
         if isinstance(pkt.app, CoapSelector):

@@ -16,12 +16,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from .core import DnsSelector, HostKind
 from .blocklist import compile_rules, matches_packet
 from .pcapio import filter_control_plane
-from .signature import (
-    DnsTable,
-    accept_signature,
-    aggregate_flows,
-    extract_signature,
-)
+from .signature import DnsTable, aggregate_flows, extract_signature
 from .sigtree import SigTree, TreeStats, explore
 
 
@@ -48,8 +43,9 @@ def profile_event(driver, config: ProfileConfig) -> SigTree:
     """Explore the event's signature tree breadth-first.
 
     Each frontier node is profiled under the deny rules compiled from its
-    blocking set, with seeds config.seed + k*m for the k-th experiment; the
-    intersection signature of the successful captures becomes its children.
+    blocking set, with seeds config.seed + k*m for the k-th experiment.  The
+    node's signature is the intersection over the successful captures, with
+    m_plus = 0 when none succeeds; explore expands or fails the node by it.
     The driver's DNS table persists across experiments.
     """
     table = driver.dns_table()
@@ -65,11 +61,7 @@ def profile_event(driver, config: ProfileConfig) -> SigTree:
             _audit_blocking(captures, rules, table)
         successes = [filter_control_plane(c.trace)
                      for c in captures if c.success]
-        if not successes:
-            return None
-        signature = extract_signature(aggregate_flows(successes, table),
-                                      m=config.m)
-        return signature if accept_signature(signature) else None
+        return extract_signature(aggregate_flows(successes, table), m=config.m)
 
     return explore(SigTree(pruning=config.pruning), observe, config.max_depth)
 

@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 from .core import (
     ADDRESS_CACHE_SIZE,
     BROADCAST_ADDR,
+    DNS_PORTS,
     Direction,
     DnsSelector,
     FlowId,
@@ -26,10 +27,6 @@ from .core import (
     sorted_flows,
 )
 from .pcapio import Trace
-
-
-class EmptyTraceSet(ValueError):
-    """No successful captures were supplied; the node must be treated as Failed."""
 
 
 # Ports always retained in FlowIds: the well-known range plus the handful of
@@ -202,7 +199,7 @@ def _flow_id(key: tuple, ends: tuple, unidirectional: bool,
         else Direction.BIDIRECTIONAL
     responder_port = ports.get(resp)
     if isinstance(app, DnsSelector) \
-            and responder_port not in (None, 53, 5353):
+            and responder_port not in (None, *DNS_PORTS):
         # Response-only group: the client slot is never DNS identity.
         responder_port = None
     return canonicalize(FlowId(
@@ -264,11 +261,11 @@ class EventSignature:
 
 
 def extract_signature(flow_sets: list, m: int) -> EventSignature:
-    """Intersect the per-capture flow-ID sets; m_plus = len(flow_sets)."""
+    """Intersect the per-capture flow-ID sets; m_plus = len(flow_sets).
+
+    No flow sets give the empty signature with m_plus = 0."""
     flow_sets = list(flow_sets)
-    if not flow_sets:
-        raise EmptyTraceSet("no successful captures to intersect")
-    common = set(flow_sets[0])
+    common = set(flow_sets[0]) if flow_sets else set()
     for flows in flow_sets[1:]:
         common &= set(flows)
     return EventSignature(flows=frozenset(common), m=m, m_plus=len(flow_sets))

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, Dict, Optional, Tuple
 
 from .core import FlowId, sorted_flows
-from .signature import EventSignature
+from .signature import EventSignature, accept_signature
 
 
 class NodeStatus(Enum):
@@ -205,6 +205,7 @@ class SigTree:
             parts.append(f"\n{inner}]\n{pad}}}")
 
         write(self.root, "  ")
+        del write  # the closure refers to itself; the cycle would hold parts
         parts.append("\n}\n")
         return "".join(parts)
 
@@ -245,6 +246,7 @@ class SigTree:
             return handle
 
         build(obj["root"], None, 0)
+        del build  # the closure refers to itself; the cycle would hold tree
         return tree
 
     @staticmethod
@@ -280,6 +282,7 @@ class SigTree:
                 visit(child)
 
         visit(self.root)
+        del visit  # the closure refers to itself; the cycle would hold lines
         return "\n".join(lines + edges + ["}"]) + "\n"
 
 
@@ -290,14 +293,15 @@ def _dot_escape(text) -> str:
 
 
 def explore(tree: SigTree,
-            observe: Callable[[Tuple[FlowId, ...]], Optional[EventSignature]],
+            observe: Callable[[Tuple[FlowId, ...]], EventSignature],
             max_depth: Optional[int] = None) -> SigTree:
     """Grow the tree breadth-first until its frontier is exhausted.
 
     Each popped node is observed with its blocking set blocked: `observe`
-    returns the accepted signature, whose flows become the node's children,
-    or None, which marks the node Failed.  Nodes deeper than `max_depth` are
-    pruned unobserved.  Raises RootFailed when the unblocked event fails.
+    returns the node's signature.  An accepted signature (2 * m_plus >= m)
+    expands the node, its flows becoming the children; any other marks the
+    node Failed.  Nodes deeper than `max_depth` are pruned unobserved.
+    Raises RootFailed when the unblocked event's signature is not accepted.
     """
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be at least 1 when set")
@@ -306,7 +310,7 @@ def explore(tree: SigTree,
             tree.prune(handle, "depth-capped")
             continue
         signature = observe(tree.blocking_set(handle))
-        if signature is not None:
+        if accept_signature(signature):
             tree.add_children(handle, signature)
         elif handle == tree.root:
             raise RootFailed("the event fails with nothing blocked")

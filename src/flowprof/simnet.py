@@ -3,9 +3,12 @@
 A DeviceModel declares the flows a device (and its controlling phone) can
 emit, guard conditions that activate fallback flows when defaults are
 blocked, a monotone success formula over delivered flows, and optional
-probabilistic noise flows.  run_capture turns the model into a concrete
-trace under a deny list; oracle_tree computes the exact signature tree
-symbolically, never touching packets or RNG.
+probabilistic noise flows.  A deny list's verdict over the model is the
+set of flow ids it blocks.  run_capture turns the model into a concrete
+trace under a deny list, delivering the flows that are emitted, not blocked
+and lose no packet to the packet-level firewall; oracle_tree computes the
+exact signature tree symbolically, never touching packets or RNG, from one
+signature of m = 1 per node.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .core import (
     BROADCAST_ADDR,
+    DNS_PORTS,
     DnsSelector,
     Direction,
     FlowId,
@@ -36,8 +40,8 @@ from .pcapio import (
     TCP_PSH,
     TCP_SYN,
     Trace,
-    _headers_len,
     frame_len,
+    headers_len,
     read_pcap,
     write_pcap,
 )
@@ -182,7 +186,7 @@ def _validate(obj: dict) -> DeviceModel:
                         "but a DNS record names it")
         app = spec.flow.app
         if isinstance(app, DnsSelector):
-            if spec.flow.responder_port not in (53, 5353):
+            if spec.flow.responder_port not in DNS_PORTS:
                 raise SchemaError(
                     f"DNS flow {spec.id!r} must pin responder port 53 or 5353")
             if app.qtype in ("A", "AAAA") and app.qname not in record_names:
@@ -298,6 +302,7 @@ def _check_guard_cycles(specs: List[FlowSpec]):
     for spec in specs:
         if state.get(spec.id) != 2:
             visit(spec.id, [spec.id])
+    del visit  # the closure refers to itself; the cycle would outlive the call
 
 
 def _validate_formula(formula, ids: set):
@@ -327,18 +332,18 @@ def eval_success(formula: dict, delivered: frozenset) -> bool:
     return all(clauses) if key == "and" else any(clauses)
 
 
-def _blocked_map(model: DeviceModel, rules: RuleSet) -> Dict[str, bool]:
-    return {spec.id: matches_flow(rules, spec.flow)
-            for spec in model.flows + model.noise}
+def _blocked_ids(model: DeviceModel, rules: RuleSet) -> frozenset:
+    """The deny list's verdict over the model: ids of the specs it blocks."""
+    return frozenset(spec.id for spec in model.flows + model.noise
+                     if matches_flow(rules, spec.flow))
 
 
-def _guard_ok(spec: FlowSpec, blocked: Dict[str, bool]) -> bool:
-    if not spec.guard:
-        return True
-    return any(all(blocked[ref] for ref in conj) for conj in spec.guard)
+def _guard_ok(spec: FlowSpec, blocked: frozenset) -> bool:
+    return not spec.guard or any(all(ref in blocked for ref in conj)
+                                 for conj in spec.guard)
 
 
-def _capture_flows(model: DeviceModel, blocked: Dict[str, bool],
+def _capture_flows(model: DeviceModel, blocked: frozenset,
                    rng: random.Random):
     """Shared emission logic: noise Bernoulli draws happen first, in
     declaration order, so packet-level draws never shift them."""
@@ -347,24 +352,27 @@ def _capture_flows(model: DeviceModel, blocked: Dict[str, bool],
     fired = [spec for spec, draw in zip(model.noise, draws)
              if draw < spec.p and _guard_ok(spec, blocked)]
     emitted = active + fired
-    delivered = frozenset(s.id for s in emitted if not blocked[s.id])
+    delivered = frozenset(s.id for s in emitted if s.id not in blocked)
     return emitted, delivered
 
 
 def capture_emission(model: DeviceModel, rules: RuleSet, seed: int):
     """(delivered flow ids, success) without building packets; mirrors
-    run_capture's draws exactly."""
-    _, delivered = _capture_flows(model, _blocked_map(model, rules),
+    run_capture's draws exactly.  The delivered set differs from
+    run_capture's only when the packet-level firewall drops a packet of a
+    flow the rules do not block, such as one whose ephemeral port was drawn
+    equal to a rule's pinned port: run_capture does not deliver that flow."""
+    _, delivered = _capture_flows(model, _blocked_ids(model, rules),
                                   random.Random(seed))
     return delivered, eval_success(model.success, delivered)
 
 
 @functools.lru_cache(maxsize=1)
 def _experiment_plan(model: DeviceModel, rules: RuleSet) -> tuple:
-    """(blocked map, DNS table, ARP dressing) shared by the captures of one
+    """(blocked ids, DNS table, ARP dressing) shared by the captures of one
     experiment, which run back to back: all three depend on the model and
     the deny list only, and run_capture never mutates them."""
-    return _blocked_map(model, rules), model_table(model), _arp_dressing(model)
+    return _blocked_ids(model, rules), model_table(model), _arp_dressing(model)
 
 
 def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
@@ -373,16 +381,19 @@ def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
     emitted, delivered = _capture_flows(model, blocked, rng)
     packets = list(arp)
     for spec in emitted:
-        if blocked[spec.id]:
+        if spec.id in blocked:
             continue
-        packets.extend(_emit_flow(model, spec, rng))
+        # The packet-level firewall.  `blocked` already skips every flow
+        # some rule would drop a packet of; this filter catches what flow
+        # ids do not show, such as a randomly drawn ephemeral port equal to
+        # a rule's pinned port.  A flow that loses a packet is not delivered.
+        sent = _emit_flow(model, spec, rng)
+        kept = [p for p in sent if not matches_packet(rules, p, table)]
+        if len(kept) < len(sent):
+            delivered -= {spec.id}
+        packets.extend(kept)
     packets.sort(key=lambda p: p.ts_us)
     packets = _strictly_increasing(packets)
-    # The packet-level firewall.  `blocked` already skips every flow some
-    # rule would drop a packet of; the re-filter catches what flow ids do not
-    # show, such as a randomly drawn ephemeral port equal to a rule's pinned
-    # port.
-    packets = [p for p in packets if not matches_packet(rules, p, table)]
     return CaptureResult(
         trace=Trace(packets=tuple(packets)),
         success=eval_success(model.success, delivered),
@@ -462,7 +473,7 @@ def _emit_flow(model: DeviceModel, spec: FlowSpec,
                 sni = host.value
                 break
 
-    headers = _headers_len(transport, 6 if ":" in init[0] else 4)
+    headers = headers_len(transport, 6 if ":" in init[0] else 4)
     data = []
     for k in range(spec.shape.count):
         if k:
@@ -559,26 +570,21 @@ class SimDriver:
                 for r in run_experiment(self.model, rules, m, seed)]
 
 
-def _blocked_map_by_flow(model: DeviceModel):
-    """A function from a blocking set to the `_blocked_map` of the rules
+def _blocked_ids_by_flow(model: DeviceModel):
+    """A function from a blocking set to the `_blocked_ids` of the rules
     compiled from it.
 
     A rule set blocks a spec iff one of its rules does, and each rule comes
-    from one flow, so each flow's verdicts are computed once and a blocking
-    set's are their union."""
-    specs = model.flows + model.noise
-
+    from one flow, so each flow's verdict is computed once and a blocking
+    set's is their union."""
     @functools.cache
-    def verdicts(flow: FlowId) -> frozenset:
-        """Ids of the specs the rule compiled from `flow` blocks."""
-        rules = compile_rules([flow])
-        return frozenset(s.id for s in specs if matches_flow(rules, s.flow))
+    def verdict(flow: FlowId) -> frozenset:
+        return _blocked_ids(model, compile_rules([flow]))
 
-    def blocked_map(blocking_set) -> Dict[str, bool]:
-        ids = frozenset().union(*map(verdicts, blocking_set))
-        return {s.id: s.id in ids for s in specs}
+    def blocked_ids(blocking_set) -> frozenset:
+        return frozenset().union(*map(verdict, blocking_set))
 
-    return blocked_map
+    return blocked_ids
 
 
 def oracle_tree(model: DeviceModel, pruning: bool = True,
@@ -589,15 +595,16 @@ def oracle_tree(model: DeviceModel, pruning: bool = True,
     therefore in every intersection); sub-certain noise never survives.
     """
     certain = list(model.flows) + [s for s in model.noise if s.p >= 1.0]
-    blocked_map = _blocked_map_by_flow(model)
+    blocked_ids = _blocked_ids_by_flow(model)
 
     def observe(blocking_set):
-        blocked = blocked_map(blocking_set)
-        delivered = frozenset(
-            s.id for s in certain if _guard_ok(s, blocked) and not blocked[s.id])
-        if not eval_success(model.success, delivered):
-            return None
-        flows = frozenset(s.flow for s in certain if s.id in delivered)
-        return EventSignature(flows=flows, m=1, m_plus=1)
+        """The one capture's signature: m = 1, m_plus 1 when it succeeds."""
+        blocked = blocked_ids(blocking_set)
+        delivered = [s for s in certain
+                     if s.id not in blocked and _guard_ok(s, blocked)]
+        if not eval_success(model.success, {s.id for s in delivered}):
+            return EventSignature(flows=frozenset(), m=1, m_plus=0)
+        return EventSignature(flows=frozenset(s.flow for s in delivered),
+                              m=1, m_plus=1)
 
     return explore(SigTree(pruning=pruning), observe, max_depth)

@@ -1,7 +1,7 @@
 """Source hygiene: every module-level import and private function or class
 in the package is used by its own module, every private method is loaded by
-its module outside its own body, every exported name is used inside the
-package, only the modules that render the file formats call the text
+its module outside its own body, no module imports another's private name,
+every exported name is used inside the package, only the modules that render the file formats call the text
 serializers, every packet is built with its fields named, and no frozen
 value is changed after it was built."""
 
@@ -58,6 +58,17 @@ def _unloaded_private_methods(tree: ast.Module) -> list:
                        and id(node) not in inside for node in ast.walk(tree)):
                 unused.append((method.lineno, f"{cls.name}.{method.name}"))
     return sorted(unused)
+
+
+def _private_imports(tree: ast.Module) -> list:
+    """Names starting with `_` that the module imports from another module
+    of the package: what one module keeps private, another must not use."""
+    return sorted((node.lineno, f"{node.module or ''}.{alias.name}")
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0]
+                       == "flowprof")
+                  for alias in node.names if alias.name.startswith("_"))
 
 
 def _unloaded_exports(exported, trees) -> list:
@@ -140,6 +151,32 @@ def test_check_flags_an_unused_private_method():
                      "    def _spare(self): return 2\n")
     assert _unloaded_private_methods(tree) == [(3, "Tree._node_obj"),
                                                (8, "Other._spare")]
+
+
+def test_modules_import_no_private_name_of_another():
+    imports = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imports += [f"{path.name}:{line}: {name}"
+                    for line, name in _private_imports(tree)]
+    assert imports == []
+
+
+def test_check_flags_a_private_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from ._util import helper\n"
+                     "from .pcapio import (\n"
+                     "    TCP_ACK,\n"
+                     "    _headers_len,\n"
+                     ")\n"
+                     "from flowprof.core import _LABEL_RE as label_re\n"
+                     "from . import _private_module\n"
+                     "from collections import _chain\n"
+                     "def f(): from .sigtree import _dot_escape\n")
+    assert _private_imports(tree) == [(3, "pcapio._headers_len"),
+                                      (7, "flowprof.core._LABEL_RE"),
+                                      (8, "._private_module"),
+                                      (10, "sigtree._dot_escape")]
 
 
 def test_exported_names_are_used_inside_the_package():

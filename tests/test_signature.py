@@ -6,7 +6,6 @@ from flowprof import (
     Direction,
     DnsSelector,
     DnsTable,
-    EmptyTraceSet,
     EventSignature,
     FlowId,
     HostRef,
@@ -271,8 +270,9 @@ def test_extract_signature_intersects():
 
 
 def test_extract_signature_requires_captures():
-    with pytest.raises(EmptyTraceSet):
-        extract_signature([], m=20)
+    # without a successful capture the signature is empty, with m_plus = 0
+    assert extract_signature([], m=20) \
+        == EventSignature(frozenset(), m=20, m_plus=0)
 
 
 def test_acceptance_thresholds():

@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -357,3 +359,27 @@ def test_dot_labels_escape_quotes_and_backslashes():
     assert dot_is_well_formed(dot)
     assert 'HTTP GET /a\\"b\\\\]' in dot
     assert 'tooltip="pruned: capped \\"here\\" \\\\ \u00e9"' in dot
+
+
+def _held_after(call) -> int:
+    """Bytes still allocated after `call` returns and its result is dropped,
+    with the cyclic collector off."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_export_render_and_import_leave_their_buffers_behind():
+    tree = oracle_tree(load_model(model_path("hs110_toggle")), pruning=False,
+                       max_depth=3)
+    text = tree.export_json()
+    for call in (tree.export_json, tree.to_dot,
+                 lambda: SigTree.import_json(text)):
+        assert _held_after(call) < len(text) / 4, call

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 
 import pytest
@@ -29,8 +30,8 @@ from flowprof import (
 )
 from flowprof.blocklist import matches_packet
 from flowprof.simnet import (
-    _blocked_map,
-    _blocked_map_by_flow,
+    _blocked_ids,
+    _blocked_ids_by_flow,
     capture_emission,
     model_table,
 )
@@ -89,6 +90,12 @@ def test_loads_from_path_text_and_dict(tmp_path):
         model = load_model(source)
         assert [s.id for s in model.flows] == ["ctrl", "cloud"]
         assert model.topology.device_addr == "192.168.1.53"
+
+
+def test_loading_leaves_no_reference_cycle():
+    gc.collect()
+    load_model(_model())
+    assert gc.collect() == 0
 
 
 def test_rejects_unknown_schema_version():
@@ -351,6 +358,38 @@ def test_uni_rule_blocks_the_bi_flow_beside_it():
                         max_depth=config.max_depth).export_json()
 
 
+def _pinned_beside_web(obj):
+    """Two flows to a.example:443: an app-less one from the device's port
+    50000, and an HTTP request from an ephemeral port, which the event
+    needs."""
+    pair = {"initiator": "device", "responder": "dom:a.example",
+            "responder_port": 443, "transport": "tcp", "direction": "bi"}
+    obj["flows"] = [
+        {"id": "pinned", "flow": dict(pair, initiator_port=50000, app=None),
+         "packets": {"count": 2, "sizes": [64]}},
+        {"id": "web",
+         "flow": dict(pair, initiator_port=None,
+                      app={"proto": "http", "method": "GET", "uri": "/x",
+                           "is_response": False}),
+         "packets": {"count": 2, "sizes": [120]}},
+    ]
+    obj["success"] = {"flow": "web"}
+
+
+def test_a_flow_the_packet_firewall_cuts_is_not_delivered():
+    model = load_model(_model(_pinned_beside_web))
+    rules = compile_rules([model.spec("pinned").flow])
+    cut = 0
+    for seed in range(4000):
+        capture = run_capture(model, rules, seed)
+        if "web" not in _flows_in(model, capture.trace):
+            # web's ephemeral port was drawn as 50000, so the re-filter
+            # dropped its packets: the event has nothing to succeed on
+            assert not capture.success, seed
+            cut += 1
+    assert cut >= 1
+
+
 def test_run_experiment_seeds_sequentially():
     model = load_model(_model())
     results = run_experiment(model, RuleSet(), m=4, seed=10)
@@ -428,12 +467,12 @@ def test_oracle_depth_cap_prunes():
     "name", sorted(path.stem for path in MODEL_DIR.glob("*.json")))
 def test_oracle_blocked_maps_compose_from_per_flow_verdicts(name):
     model = load_model(model_path(name))
-    blocked_map = _blocked_map_by_flow(model)
+    blocked_ids = _blocked_ids_by_flow(model)
     tree = oracle_tree(model, pruning=False, max_depth=3)
     for handle in range(len(tree.nodes)):
         blocking_set = tree.blocking_set(handle)
-        assert blocked_map(blocking_set) \
-            == _blocked_map(model, compile_rules(blocking_set)), blocking_set
+        assert blocked_ids(blocking_set) \
+            == _blocked_ids(model, compile_rules(blocking_set)), blocking_set
 
 
 def test_pcap_file_of_capture_round_trips():
