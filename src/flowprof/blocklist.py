@@ -129,9 +129,6 @@ class RuleSet:
     def __iter__(self):
         return iter(self.rules)
 
-    def __len__(self):
-        return len(self.rules)
-
 
 def compile_rules(flows: Iterable[FlowId]) -> RuleSet:
     """One rule per distinct canonical FlowId, in RuleSet order."""

@@ -20,7 +20,7 @@ from .pcapio import filter_control_plane, read_pcap, write_pcap
 from .signature import DnsTable, aggregate_flows, extract_signature
 from .blocklist import RuleSet, compile_rules, parse as parse_rules, render
 from .sigtree import RootFailed, SigTree
-from .simnet import SimDriver, load_model, oracle_tree, run_experiment
+from .simnet import SimDriver, load_model, oracle_tree
 from .profiler import ProfileConfig, build_report, profile_event, render_csv
 
 
@@ -278,7 +278,8 @@ def cmd_simulate(args) -> int:
     rules = RuleSet()
     if args.rules_file:
         rules = parse_rules(Path(args.rules_file).read_text())
-    captures = run_experiment(model, rules, args.m, args.seed)
+    # the driver refuses a model whose packets a capture cannot carry
+    captures = SimDriver(model).run(rules, args.m, args.seed)
     out_dir = Path(args.out_dir)
     for index, capture in enumerate(captures):
         _write_bytes(out_dir / f"capture_{index:03d}.pcap",

@@ -32,9 +32,6 @@ BROADCAST_ADDR = "255.255.255.255"
 DNS_PORTS = (53, 5353)
 
 _LABEL_RE = re.compile(r"^[a-z0-9_-]+$")
-_QTYPE_RE = re.compile(r"^[A-Z][A-Z0-9]*$")
-_METHOD_RE = re.compile(r"^[A-Z]+$")
-_COAP_CODE_RE = re.compile(r"^([A-Z]+|\d\.\d\d)$")
 
 # Entries kept by each per-address memo on the packet path.  A capture set
 # names a few dozen addresses; the bound only matters for inputs that touch
@@ -178,6 +175,44 @@ class Direction(str, Enum):
 
 # -- application selectors --------------------------------------------------
 
+# The one vocabulary of the selector fields a capture carries as codes, read
+# by the selector checks below, the pcap writer and the dissector: DNS qtype
+# names (an unnamed code n is TYPE<n>), HTTP methods, CoAP types in the order
+# of their 2-bit field, and the CoAP code bytes of the empty message, the
+# four methods and the response classes 2-5, written c.dd.
+DNS_QTYPES = {"A": 1, "NS": 2, "CNAME": 5, "SOA": 6, "PTR": 12, "MX": 15,
+              "TXT": 16, "AAAA": 28, "SRV": 33, "ANY": 255}
+HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH",
+                "CONNECT", "TRACE")
+COAP_TYPES = ("CON", "NON", "ACK", "RST")
+COAP_CODES = {"0.00": 0, "GET": 1, "POST": 2, "PUT": 3, "DELETE": 4,
+              **{f"{c}.{d:02d}": c << 5 | d
+                 for c in range(2, 6) for d in range(32)}}
+_QTYPE_NAMES = {code: name for name, code in DNS_QTYPES.items()}
+_COAP_CODE_TOKENS = {code: token for token, code in COAP_CODES.items()}
+
+
+def qtype_token(code: int) -> str:
+    """The token of a DNS qtype code: its name, or TYPE<code>."""
+    return _QTYPE_NAMES.get(code) or f"TYPE{code}"
+
+
+def qtype_code(token: str) -> int:
+    """The code of a qtype token, which is a name or TYPE<n> for an unnamed
+    n <= 65535 without leading zeros; raises ValueError for any other."""
+    code = DNS_QTYPES.get(token)
+    if code is None:
+        digits = token[4:] if isinstance(token, str) else ""
+        code = int(digits) if digits.isdecimal() else -1
+        if not 0 <= code <= 0xFFFF or qtype_token(code) != token:
+            raise ValueError(f"bad DNS qtype token {token!r}")
+    return code
+
+
+def coap_code_token(code: int) -> Optional[str]:
+    """The token of a CoAP code byte, or None for a code outside the table."""
+    return _COAP_CODE_TOKENS.get(code)
+
 
 @dataclass(frozen=True)
 class DnsSelector:
@@ -187,8 +222,7 @@ class DnsSelector:
     qname: str
 
     def __post_init__(self):
-        if not _QTYPE_RE.match(self.qtype):
-            raise ValueError(f"bad DNS qtype token {self.qtype!r}")
+        qtype_code(self.qtype)
         if not is_valid_domain(self.qname):
             raise ValueError(f"bad DNS qname {self.qname!r}")
 
@@ -202,7 +236,7 @@ class HttpSelector:
     is_response: bool = False
 
     def __post_init__(self):
-        if self.method and not _METHOD_RE.match(self.method):
+        if self.method and self.method not in HTTP_METHODS:
             raise ValueError(f"bad HTTP method {self.method!r}")
         if self.uri and (not self.uri.startswith("/") or _has_space(self.uri)):
             raise ValueError(f"bad HTTP uri {self.uri!r}")
@@ -217,9 +251,9 @@ class CoapSelector:
     uri_path: str = ""
 
     def __post_init__(self):
-        if self.type not in ("CON", "NON", "ACK", "RST"):
+        if self.type not in COAP_TYPES:
             raise ValueError(f"bad CoAP type {self.type!r}")
-        if not _COAP_CODE_RE.match(self.code):
+        if self.code not in COAP_CODES:
             raise ValueError(f"bad CoAP code {self.code!r}")
         if self.uri_path and (
             not self.uri_path.startswith("/") or _has_space(self.uri_path)

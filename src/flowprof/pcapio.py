@@ -7,7 +7,8 @@ nanoseconds to microseconds; the writer emits little-endian microseconds.
 pcapng input is rejected up front.  A read Trace is the dissected packets in
 file order and nothing else of the file.  `dissect` is total: any byte string
 comes back as a ParsedPacket, degrading to an opaque transport token instead
-of raising.
+of raising.  The writer and the dissector code selector fields through the
+tables in `core` that the selectors themselves are checked against.
 """
 
 from __future__ import annotations
@@ -20,12 +21,18 @@ from dataclasses import dataclass
 from .core import (
     ADDRESS_CACHE_SIZE,
     BROADCAST_ADDR,
+    COAP_CODES,
+    COAP_TYPES,
     DNS_PORTS,
+    HTTP_METHODS,
     CoapSelector,
     DnsSelector,
     HttpSelector,
     ParsedPacket,
+    coap_code_token,
     is_valid_domain,
+    qtype_code,
+    qtype_token,
 )
 
 
@@ -68,20 +75,6 @@ TCP_SYN = 0x02
 TCP_RST = 0x04
 TCP_PSH = 0x08
 TCP_ACK = 0x10
-
-_HTTP_METHODS = (
-    "GET", "POST", "PUT", "DELETE", "HEAD", "OPTIONS", "PATCH", "CONNECT", "TRACE",
-)
-
-_QTYPE_NAMES = {
-    1: "A", 2: "NS", 5: "CNAME", 6: "SOA", 12: "PTR", 15: "MX", 16: "TXT",
-    28: "AAAA", 33: "SRV", 255: "ANY",
-}
-_QTYPE_CODES = {name: code for code, name in _QTYPE_NAMES.items()}
-
-_COAP_TYPES = ("CON", "NON", "ACK", "RST")
-_COAP_REQ_CODES = {1: "GET", 2: "POST", 3: "PUT", 4: "DELETE"}
-_COAP_REQ_TOKENS = {name: code for code, name in _COAP_REQ_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -356,21 +349,17 @@ def _parse_sni(record: bytes):
 
 
 def _parse_http(payload: bytes):
-    line = payload.split(b"\r\n", 1)[0][:2048]
+    """The selector of an HTTP request or status line, or None."""
     try:
-        text = line.decode("ascii")
-    except UnicodeDecodeError:
-        return None
-    if text.startswith("HTTP/1."):
-        return HttpSelector(is_response=True)
-    parts = text.split(" ")
-    if (
-        len(parts) == 3
-        and parts[0] in _HTTP_METHODS
-        and parts[1].startswith("/")
-        and parts[2].startswith("HTTP/1.")
-    ):
-        return HttpSelector(method=parts[0], uri=parts[1])
+        text = payload.split(b"\r\n", 1)[0][:2048].decode("ascii")
+        if text.startswith("HTTP/1."):
+            return HttpSelector(is_response=True)
+        parts = text.split(" ")
+        if len(parts) == 3 and parts[0] in HTTP_METHODS \
+                and parts[1].startswith("/") and parts[2].startswith("HTTP/1."):
+            return HttpSelector(method=parts[0], uri=parts[1])
+    except ValueError:  # not ASCII, or a URI the selector refuses ("/a\tb")
+        pass
     return None
 
 
@@ -425,9 +414,8 @@ def _parse_dns(payload: bytes):
         return None
     if pos + 4 > len(payload):
         return None
-    qtype_code = int.from_bytes(payload[pos:pos + 2], "big")
+    qtype = qtype_token(int.from_bytes(payload[pos:pos + 2], "big"))
     pos += 4
-    qtype = _QTYPE_NAMES.get(qtype_code, f"TYPE{qtype_code}")
     selector = DnsSelector(qtype=qtype, qname=qname)
     answers = []
     if flags & 0x8000:
@@ -469,22 +457,11 @@ def _parse_coap(payload: bytes):
     """
     if len(payload) < 4 or (payload[0] >> 6) != 1:
         return None
-    mtype = _COAP_TYPES[(payload[0] >> 4) & 0x3]
+    mtype = COAP_TYPES[(payload[0] >> 4) & 0x3]
     tkl = payload[0] & 0x0F
-    if tkl > 8 or len(payload) < 4 + tkl:
+    code = coap_code_token(payload[1])
+    if tkl > 8 or len(payload) < 4 + tkl or code is None:
         return None
-    code = payload[1]
-    klass, detail = code >> 5, code & 0x1F
-    if klass in (1, 6, 7):
-        return None
-    if klass == 0:
-        token = _COAP_REQ_CODES.get(detail)
-        if token is None:
-            if detail != 0:
-                return None
-            token = "0.00"
-    else:
-        token = f"{klass}.{detail:02d}"
     pos = 4 + tkl
     number = 0
     segments = []
@@ -514,10 +491,7 @@ def _parse_coap(payload: bytes):
                 return None
             segments.append(seg)
     uri_path = "/" + "/".join(segments) if segments else ""
-    try:
-        return CoapSelector(type=mtype, code=token, uri_path=uri_path)
-    except ValueError:
-        return None
+    return CoapSelector(type=mtype, code=code, uri_path=uri_path)
 
 
 def _coap_ext(payload: bytes, nibble: int, pos: int):
@@ -543,7 +517,8 @@ def write_pcap(trace: Trace) -> bytes:
     Packets must carry enough to synthesize Ethernet/IP/transport headers;
     an address slot that holds no address literal raises UnresolvedHost.
     read_pcap(write_pcap(t)) reproduces the ParsedPacket sequence field for
-    field (wire_len may be recomputed).
+    field (wire_len may be recomputed) when the packets are ones a capture
+    can carry; SimDriver checks that of a model's packets once.
     """
     out = bytearray(_GLOBAL_LE.pack(PCAP_MAGIC, 2, 4, 0, 0, 65535,
                                     LINKTYPE_ETHERNET))
@@ -744,16 +719,11 @@ def _encode_dns_name(name: str) -> bytes:
 
 
 def _synth_dns(app: DnsSelector, answers: tuple) -> bytes:
-    qtype_code = _QTYPE_CODES.get(app.qtype)
-    if qtype_code is None and app.qtype.startswith("TYPE"):
-        qtype_code = int(app.qtype[4:])
-    if qtype_code is None:
-        qtype_code = 255
     is_response = bool(answers)
     flags = 0x8180 if is_response else 0x0100
     msg = bytearray(struct.pack(">HHHHHH", 0, flags, 1, len(answers), 0, 0))
     msg += _encode_dns_name(app.qname)
-    msg += struct.pack(">HH", qtype_code, 1)
+    msg += struct.pack(">HH", qtype_code(app.qtype), 1)
     for name, addr in answers:
         ip = _endpoint(addr)
         rtype = 1 if ip.version == 4 else 28
@@ -764,28 +734,17 @@ def _synth_dns(app: DnsSelector, answers: tuple) -> bytes:
 
 
 def _synth_coap(app: CoapSelector) -> bytes:
-    type_idx = _COAP_TYPES.index(app.type)
-    if app.code in _COAP_REQ_TOKENS:
-        code = _COAP_REQ_TOKENS[app.code]
-    else:
-        klass, detail = app.code.split(".")
-        code = (int(klass) << 5) | int(detail)
-    msg = bytearray([0x40 | (type_idx << 4), code, 0, 0])
+    type_idx = COAP_TYPES.index(app.type)
+    msg = bytearray([0x40 | (type_idx << 4), COAP_CODES[app.code], 0, 0])
     number = 0
     for segment in [s for s in app.uri_path.split("/") if s]:
         raw = segment.encode("ascii")
-        delta = 11 - number
+        msg += _coap_option_header(11 - number, len(raw)) + raw
         number = 11
-        if delta > 12 or len(raw) > 12:
-            msg += _coap_option_header(delta, len(raw))
-        else:
-            msg.append((delta << 4) | len(raw))
-        msg += raw
     return bytes(msg)
 
 
 def _coap_option_header(delta: int, olen: int) -> bytes:
-    head = bytearray([0])
     nibbles = []
     for value in (delta, olen):
         if value <= 12:
@@ -794,8 +753,8 @@ def _coap_option_header(delta: int, olen: int) -> bytes:
             nibbles.append((13, bytes([value - 13])))
         else:
             nibbles.append((14, (value - 269).to_bytes(2, "big")))
-    head[0] = (nibbles[0][0] << 4) | nibbles[1][0]
-    return bytes(head) + nibbles[0][1] + nibbles[1][1]
+    (delta_nibble, delta_ext), (len_nibble, len_ext) = nibbles
+    return bytes([delta_nibble << 4 | len_nibble]) + delta_ext + len_ext
 
 
 def _synth_client_hello(sni: str) -> bytes:

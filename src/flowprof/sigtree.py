@@ -213,40 +213,7 @@ class SigTree:
     def from_obj(obj: dict) -> "SigTree":
         tree = SigTree()
         tree.frontier.clear()
-
-        def build(node_obj: dict, parent: Optional[int], depth: int) -> int:
-            if not isinstance(node_obj, dict):
-                raise TypeError(f"tree node must be an object, not {node_obj!r}")
-            # every node but the root carries a flow; a root's is not read
-            flow = None if parent is None \
-                else FlowId.from_obj(node_obj.get("flow"))
-            reason = node_obj.get("reason")
-            if reason is not None and not isinstance(reason, str):
-                raise TypeError("reason must be a string")
-            node = SigNode(
-                flow=flow,
-                parent=parent,
-                depth=depth,
-                status=NodeStatus(node_obj["status"]),
-                reason=reason,
-            )
-            if parent is None:
-                tree.nodes[0] = node
-                handle = 0
-            else:
-                tree.nodes.append(node)
-                handle = len(tree.nodes) - 1
-                tree.nodes[parent].children.append(handle)
-            if node.status in (NodeStatus.EXPANDED, NodeStatus.FAILED) and flow:
-                tree._explored.add(flow)
-            if node.status is NodeStatus.UNEXPLORED:
-                tree.frontier.append(handle)
-            for child in node_obj.get("children", ()):
-                build(child, handle, depth + 1)
-            return handle
-
-        build(obj["root"], None, 0)
-        del build  # the closure refers to itself; the cycle would hold tree
+        _build_node(tree, obj["root"], None, 0)
         return tree
 
     @staticmethod
@@ -284,6 +251,32 @@ class SigTree:
         visit(self.root)
         del visit  # the closure refers to itself; the cycle would hold lines
         return "\n".join(lines + edges + ["}"]) + "\n"
+
+
+def _build_node(tree, node_obj: dict, parent: Optional[int], depth: int):
+    """Add the node of `node_obj` under `parent`, then its subtree."""
+    if not isinstance(node_obj, dict):
+        raise TypeError(f"tree node must be an object, not {node_obj!r}")
+    # every node but the root carries a flow; a root's is not read
+    flow = None if parent is None else FlowId.from_obj(node_obj.get("flow"))
+    reason = node_obj.get("reason")
+    if reason is not None and not isinstance(reason, str):
+        raise TypeError("reason must be a string")
+    node = SigNode(flow=flow, parent=parent, depth=depth,
+                   status=NodeStatus(node_obj["status"]), reason=reason)
+    if parent is None:
+        tree.nodes[0] = node
+        handle = 0
+    else:
+        tree.nodes.append(node)
+        handle = len(tree.nodes) - 1
+        tree.nodes[parent].children.append(handle)
+    if node.status in (NodeStatus.EXPANDED, NodeStatus.FAILED) and flow:
+        tree._explored.add(flow)
+    if node.status is NodeStatus.UNEXPLORED:
+        tree.frontier.append(handle)
+    for child in node_obj.get("children", ()):
+        _build_node(tree, child, handle, depth + 1)
 
 
 def _dot_escape(text) -> str:

@@ -8,7 +8,8 @@ set of flow ids it blocks.  run_capture turns the model into a concrete
 trace under a deny list, delivering the flows that are emitted, not blocked
 and lose no packet to the packet-level firewall; oracle_tree computes the
 exact signature tree symbolically, never touching packets or RNG, from one
-signature of m = 1 per node.
+signature of m = 1 per node.  SimDriver checks once that a pcap capture
+carries the model's packets, then hands over captures with no codec pass.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import ipaddress
 import json
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import (
     BROADCAST_ADDR,
@@ -286,23 +287,21 @@ def _validate_spec(entry, noise: bool) -> FlowSpec:
 def _check_guard_cycles(specs: List[FlowSpec]):
     edges = {spec.id: sorted({ref for conj in spec.guard for ref in conj})
              for spec in specs}
-    state: Dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(node: str, path: List[str]):
-        state[node] = 1
-        for ref in edges[node]:
-            if state.get(ref) == 1:
-                cycle = path[path.index(ref):] + [ref] if ref in path else [
-                    node, ref]
-                raise GuardCycle("guard cycle: " + " -> ".join(cycle))
-            if state.get(ref) != 2:
-                visit(ref, path + [ref])
-        state[node] = 2
-
+    done: set = set()
     for spec in specs:
-        if state.get(spec.id) != 2:
-            visit(spec.id, [spec.id])
-    del visit  # the closure refers to itself; the cycle would outlive the call
+        _visit_guards(edges, done, [spec.id])
+
+
+def _visit_guards(edges: dict, done: set, path: List[str]):
+    """Depth-first walk from the last node of `path`, the stack of nodes
+    being visited; raises GuardCycle on an edge back into it."""
+    for ref in edges[path[-1]]:
+        if ref in path:
+            cycle = path[path.index(ref):] + [ref]
+            raise GuardCycle("guard cycle: " + " -> ".join(cycle))
+        if ref not in done:
+            _visit_guards(edges, done, path + [ref])
+    done.add(path[-1])
 
 
 def _validate_formula(formula, ids: set):
@@ -553,12 +552,30 @@ def _strictly_increasing(packets: list) -> list:
 class SimDriver:
     """Experiment driver backed by the simulator.
 
-    Traces are serialized to pcap bytes and read back so profiling always
-    exercises the codec path, matching what a live capture would provide.
+    Built, it writes the ARP frames and one emission of each flow spec to
+    pcap and reads them back, raising SchemaError at the first field of a
+    flow that reads back differently.  A capture differs from that emission
+    only in timing and ephemeral ports, which read back verbatim, so `run`
+    hands over the simulator's captures without a codec pass.
     """
 
     def __init__(self, model: DeviceModel):
         self.model = model
+        rng = random.Random(0)
+        for spec in (None,) + model.flows + model.noise:
+            name = "the ARP frames" if spec is None else f"flow {spec.id!r}"
+            try:
+                sent = _arp_dressing(model) if spec is None \
+                    else tuple(_emit_flow(model, spec, rng))
+                back = read_pcap(write_pcap(Trace(packets=sent))).packets
+            except ValueError as exc:
+                raise SchemaError(f"{name} cannot be captured: {exc}") from exc
+            for pkt, got in zip(sent, back):
+                for field, value, read in zip(pkt._fields, pkt, got):
+                    if read != value:
+                        raise SchemaError(
+                            f"{name} cannot be captured: its {field} reads "
+                            f"back as {read!r}, not {value!r}")
 
     def dns_table(self) -> DnsTable:
         """A fresh table seeded with the model's records; profiling mutates
@@ -566,8 +583,7 @@ class SimDriver:
         return model_table(self.model)
 
     def run(self, rules: RuleSet, m: int, seed: int) -> List[CaptureResult]:
-        return [replace(r, trace=read_pcap(write_pcap(r.trace)))
-                for r in run_experiment(self.model, rules, m, seed)]
+        return run_experiment(self.model, rules, m, seed)
 
 
 def _blocked_ids_by_flow(model: DeviceModel):

@@ -6,7 +6,7 @@ from flowprof import FlowId, compile_rules, read_pcap, render
 from flowprof.blocklist import parse as parse_rules
 from flowprof.cli import main
 
-from test_simnet import _model
+from test_simnet import _model, _odd_flow
 
 
 @pytest.fixture
@@ -279,6 +279,36 @@ def test_string_selector_flag_exits_one(tmp_path):
     assert main(["analyze", str(tree_path), "--out-dir", str(tmp_path)]) == 1
     assert not (tmp_path / "rules.txt").exists()
     assert not (tmp_path / "report.csv").exists()
+
+
+def test_profile_refuses_a_qtype_out_of_range(tmp_path, capsys):
+    def add_query(obj):
+        obj["flows"].append({
+            "id": "odd",
+            "flow": {"initiator": "device", "responder": "gateway",
+                     "responder_port": 53, "transport": "udp",
+                     "app": {"proto": "dns", "qtype": "TYPE70000",
+                             "qname": "a.example"}},
+            "packets": {"count": 2, "sizes": [80]},
+        })
+    model_path = tmp_path / "odd.json"
+    model_path.write_text(json.dumps(_model(add_query)))
+    assert main(["profile", "--model", str(model_path),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "TYPE70000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "profile"])
+def test_simulate_and_profile_refuse_what_a_capture_cannot_carry(
+        tmp_path, capsys, command):
+    http = {"proto": "http", "method": "GET", "uri": "/x"}
+    model_path = tmp_path / "odd.json"
+    model_path.write_text(json.dumps(_model(_odd_flow("udp", 80, http))))
+    assert main([command, "--model", str(model_path),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    assert "flow 'odd' cannot be captured" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_rejects_missing_and_bad_trees(tmp_path, capsys):

@@ -86,6 +86,29 @@ def test_coap_selector_validates_shape():
         CoapSelector(type="CON", code="GET", uri_path="state")
 
 
+@pytest.mark.parametrize("qtype", ["HTTPS", "TYPE1", "TYPE01", "TYPE70000"])
+def test_dns_selector_takes_only_a_table_name_or_unnamed_type(qtype):
+    with pytest.raises(ValueError, match=qtype):
+        DnsSelector(qtype=qtype, qname="a.example")
+
+
+@pytest.mark.parametrize("code", ["0.01", "1.00", "2.45", "9.99", "FETCH"])
+def test_coap_selector_takes_only_a_table_code(code):
+    with pytest.raises(ValueError, match="bad CoAP code"):
+        CoapSelector(type="CON", code=code)
+
+
+def test_http_selector_takes_only_a_table_method():
+    with pytest.raises(ValueError, match="bad HTTP method"):
+        HttpSelector(method="FOO", uri="/x")
+
+
+def test_unnamed_qtypes_and_the_last_response_code_are_accepted():
+    for qtype in ("TYPE0", "TYPE65"):
+        assert DnsSelector(qtype=qtype, qname="a.example").qtype == qtype
+    assert CoapSelector(type="ACK", code="5.31").code == "5.31"
+
+
 # -- flow identifiers ---------------------------------------------------------
 
 

@@ -2,13 +2,15 @@
 in the package is used by its own module, every private method is loaded by
 its module outside its own body, no module imports another's private name,
 every exported name is used inside the package, only the modules that render the file formats call the text
-serializers, every packet is built with its fields named, and no frozen
-value is changed after it was built."""
+serializers, every packet is built with its fields named, no frozen
+value is changed after it was built, and only core spells out the selector
+vocabulary."""
 
 import ast
 import pathlib
 
 import flowprof
+from flowprof.core import COAP_CODES, COAP_TYPES, DNS_QTYPES, HTTP_METHODS
 
 PACKAGE = pathlib.Path(flowprof.__file__).parent
 
@@ -276,3 +278,49 @@ def test_check_flags_a_flow_changed_from_outside():
                      "def touch(args):\n"
                      "    object.__setattr__(*args)\n")
     assert _outside_mutations(tree) == [2, 8]
+
+
+# every token of a coded selector field, from the one vocabulary in core
+SELECTOR_TOKENS = frozenset(DNS_QTYPES) | frozenset(HTTP_METHODS) \
+    | frozenset(COAP_TYPES) | frozenset(COAP_CODES)
+
+
+def _selector_vocabularies(tree: ast.Module) -> list:
+    """Module-level assignments of a collection that holds a selector token:
+    a second copy of the vocabulary, free to drift from core's."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or not node.value:
+            continue
+        if any(isinstance(elt, ast.Constant) and elt.value in SELECTOR_TOKENS
+               for coll in ast.walk(node.value)
+               if isinstance(coll, (ast.Tuple, ast.List, ast.Set, ast.Dict))
+               for elt in ast.iter_child_nodes(coll)):
+            target = node.targets[0] if isinstance(node, ast.Assign) \
+                else node.target
+            found.append((node.lineno, ast.unparse(target)))
+    return found
+
+
+def test_only_core_holds_the_selector_vocabulary():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {name}"
+                  for line, name in _selector_vocabularies(tree)]
+    assert found == []
+
+
+def test_check_flags_a_copy_of_the_selector_vocabulary():
+    tree = ast.parse("_METHODS = ('GET', 'POST')\n"
+                     "KINDS = {'tcp': 6, 'udp': 17}\n"
+                     "_CODES: dict = {1: 'GET', 69: '2.05'}\n"
+                     "LABEL = 'GET'\n"
+                     "def parse(qtype):\n"
+                     "    return qtype in ('A', 'AAAA')\n"
+                     "_TYPES = frozenset(['CON', 'NON'])\n"
+                     "_QTYPES = {name: code for code, name in _NAMES}\n")
+    assert _selector_vocabularies(tree) == [(1, "_METHODS"), (3, "_CODES"),
+                                            (7, "_TYPES")]

@@ -23,6 +23,7 @@ from flowprof import (
     run_capture,
     write_pcap,
 )
+from flowprof.core import COAP_CODES, COAP_TYPES, DNS_QTYPES, HTTP_METHODS
 from flowprof.pcapio import TCP_ACK, TCP_PSH, TCP_SYN, _synth_frame, frame_len
 
 
@@ -185,6 +186,31 @@ def test_coap_round_trip():
         app=CoapSelector(type="ACK", code="2.05"),
     )
     assert _round_trip(ack).app == ack.app
+
+
+def test_every_table_token_round_trips():
+    apps = [DnsSelector(qtype=qtype, qname="a.example")
+            for qtype in list(DNS_QTYPES) + ["TYPE0", "TYPE65", "TYPE65535"]]
+    apps += [HttpSelector(method=method, uri="/x") for method in HTTP_METHODS]
+    apps += [CoapSelector(type=mtype, code=code, uri_path="/state")
+             for mtype in COAP_TYPES for code in COAP_CODES]
+    sent = tuple(_data(
+        transport="tcp" if isinstance(app, HttpSelector) else "udp",
+        tcp_flags=TCP_PSH | TCP_ACK if isinstance(app, HttpSelector) else None,
+        dst_port=53 if isinstance(app, DnsSelector) else 5683, app=app,
+        ts_us=1_700_000_000_000_000 + i) for i, app in enumerate(apps))
+    back = read_pcap(write_pcap(Trace(packets=sent))).packets
+    assert [p.app for p in back] == apps
+
+
+def test_http_uri_with_a_tab_keeps_the_tcp_packet():
+    pkt = _data(dst_port=80, wire_len=200,
+                app=HttpSelector(method="GET", uri="/a"))
+    frame = _synth_frame(pkt).replace(b"GET /a ", b"GET /a\tb ")
+    got = dissect(frame, pkt.ts_us)
+    assert got.transport == "tcp" and got.app is None
+    assert (got.src_addr, got.dst_addr, got.src_port, got.dst_port) \
+        == (pkt.src_addr, pkt.dst_addr, pkt.src_port, pkt.dst_port)
 
 
 def test_client_hello_sni_round_trips():
@@ -363,4 +389,4 @@ def test_dissector_output_is_pinned():
         assert dissect(bytearray(frame), i) == pkt
         digest.update(repr(pkt).encode() + b"\n")
     assert digest.hexdigest() == (
-        "7280730cf20dd8d2c7fb602fb8a4f5c65ce32a3c094fec4b51b3623633bd7bb0")
+        "0511a2a86b5db3149507f462fdaa76202fd1589593adcab06f7a6a5e93b46514")

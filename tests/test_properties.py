@@ -70,7 +70,7 @@ def apps(draw):
             is_response=draw(st.booleans()))
     return CoapSelector(
         type=draw(st.sampled_from(["CON", "NON", "ACK", "RST"])),
-        code=draw(st.sampled_from(["GET", "2.05", "0.01"])),
+        code=draw(st.sampled_from(["GET", "2.05", "0.00"])),
         uri_path=draw(st.sampled_from(["", "/state"])))
 
 

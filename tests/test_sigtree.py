@@ -383,3 +383,13 @@ def test_export_render_and_import_leave_their_buffers_behind():
     for call in (tree.export_json, tree.to_dot,
                  lambda: SigTree.import_json(text)):
         assert _held_after(call) < len(text) / 4, call
+
+
+def test_a_refused_tree_file_leaves_no_reference_cycle():
+    text = '{"root": {"status": "expanded", "depth": 0, "children": [5]}}'
+    gc.collect()
+    try:
+        SigTree.import_json(text)
+    except TypeError:
+        pass
+    assert gc.collect() == 0

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import json
 
 import pytest
@@ -95,6 +96,18 @@ def test_loads_from_path_text_and_dict(tmp_path):
 def test_loading_leaves_no_reference_cycle():
     gc.collect()
     load_model(_model())
+    assert gc.collect() == 0
+
+
+def test_a_refused_guard_cycle_leaves_no_reference_cycle():
+    def twist(obj):
+        obj["flows"][0]["guard"] = [["cloud"]]
+    obj = _model(twist)
+    gc.collect()
+    try:
+        load_model(obj)
+    except GuardCycle:
+        pass
     assert gc.collect() == 0
 
 
@@ -413,6 +426,55 @@ def test_driver_round_trips_through_pcap():
     for a, b in zip(direct, driven):
         assert b.trace.packets == a.trace.packets
         assert b.success == a.success
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in MODEL_DIR.glob("*.json")))
+def test_pcap_round_trip_is_the_identity_on_simulator_captures(name):
+    """Why the driver hands over captures without a codec pass: with nothing,
+    each spec flow and each pair of spec flows blocked, seeds 0-9."""
+    model = load_model(model_path(name))
+    flows = [spec.flow for spec in model.flows + model.noise]
+    for blocking_set in [()] + [(flow,) for flow in flows] \
+            + list(itertools.combinations(flows, 2)):
+        rules = compile_rules(blocking_set)
+        for seed in range(10):
+            trace = run_capture(model, rules, seed).trace
+            assert read_pcap(write_pcap(trace)).packets == trace.packets, \
+                (blocking_set, seed)
+
+
+def _odd_flow(transport, port, app):
+    def add(obj):
+        obj["flows"].append({
+            "id": "odd",
+            "flow": {"initiator": "device", "responder": "dom:a.example",
+                     "responder_port": port, "transport": transport,
+                     "direction": "bi", "app": app},
+            "packets": {"count": 2, "sizes": [100]},
+        })
+    return add
+
+
+COAP_GET = {"proto": "coap", "type": "CON", "code": "GET", "uri_path": "/x"}
+
+
+@pytest.mark.parametrize("mutate", [
+    _odd_flow("udp", 80, {"proto": "http", "method": "GET", "uri": "/x"}),
+    _odd_flow("tcp", 5683, COAP_GET),
+    _odd_flow("udp", 53, COAP_GET),
+    _odd_flow("tcp", 80, {"proto": "http", "method": "GET",
+                          "is_response": True}),
+    _odd_flow("udp", 5683, dict(COAP_GET, uri_path="/a//b")),
+    _odd_flow("udp", 53, {"proto": "dns", "qtype": "TXT",
+                          "qname": "x" * 70 + ".example"}),
+], ids=["http-over-udp", "coap-over-tcp", "coap-on-53", "http-response-method",
+        "coap-empty-segment", "dns-70-char-label"])
+def test_driver_refuses_a_flow_a_capture_cannot_carry(mutate):
+    model = load_model(_model(mutate))
+    with pytest.raises(SchemaError, match="flow 'odd' cannot be captured: "
+                       "its app reads back as"):
+        SimDriver(model)
 
 
 def test_driver_hands_over_a_fresh_dns_table():
