@@ -65,7 +65,6 @@ from .simnet import (
     load_model,
     oracle_tree,
     run_capture,
-    run_experiment,
 )
 from .profiler import (
     BlockingViolation,
@@ -94,7 +93,7 @@ __all__ = [
     "TreeStats", "explore",
     "CaptureResult", "DeviceModel", "FlowSpec", "GuardCycle", "SchemaError",
     "SimDriver", "UnknownFlowRef", "UnresolvedDomain", "load_model",
-    "oracle_tree", "run_capture", "run_experiment",
+    "oracle_tree", "run_capture",
     "BlockingViolation", "DnsStats", "EventReport", "ProfileConfig",
     "build_report", "dns_stats", "profile_event", "render_csv",
 ]

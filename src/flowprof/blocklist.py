@@ -19,6 +19,9 @@ from typing import Iterable, Optional
 
 from .core import (
     ADDRESS_CACHE_SIZE,
+    COAP_CODES,
+    COAP_TYPES,
+    HTTP_METHODS,
     SELECTORS,
     AppSelector,
     Direction,
@@ -29,14 +32,18 @@ from .core import (
     Transport,
     app_items,
     canonicalize,
+    qtype_code,
 )
 from .signature import DnsTable, name_endpoints
 
 MATCHER_KEYS = tuple(f"{proto}.{f.name}" for proto, cls in SELECTORS.items()
                      for f in fields(cls))
-# keys of bool selector fields, whose values are "true" or "false"
-_BOOL_KEYS = frozenset(f"{proto}.{f.name}" for proto, cls in SELECTORS.items()
-                       for f in fields(cls) if f.type == "bool")
+# the values of bool and coded matchers, from core's tables (qtype_code
+# checks a dns.qtype value); an HTTP response has the empty method
+_MATCHER_VALUES = {f"{proto}.{f.name}": ("true", "false") for proto, cls
+                   in SELECTORS.items() for f in fields(cls) if f.type == "bool"}
+_MATCHER_VALUES.update({"http.method": ("",) + HTTP_METHODS,
+                        "coap.type": COAP_TYPES, "coap.code": COAP_CODES})
 
 
 class RuleSyntaxError(ValueError):
@@ -69,9 +76,10 @@ class Rule:
                 raise ValueError(f"duplicate matcher key {key!r}")
             if any(c.isspace() for c in value):
                 raise ValueError(f"matcher value may not contain spaces: {value!r}")
-            if key in _BOOL_KEYS and value not in ("true", "false"):
-                raise ValueError(f"matcher {key} must be true or false, "
-                                 f"not {value!r}")
+            if key == "dns.qtype":
+                qtype_code(value)
+            elif key in _MATCHER_VALUES and value not in _MATCHER_VALUES[key]:
+                raise ValueError(f"matcher {key} cannot be {value!r}")
             seen.add(key)
         object.__setattr__(self, "matchers", tuple(sorted(
             self.matchers, key=lambda kv: MATCHER_KEYS.index(kv[0]))))

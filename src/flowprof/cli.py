@@ -279,7 +279,7 @@ def cmd_simulate(args) -> int:
     if args.rules_file:
         rules = parse_rules(Path(args.rules_file).read_text())
     # the driver refuses a model whose packets a capture cannot carry
-    captures = SimDriver(model).run(rules, args.m, args.seed)
+    captures = list(SimDriver(model).run(rules, args.m, args.seed))
     out_dir = Path(args.out_dir)
     for index, capture in enumerate(captures):
         _write_bytes(out_dir / f"capture_{index:03d}.pcap",

@@ -42,11 +42,12 @@ class ProfileConfig:
 def profile_event(driver, config: ProfileConfig) -> SigTree:
     """Explore the event's signature tree breadth-first.
 
-    Each frontier node is profiled under the deny rules compiled from its
-    blocking set, with seeds config.seed + k*m for the k-th experiment.  The
-    node's signature is the intersection over the successful captures, with
-    m_plus = 0 when none succeeds; explore expands or fails the node by it.
-    The driver's DNS table persists across experiments.
+    Each distinct blocking set is profiled under the deny rules compiled
+    from it, with seeds config.seed + k*m for the k-th experiment, drawing
+    captures until more than m/2 have failed.  The node's signature is the
+    intersection over the successful captures, with m_plus = 0 when none
+    succeeds; explore expands or fails the node by it.  The driver's DNS
+    table persists across experiments, stopped ones included.
     """
     table = driver.dns_table()
     experiments = 0
@@ -57,22 +58,25 @@ def profile_event(driver, config: ProfileConfig) -> SigTree:
         captures = driver.run(rules, config.m,
                               config.seed + experiments * config.m)
         experiments += 1
-        if config.audit_blocking:
-            _audit_blocking(captures, rules, table)
-        successes = [filter_control_plane(c.trace)
-                     for c in captures if c.success]
+        successes = []
+        for drawn, capture in enumerate(captures, start=1):
+            if config.audit_blocking:
+                _audit_blocking(capture, rules, table)
+            if capture.success:
+                successes.append(filter_control_plane(capture.trace))
+            elif 2 * (drawn - len(successes)) > config.m:
+                break  # more than m/2 failed: the node fails
         return extract_signature(aggregate_flows(successes, table), m=config.m)
 
     return explore(SigTree(pruning=config.pruning), observe, config.max_depth)
 
 
-def _audit_blocking(captures, rules, table: DnsTable):
-    for capture in captures:
-        for pkt in capture.trace.packets:
-            if matches_packet(rules, pkt, table):
-                raise BlockingViolation(
-                    f"capture seed {capture.seed}: packet at {pkt.ts_us}us "
-                    f"({pkt.src_addr} -> {pkt.dst_addr}) matches active rules")
+def _audit_blocking(capture, rules, table: DnsTable):
+    for pkt in capture.trace.packets:
+        if matches_packet(rules, pkt, table):
+            raise BlockingViolation(
+                f"capture seed {capture.seed}: packet at {pkt.ts_us}us "
+                f"({pkt.src_addr} -> {pkt.dst_addr}) matches active rules")
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Nodes live in an arena indexed by integer handles; handle 0 is the synthetic
 root (no flow).  The frontier is FIFO.  With pruning enabled, a popped node
 whose flow already reached a terminal explored state (Expanded or Failed)
-anywhere in the tree is marked Pruned instead of being returned.  explore is
-the one loop that grows a tree from an observation function.
+anywhere in the tree is marked Pruned instead of being returned.  explore,
+the one loop that grows a tree, observes each distinct blocking set once.
 """
 
 from __future__ import annotations
@@ -291,18 +291,25 @@ def explore(tree: SigTree,
     """Grow the tree breadth-first until its frontier is exhausted.
 
     Each popped node is observed with its blocking set blocked: `observe`
-    returns the node's signature.  An accepted signature (2 * m_plus >= m)
-    expands the node, its flows becoming the children; any other marks the
-    node Failed.  Nodes deeper than `max_depth` are pruned unobserved.
-    Raises RootFailed when the unblocked event's signature is not accepted.
+    returns the node's signature, which depends on the set and not on its
+    order, so a node whose set was observed (B -> A after A -> B) reuses it.
+    An accepted signature (2 * m_plus >= m) expands the node, its flows
+    becoming the children; any other marks the node Failed.  Nodes deeper
+    than `max_depth` are pruned unobserved.  Raises RootFailed when the
+    unblocked event's signature is not accepted.
     """
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be at least 1 when set")
+    observed: dict = {}  # frozenset(blocking set) -> its signature
     while (handle := tree.next_node()) is not None:
         if max_depth is not None and tree.node(handle).depth > max_depth:
             tree.prune(handle, "depth-capped")
             continue
-        signature = observe(tree.blocking_set(handle))
+        blocking_set = tree.blocking_set(handle)
+        key = frozenset(blocking_set)
+        signature = observed.get(key)
+        if signature is None:
+            signature = observed[key] = observe(blocking_set)
         if accept_signature(signature):
             tree.add_children(handle, signature)
         elif handle == tree.root:

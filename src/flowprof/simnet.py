@@ -400,13 +400,6 @@ def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
     )
 
 
-def run_experiment(model: DeviceModel, rules: RuleSet, m: int,
-                   seed: int) -> List[CaptureResult]:
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return [run_capture(model, rules, seed + i) for i in range(m)]
-
-
 def model_table(model: DeviceModel) -> DnsTable:
     """DNS table preloaded with every model record (the simulated gateway
     knows all names)."""
@@ -445,6 +438,8 @@ def _arp_dressing(model: DeviceModel) -> tuple:
              (topo.phone_addr, topo.device_addr, 20_000)]
     out = []
     for src, dst, offset in pairs:
+        if ":" in src + dst:
+            continue  # ARP resolves IPv4 only; literals are normalized
         fields = dict(ts_us=BASE_TS_US + offset, src_addr=src, dst_addr=dst,
                       transport="arp", control_plane=True)
         out.append(ParsedPacket(**fields,
@@ -557,6 +552,8 @@ class SimDriver:
     flow that reads back differently.  A capture differs from that emission
     only in timing and ephemeral ports, which read back verbatim, so `run`
     hands over the simulator's captures without a codec pass.
+    The successes drawn before an experiment's early stop still fold into
+    the profiler's DNS table, which holds every model record already.
     """
 
     def __init__(self, model: DeviceModel):
@@ -582,8 +579,11 @@ class SimDriver:
         the table it is given."""
         return model_table(self.model)
 
-    def run(self, rules: RuleSet, m: int, seed: int) -> List[CaptureResult]:
-        return run_experiment(self.model, rules, m, seed)
+    def run(self, rules: RuleSet, m: int, seed: int):
+        """The m captures seeded seed, seed + 1, ..., each made when drawn."""
+        if m < 1:
+            raise ValueError("m must be at least 1")
+        return (run_capture(self.model, rules, seed + i) for i in range(m))
 
 
 def _blocked_ids_by_flow(model: DeviceModel):

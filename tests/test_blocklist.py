@@ -16,6 +16,7 @@ from flowprof import (
     RuleSyntaxError,
     Transport,
     compile_rules,
+    load_model,
     matches_flow,
     matches_packet,
     parse,
@@ -23,6 +24,8 @@ from flowprof import (
 )
 from flowprof.core import app_items
 from flowprof.pcapio import TCP_SYN
+
+from conftest import MODEL_DIR, model_path
 
 
 def _flow(**kw):
@@ -124,6 +127,27 @@ def test_parse_reports_line_numbers(line, lineno):
     with pytest.raises(RuleSyntaxError) as err:
         parse(line + "\n")
     assert err.value.line == lineno
+
+
+@pytest.mark.parametrize("matcher", [
+    "dns.qtype=HTTPS", "dns.qtype=AAA", "dns.qtype=TYPE1",
+    "coap.code=0.01", "coap.type=CONFIRMABLE", "http.method=FOO",
+])
+def test_parse_refuses_a_coded_value_no_selector_holds(matcher):
+    text = ("block tcp init device resp phone dir bi\n"
+            f"block udp init device resp gateway:53 dir bi match {matcher}\n")
+    with pytest.raises(RuleSyntaxError) as err:
+        parse(text)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in MODEL_DIR.glob("*.json")))
+def test_every_bundled_flow_compiles_to_a_rule(name):
+    model = load_model(model_path(name))
+    for spec in model.flows + model.noise:
+        rule = Rule.from_flow(spec.flow)
+        assert parse(rule.render() + "\n").rules == (rule,)
 
 
 def test_ruleset_sorts_and_dedupes():

@@ -24,6 +24,7 @@ from flowprof import (
 )
 from flowprof.profiler import CSV_COLUMNS
 
+from conftest import model_path
 from test_simnet import _model
 
 
@@ -88,12 +89,52 @@ def test_experiment_seeds_step_by_m():
     assert seen == [(100, 4), (104, 4), (108, 4)]
 
 
+class _Counting(SimDriver):
+    """Records each experiment's seed and the captures drawn from it."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.seeds, self.drawn = [], []
+
+    def run(self, rules, m, seed):
+        self.seeds.append(seed)
+        self.drawn.append(0)
+        return self._count(super().run(rules, m, seed))
+
+    def _count(self, captures):
+        for capture in captures:
+            self.drawn[-1] += 1
+            yield capture
+
+
+def test_blind_walk_runs_one_experiment_per_distinct_blocking_set():
+    model = load_model(model_path("appendix_c"))
+    driver = _Counting(model)
+    tree = profile_event(driver, ProfileConfig(m=20, seed=0, pruning=False))
+    # 76 nodes, 20 distinct blocking sets; 4 of them fail after 11 captures
+    assert len(tree.nodes) == 76
+    assert driver.seeds == list(range(0, 400, 20))
+    assert sum(driver.drawn) == 364
+    assert tree.export_json() == oracle_tree(model, pruning=False).export_json()
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_failed_experiment_stops_once_settled(m):
+    def essential(obj):
+        obj["success"] = {"flow": "ctrl"}
+    driver = _Counting(load_model(_model(essential)))
+    tree = profile_event(driver, ProfileConfig(m=m, seed=0))
+    assert tree.stats().failed_count == 1
+    # the root draws all m captures; blocking ctrl fails every capture
+    assert driver.drawn == [m, m // 2 + 1]
+
+
 def test_audit_catches_leaky_driver():
     model = load_model(_model())
 
     class Leaky(SimDriver):
         def run(self, rules, m, seed):
-            results = super().run(rules, m, seed)
+            results = list(super().run(rules, m, seed))
             if not rules.rules:
                 return results
             # smuggle one packet of the blocked local flow back in

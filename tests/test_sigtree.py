@@ -19,6 +19,7 @@ from flowprof import (
     SigTree,
     SimDriver,
     Transport,
+    explore,
     load_model,
     oracle_tree,
     profile_event,
@@ -118,6 +119,21 @@ def test_pruning_off_revisits_duplicates():
     second_b = tree.next_node()
     assert tree.node(second_b).flow == B
     assert tree.node(second_b).status is NodeStatus.UNEXPLORED
+
+
+def test_explore_observes_each_distinct_blocking_set_once():
+    calls = []
+
+    def observe(blocking_set):
+        calls.append(blocking_set)
+        return _sig(A, B)
+
+    tree = explore(SigTree(pruning=False), observe)
+    paths = [tree.blocking_set(h) for h in range(len(tree.nodes))]
+    assert (A, B) in paths and (B, A) in paths
+    # the path B -> A reuses the signature observed under A -> B
+    assert calls == [(), (A,), (B,), (A, B)]
+    assert {node.status for node in tree.nodes} == {NodeStatus.EXPANDED}
 
 
 def test_root_cannot_be_marked_failed():

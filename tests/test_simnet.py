@@ -26,7 +26,6 @@ from flowprof import (
     profile_event,
     read_pcap,
     run_capture,
-    run_experiment,
     write_pcap,
 )
 from flowprof.blocklist import matches_packet
@@ -403,12 +402,12 @@ def test_a_flow_the_packet_firewall_cuts_is_not_delivered():
     assert cut >= 1
 
 
-def test_run_experiment_seeds_sequentially():
-    model = load_model(_model())
-    results = run_experiment(model, RuleSet(), m=4, seed=10)
+def test_driver_run_seeds_sequentially():
+    driver = SimDriver(load_model(_model()))
+    results = driver.run(RuleSet(), m=4, seed=10)
     assert [r.seed for r in results] == [10, 11, 12, 13]
     with pytest.raises(ValueError):
-        run_experiment(model, RuleSet(), m=0, seed=0)
+        driver.run(RuleSet(), m=0, seed=0)  # refused at the call, not drawn
 
 
 def test_model_table_names_all_records():
@@ -419,9 +418,21 @@ def test_model_table_names_all_records():
 # -- driver and oracle ----------------------------------------------------------------
 
 
+def test_an_ipv6_lan_profiles_as_the_oracle_does():
+    def ipv6(obj):
+        obj["topology"] = {"device": "fd00::53", "phone": "fd00::77",
+                           "gateway": "fd00::1", "local_prefixes": ["fd00::/8"]}
+        obj["dns_records"] = [["a.example", "2001:db8::1"]]
+    model = load_model(_model(ipv6))
+    tree = profile_event(SimDriver(model),
+                         ProfileConfig(m=5, seed=0, audit_blocking=True))
+    assert tree.export_json() == oracle_tree(model).export_json()
+    assert len(tree.nodes) == 3  # the root, ctrl, and cloud below ctrl
+
+
 def test_driver_round_trips_through_pcap():
     model = load_model(_model())
-    direct = run_experiment(model, RuleSet(), m=2, seed=0)
+    direct = [run_capture(model, RuleSet(), seed) for seed in range(2)]
     driven = SimDriver(model).run(RuleSet(), m=2, seed=0)
     for a, b in zip(direct, driven):
         assert b.trace.packets == a.trace.packets
