@@ -198,7 +198,7 @@ def cmd_profile(args) -> int:
 def _load_manifest(path: Path) -> list:
     try:
         entries = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(entries, list) or not entries:
         raise ValueError("manifest must be a non-empty JSON list")
@@ -243,7 +243,7 @@ def cmd_analyze(args) -> int:
     for label, path in labels.items():
         try:
             tree = SigTree.import_json(path.read_text())
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad tree file {path}: {exc}") from exc
         reports.append(build_report(tree, label))
     _write_text(Path(args.out_dir) / "report.csv", render_csv(reports))
@@ -261,7 +261,7 @@ def _tree_label(path: Path) -> str:
 def cmd_rules(args) -> int:
     try:
         obj = json.loads(Path(args.flows).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"flows file is not valid JSON: {exc}") from exc
     if isinstance(obj, dict):
         obj = obj.get("flows")

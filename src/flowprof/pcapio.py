@@ -516,6 +516,7 @@ def write_pcap(trace: Trace) -> bytes:
 
     Packets must carry enough to synthesize Ethernet/IP/transport headers;
     an address slot that holds no address literal raises UnresolvedHost.
+    Each frame is padded to at least the packet's wire_len.
     read_pcap(write_pcap(t)) reproduces the ParsedPacket sequence field for
     field (wire_len may be recomputed) when the packets are ones a capture
     can carry; SimDriver checks that of a model's packets once.
@@ -523,7 +524,7 @@ def write_pcap(trace: Trace) -> bytes:
     out = bytearray(_GLOBAL_LE.pack(PCAP_MAGIC, 2, 4, 0, 0, 65535,
                                     LINKTYPE_ETHERNET))
     for pkt in trace.packets:
-        frame = _synth_frame(pkt)
+        frame = _synth_frame(pkt, pkt.wire_len)
         out += _REC_LE.pack(
             pkt.ts_us // 1_000_000, pkt.ts_us % 1_000_000, len(frame), len(frame)
         )
@@ -531,30 +532,11 @@ def write_pcap(trace: Trace) -> bytes:
     return bytes(out)
 
 
-# Frame lengths of the fixed-size control frames _synth_arp and _synth_icmp
-# build: Ethernet header plus ARP body, or IP header plus an 8-byte echo.
-_FIXED_FRAME_LEN = {"arp": 14 + 28, "icmp": 14 + 20 + 8, "icmpv6": 14 + 40 + 8}
-
-
 def frame_len(pkt: ParsedPacket) -> int:
     """Length of the frame write_pcap would emit for `pkt` before wire_len
-    padding (pkt.wire_len is ignored), computed without building the frame.
-
-    TCP/UDP frames are Ethernet + IP + transport header + the synthesized
-    payload, where an empty UDP payload outside the control plane becomes one
-    byte; ARP and ICMP frames have fixed lengths.  Raises what write_pcap
-    raises for unresolvable hosts and mixed or wrong address families.
-    """
-    fixed = _FIXED_FRAME_LEN.get(pkt.transport)
-    if fixed is None and pkt.transport not in ("tcp", "udp"):
-        raise ValueError(f"cannot synthesize transport {pkt.transport!r}")
-    src, _ = _endpoints(pkt)
-    if fixed is not None:
-        return fixed
-    payload = len(_synth_payload(pkt))
-    if not payload and not pkt.control_plane and pkt.transport == "udp":
-        payload = 1
-    return headers_len(pkt.transport, src.version) + payload
+    padding (pkt.wire_len is ignored).  Raises what write_pcap raises for
+    unresolvable hosts and mixed or wrong address families."""
+    return len(_synth_frame(pkt, 0))
 
 
 def headers_len(transport: str, version: int) -> int:
@@ -585,17 +567,15 @@ def _endpoint(literal: str) -> _Endpoint:
     return _Endpoint(addr.version, addr.packed, _mac_for(addr))
 
 
-def _endpoints(pkt: ParsedPacket) -> tuple:
-    """(src, dst) endpoints of a packet, of one address family and of the
-    family its transport needs when it builds a fixed-size control frame."""
+def _endpoints(pkt: ParsedPacket, version: int = 0) -> tuple:
+    """(src, dst) endpoints of a packet, of one address family: IP
+    `version`'s, when one is given."""
     src = _endpoint(pkt.src_addr)
     dst = _endpoint(pkt.dst_addr)
     if src.version != dst.version:
         raise ValueError("mixed address families in one packet")
-    if pkt.transport in _FIXED_FRAME_LEN:
-        version = 6 if pkt.transport == "icmpv6" else 4
-        if src.version != version:
-            raise ValueError(f"{pkt.transport} needs IPv{version} endpoints")
+    if version and src.version != version:
+        raise ValueError(f"{pkt.transport} needs IPv{version} endpoints")
     return src, dst
 
 
@@ -620,7 +600,9 @@ def _ipv4_checksum(header: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-def _synth_frame(pkt: ParsedPacket) -> bytes:
+def _synth_frame(pkt: ParsedPacket, wire_len: int) -> bytes:
+    """The frame of `pkt`, its TCP or UDP payload padded so that the frame
+    is at least `wire_len` bytes long."""
     if pkt.transport == "arp":
         return _synth_arp(pkt)
     if pkt.transport in ("icmp", "icmpv6"):
@@ -629,7 +611,7 @@ def _synth_frame(pkt: ParsedPacket) -> bytes:
         raise ValueError(f"cannot synthesize transport {pkt.transport!r}")
     src, dst = _endpoints(pkt)
     payload = _synth_payload(pkt)
-    want = pkt.wire_len - headers_len(pkt.transport, src.version)
+    want = wire_len - headers_len(pkt.transport, src.version)
     if len(payload) < want:
         pad = want - len(payload)
         if isinstance(pkt.app, CoapSelector):
@@ -674,7 +656,7 @@ def _ip_frame(src: _Endpoint, dst: _Endpoint, proto: int, l4: bytes) -> bytes:
 
 
 def _synth_arp(pkt: ParsedPacket) -> bytes:
-    src, dst = _endpoints(pkt)
+    src, dst = _endpoints(pkt, 4)
     body = struct.pack(
         ">HHBBH6s4s6s4s", 1, ETH_IPV4, 6, 4, 1,
         src.mac, src.packed, b"\x00" * 6, dst.packed,
@@ -684,8 +666,9 @@ def _synth_arp(pkt: ParsedPacket) -> bytes:
 
 def _synth_icmp(pkt: ParsedPacket) -> bytes:
     """An ICMP or ICMPv6 echo request."""
-    src, dst = _endpoints(pkt)
-    proto, echo = (58, 128) if pkt.transport == "icmpv6" else (1, 8)
+    proto, echo, version = (58, 128, 6) if pkt.transport == "icmpv6" \
+        else (1, 8, 4)
+    src, dst = _endpoints(pkt, version)
     return _ip_frame(src, dst, proto, struct.pack(">BBHI", echo, 0, 0, 0))
 
 

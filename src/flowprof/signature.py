@@ -139,9 +139,10 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     app selector (a DNS response carries its question identity, so it lands
     in its query's group), then cross-trace port retention: a port is kept
     iff it is well-known or the same value recurs for that endpoint in every
-    trace containing the group.  The seed table is folded over all packets
-    (and mutated) before any naming, so one address is never named two ways
-    within the trace set.  Repeated packets change no group, so each trace's
+    trace containing the group, and at least two traces contain it (one
+    trace cannot tell a fixed port from a drawn ephemeral one).  The seed
+    table is folded over all packets (and mutated) before any naming, so one
+    address is never named two ways within the trace set.  Repeated packets change no group, so each trace's
     distinct packet keys are grouped once, in first-seen order.
     """
     traces = list(traces)
@@ -229,7 +230,7 @@ def _retained_ports(per_trace_groups: list) -> dict:
             well_known = sorted(p for p in union if is_well_known_port(p))
             if well_known:
                 decision[host] = well_known[0]
-            elif common:
+            elif common and len(seen) > 1:
                 decision[host] = min(common)
         decisions[key] = decision
     return decisions

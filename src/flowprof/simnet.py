@@ -4,12 +4,13 @@ A DeviceModel declares the flows a device (and its controlling phone) can
 emit, guard conditions that activate fallback flows when defaults are
 blocked, a monotone success formula over delivered flows, and optional
 probabilistic noise flows.  A deny list's verdict over the model is the
-set of flow ids it blocks.  run_capture turns the model into a concrete
-trace under a deny list, delivering the flows that are emitted, not blocked
-and lose no packet to the packet-level firewall; oracle_tree computes the
-exact signature tree symbolically, never touching packets or RNG, from one
-signature of m = 1 per node.  SimDriver checks once that a pcap capture
-carries the model's packets, then hands over captures with no codec pass.
+set of flow ids it blocks.  Each flow's packets are laid out once per
+model; run_capture draws ports and times into the layouts under a deny list,
+delivering the flows that are emitted, not blocked and lose no packet to the
+packet-level firewall; oracle_tree computes the exact signature tree
+symbolically, never touching packets or RNG, from one signature of m = 1 per
+node.  SimDriver checks once that a pcap capture carries the laid-out
+packets, then hands over captures with no codec pass.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def load_model(source) -> DeviceModel:
     if isinstance(source, (str, bytes)):
         try:
             source = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"model is not valid JSON: {exc}") from exc
     if not isinstance(source, dict):
         raise SchemaError("model document must be a JSON object")
@@ -368,15 +369,17 @@ def capture_emission(model: DeviceModel, rules: RuleSet, seed: int):
 
 @functools.lru_cache(maxsize=1)
 def _experiment_plan(model: DeviceModel, rules: RuleSet) -> tuple:
-    """(blocked ids, DNS table, ARP dressing) shared by the captures of one
-    experiment, which run back to back: all three depend on the model and
-    the deny list only, and run_capture never mutates them."""
-    return _blocked_ids(model, rules), model_table(model), _arp_dressing(model)
+    """(blocked ids, DNS table, ARP frames, flow layouts) shared by the
+    captures of one experiment, which run back to back: all four depend on
+    the model and the deny list only, and run_capture never mutates them."""
+    return (_blocked_ids(model, rules), model_table(model)) + _model_layout(model)
 
 
 def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
+    """One capture: the model's layouts with ports and times drawn, less
+    what the deny list blocks."""
     rng = random.Random(seed)
-    blocked, table, arp = _experiment_plan(model, rules)
+    blocked, table, arp, layouts = _experiment_plan(model, rules)
     emitted, delivered = _capture_flows(model, blocked, rng)
     packets = list(arp)
     for spec in emitted:
@@ -386,7 +389,7 @@ def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
         # some rule would drop a packet of; this filter catches what flow
         # ids do not show, such as a randomly drawn ephemeral port equal to
         # a rule's pinned port.  A flow that loses a packet is not delivered.
-        sent = _emit_flow(model, spec, rng)
+        sent = _emit_flow(spec, layouts[spec.id], rng)
         kept = [p for p in sent if not matches_packet(rules, p, table)]
         if len(kept) < len(sent):
             delivered -= {spec.id}
@@ -423,16 +426,32 @@ def _endpoint_addr(model: DeviceModel, host: HostRef) -> str:
     return host.value  # ADDRESS and MULTICAST carry literals
 
 
-def _answers_for(model: DeviceModel, sel: DnsSelector) -> tuple:
-    if sel.qtype not in ("A", "AAAA"):
+def _answers_for(model: DeviceModel, app) -> tuple:
+    if not isinstance(app, DnsSelector) or app.qtype not in ("A", "AAAA"):
         return ()
-    want_v6 = sel.qtype == "AAAA"
+    want_v6 = app.qtype == "AAAA"
     # record addresses are normalized literals: only IPv6 ones hold a colon
     return tuple((rec_name, ip) for rec_name, ip in model.dns_records
-                 if rec_name == sel.qname and (":" in ip) == want_v6)
+                 if rec_name == app.qname and (":" in ip) == want_v6)
 
 
-def _arp_dressing(model: DeviceModel) -> tuple:
+@functools.lru_cache(maxsize=1)
+def _model_layout(model: DeviceModel) -> tuple:
+    """(ARP frames, layout of each flow spec by id), built once per model
+    and never mutated; a capture only draws ports and times into the
+    layouts.  Raises SchemaError naming the first flow whose packets cannot
+    be framed."""
+    layouts = {}
+    for spec in model.flows + model.noise:
+        try:
+            layouts[spec.id] = _flow_layout(model, spec)
+        except ValueError as exc:
+            raise SchemaError(
+                f"flow {spec.id!r} cannot be captured: {exc}") from exc
+    return _arp_frames(model), layouts
+
+
+def _arp_frames(model: DeviceModel) -> tuple:
     topo = model.topology
     pairs = [(topo.device_addr, topo.gateway_addr, 10_000),
              (topo.phone_addr, topo.device_addr, 20_000)]
@@ -447,88 +466,66 @@ def _arp_dressing(model: DeviceModel) -> tuple:
     return tuple(out)
 
 
-def _emit_flow(model: DeviceModel, spec: FlowSpec,
-               rng: random.Random) -> list:
-    flow = spec.flow
-    # (address, port) of each end; an unset port is drawn as ephemeral
-    init = (_endpoint_addr(model, flow.initiator),
-            flow.initiator_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI))
-    resp = (_endpoint_addr(model, flow.responder),
-            flow.responder_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI))
+def _flow_layout(model: DeviceModel, spec: FlowSpec) -> tuple:
+    """Each packet of the flow as (forward, index of the data packet whose
+    time it follows, offset in us from that time, fields): every field but
+    the time and the ports.  A TCP flow's data is wrapped in a handshake
+    and a teardown that the side which sent the last data packet begins."""
+    flow, shape = spec.flow, spec.shape
+    init = _endpoint_addr(model, flow.initiator)
+    resp = _endpoint_addr(model, flow.responder)
     transport = flow.transport.value
-    is_dns = isinstance(flow.app, DnsSelector)
-    start_s = rng.uniform(0.05, 0.8) if is_dns else rng.uniform(1.0, 3.0)
-    ts = BASE_TS_US + int(start_s * 1_000_000)
-
-    sni = None
-    if transport == "tcp" and flow.app is None:
-        for host in (flow.responder, flow.initiator):
-            if host.kind is HostKind.DOMAIN:
-                sni = host.value
-                break
-
-    headers = headers_len(transport, 6 if ":" in init[0] else 4)
-    data = []
-    for k in range(spec.shape.count):
-        if k:
-            ts += int(rng.uniform(0.01, 0.12) * 1_000_000)
-        forward = (k % 2 == 0) if flow.direction is Direction.BIDIRECTIONAL \
-            else True
-        answers = ()
-        if is_dns and not forward:
-            answers = _answers_for(model, flow.app)
-        src, dst = (init, resp) if forward else (resp, init)
-        fields = dict(
-            ts_us=ts,
-            src_addr=src[0],
-            dst_addr=dst[0],
-            src_port=src[1],
-            dst_port=dst[1],
-            transport=transport,
-            app=flow.app,
-            dns_answers=answers,
-            sni=sni if (forward and k == 0) else None,
-            control_plane=False,
-            tcp_flags=(TCP_PSH | TCP_ACK) if transport == "tcp" else None,
-        )
-        size = spec.shape.sizes[k % len(spec.shape.sizes)]
-        wire_len = max(frame_len(ParsedPacket(**fields)), headers + size)
-        data.append(ParsedPacket(**fields, wire_len=wire_len))
-
-    if transport != "tcp":
-        return data
-    return _tcp_dressing(data)
+    tcp = transport == "tcp"
+    bi = flow.direction is Direction.BIDIRECTIONAL
+    # an app-less TCP flow opens with a ClientHello naming its domain
+    domains = [host.value for host in (flow.responder, flow.initiator)
+               if host.kind is HostKind.DOMAIN]
+    sni = domains[0] if domains and tcp and flow.app is None else None
+    # (forward, data packet index, offset, payload size, fields)
+    plan = []
+    for k in range(shape.count):
+        forward = not (bi and k % 2)
+        plan.append((forward, k, 0, shape.sizes[k % len(shape.sizes)], dict(
+            app=flow.app, sni=None if k else sni,
+            dns_answers=() if forward else _answers_for(model, flow.app),
+            tcp_flags=TCP_PSH | TCP_ACK if tcp else None)))
+    if tcp:
+        last, step, closer = shape.count - 1, 5_000, plan[-1][0]
+        ctrl = [(forward, anchor, offset, 0,
+                 dict(control_plane=True, tcp_flags=flags))
+                for forward, anchor, offset, flags in (
+                    (True, 0, -3 * step, TCP_SYN),
+                    (False, 0, -2 * step, TCP_SYN | TCP_ACK),
+                    (True, 0, -step, TCP_ACK),
+                    (closer, last, step, TCP_FIN | TCP_ACK),
+                    (not closer, last, 2 * step, TCP_ACK))]
+        plan = ctrl[:3] + plan + ctrl[3:]
+    headers = headers_len(transport, 6 if ":" in init else 4)
+    for forward, _, _, size, fields in plan:
+        fields.update(src_addr=init if forward else resp,
+                      dst_addr=resp if forward else init, transport=transport)
+        fields["wire_len"] = max(frame_len(ParsedPacket(ts_us=0, **fields)),
+                                 headers + size)
+    return tuple((forward, anchor, offset, fields)
+                 for forward, anchor, offset, _, fields in plan)
 
 
-def _tcp_dressing(data: list) -> list:
-    """Wrap data packets in a synthetic handshake and teardown."""
-    first, last = data[0], data[-1]
-    step = 5_000  # microseconds
-
-    def ctrl(template: ParsedPacket, ts: int, flags: int, forward: bool,
-             wire_len: int = 0) -> ParsedPacket:
-        return ParsedPacket(
-            ts_us=ts,
-            src_addr=template.src_addr if forward else template.dst_addr,
-            dst_addr=template.dst_addr if forward else template.src_addr,
-            src_port=template.src_port if forward else template.dst_port,
-            dst_port=template.dst_port if forward else template.src_port,
-            transport="tcp", app=None, dns_answers=(), sni=None,
-            wire_len=wire_len, control_plane=True, tcp_flags=flags,
-        )
-
-    # every control segment is bare headers of the flow's address family
-    size = frame_len(ctrl(first, 0, TCP_ACK, True))
-    shake = [
-        ctrl(first, first.ts_us - 3 * step, TCP_SYN, True, size),
-        ctrl(first, first.ts_us - 2 * step, TCP_SYN | TCP_ACK, False, size),
-        ctrl(first, first.ts_us - step, TCP_ACK, True, size),
-    ]
-    close = [
-        ctrl(last, last.ts_us + step, TCP_FIN | TCP_ACK, True, size),
-        ctrl(last, last.ts_us + 2 * step, TCP_ACK, False, size),
-    ]
-    return shake + data + close
+def _emit_flow(spec: FlowSpec, layout: tuple, rng: random.Random) -> list:
+    """The flow's packets: its layout with the unset ports, the start time
+    and the gaps between data packets drawn, in that order."""
+    flow = spec.flow
+    init_port = flow.initiator_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI)
+    resp_port = flow.responder_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI)
+    start_s = rng.uniform(0.05, 0.8) if isinstance(flow.app, DnsSelector) \
+        else rng.uniform(1.0, 3.0)
+    times = [BASE_TS_US + int(start_s * 1_000_000)]
+    for _ in range(1, spec.shape.count):
+        times.append(times[-1] + int(rng.uniform(0.01, 0.12) * 1_000_000))
+    return [ParsedPacket(ts_us=times[anchor] + offset,
+                         src_port=init_port if forward else resp_port,
+                         dst_port=resp_port if forward else init_port,
+                         **fields)
+            for forward, anchor, offset, fields in layout]
 
 
 def _strictly_increasing(packets: list) -> list:
@@ -547,26 +544,25 @@ def _strictly_increasing(packets: list) -> list:
 class SimDriver:
     """Experiment driver backed by the simulator.
 
-    Built, it writes the ARP frames and one emission of each flow spec to
+    Built, it lays out the model's flows (refusing one that cannot be
+    framed), then writes the ARP frames and one emission of each layout to
     pcap and reads them back, raising SchemaError at the first field of a
-    flow that reads back differently.  A capture differs from that emission
-    only in timing and ephemeral ports, which read back verbatim, so `run`
-    hands over the simulator's captures without a codec pass.
+    flow that reads back differently.  A capture is those same layouts with
+    other ports and times drawn, which read back verbatim, so `run` hands
+    over the simulator's captures without a codec pass.
     The successes drawn before an experiment's early stop still fold into
     the profiler's DNS table, which holds every model record already.
     """
 
     def __init__(self, model: DeviceModel):
         self.model = model
+        arp, layouts = _model_layout(model)
         rng = random.Random(0)
-        for spec in (None,) + model.flows + model.noise:
-            name = "the ARP frames" if spec is None else f"flow {spec.id!r}"
-            try:
-                sent = _arp_dressing(model) if spec is None \
-                    else tuple(_emit_flow(model, spec, rng))
-                back = read_pcap(write_pcap(Trace(packets=sent))).packets
-            except ValueError as exc:
-                raise SchemaError(f"{name} cannot be captured: {exc}") from exc
+        emissions = [("the ARP frames", arp)] + [
+            (f"flow {spec.id!r}", _emit_flow(spec, layouts[spec.id], rng))
+            for spec in model.flows + model.noise]
+        for name, sent in emissions:
+            back = read_pcap(write_pcap(Trace(packets=tuple(sent)))).packets
             for pkt, got in zip(sent, back):
                 for field, value, read in zip(pkt._fields, pkt, got):
                     if read != value:

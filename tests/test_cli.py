@@ -331,3 +331,27 @@ def test_analyze_rejects_missing_and_bad_trees(tmp_path, capsys):
     assert f"bad tree file {junk}: reason must be a string" \
         in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "analyze", "manifest", "rules"])
+def test_over_deep_json_is_an_input_error(tmp_path, capsys, command):
+    """JSON nested past the decoder's recursion limit gives one error line."""
+    path = tmp_path / "deep.json"
+    argv = {"oracle": ["oracle", "--model"], "analyze": ["analyze"],
+            "manifest": ["profile", "--manifest"], "rules": ["rules"]}[command]
+    if command == "oracle":  # 900 nested "and"s
+        obj = _model()
+        obj["success"] = "SUCCESS"
+        path.write_text(json.dumps(obj).replace(
+            '"SUCCESS"', '{"and": [' * 900 + '{"flow": "ctrl"}' + "]}" * 900))
+    elif command == "analyze":  # a tree 1,200 nodes deep
+        node = '{"status": "expanded", "depth": 0, "children": ['
+        path.write_text('{"root": ' + node * 1200
+                        + '{"status": "unexplored", "depth": 1}'
+                        + "]}" * 1200 + "}")
+    else:
+        path.write_text("[" * 1200 + "]" * 1200)
+    assert main(argv + [str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err[-300:]
+    assert not (tmp_path / "out").exists()

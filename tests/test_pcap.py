@@ -206,7 +206,7 @@ def test_every_table_token_round_trips():
 def test_http_uri_with_a_tab_keeps_the_tcp_packet():
     pkt = _data(dst_port=80, wire_len=200,
                 app=HttpSelector(method="GET", uri="/a"))
-    frame = _synth_frame(pkt).replace(b"GET /a ", b"GET /a\tb ")
+    frame = _synth_frame(pkt, pkt.wire_len).replace(b"GET /a ", b"GET /a\tb ")
     got = dissect(frame, pkt.ts_us)
     assert got.transport == "tcp" and got.app is None
     assert (got.src_addr, got.dst_addr, got.src_port, got.dst_port) \
@@ -286,7 +286,7 @@ def test_frame_len_matches_the_synthesized_frame(path):
     for rules in [RuleSet()] + [compile_rules([f]) for f in first_level]:
         for seed in range(5):
             for pkt in run_capture(model, rules, seed).trace.packets:
-                frame = _synth_frame(pkt._replace(wire_len=0))
+                frame = _synth_frame(pkt, 0)
                 assert frame_len(pkt) == len(frame)
 
 
@@ -369,7 +369,7 @@ def _pinned_frames() -> list:
         for seed, rules in enumerate(
                 [RuleSet()] + [compile_rules([f]) for f in first_level]):
             for pkt in run_capture(model, rules, seed).trace.packets:
-                frame = _synth_frame(pkt)
+                frame = _synth_frame(pkt, pkt.wire_len)
                 bases.append(frame)
                 if frame[12:14] == b"\x08\x00":
                     bases.append(_as_ipv6(frame, len(bases) % 2 == 1))

@@ -161,6 +161,17 @@ def test_constant_non_well_known_port_is_retained(topo):
     assert flow.responder_port is None
 
 
+def test_a_port_recurs_only_across_two_traces(topo):
+    """One trace cannot tell a fixed port from a drawn ephemeral one."""
+    def trace():
+        return _trace(_pkt(DEVICE, PHONE, 7000, 7001, "tcp"),
+                      _pkt(PHONE, DEVICE, 7001, 7000, "tcp"))
+    (alone,) = aggregate_flows([trace()], DnsTable(topo))[0]
+    assert (alone.initiator_port, alone.responder_port) == (None, None)
+    (twice,) = aggregate_flows([trace(), trace()], DnsTable(topo))[0]
+    assert (twice.initiator_port, twice.responder_port) == (7000, 7001)
+
+
 def test_one_way_traffic_stays_unidirectional(topo):
     sets = aggregate_flows(
         [_trace(_pkt(PHONE, "255.255.255.255", 49000, 9999),

@@ -1,5 +1,6 @@
 import copy
 import gc
+import hashlib
 import itertools
 import json
 
@@ -28,6 +29,7 @@ from flowprof import (
     run_capture,
     write_pcap,
 )
+from flowprof import simnet
 from flowprof.blocklist import matches_packet
 from flowprof.simnet import (
     _blocked_ids,
@@ -430,6 +432,13 @@ def test_an_ipv6_lan_profiles_as_the_oracle_does():
     assert len(tree.nodes) == 3  # the root, ctrl, and cloud below ctrl
 
 
+def test_one_capture_profiles_as_the_oracle_does():
+    """At m = 1 an ephemeral port drawn once is not taken for a fixed one."""
+    model = load_model(_model())
+    tree = profile_event(SimDriver(model), ProfileConfig(m=1, seed=0))
+    assert tree.export_json() == oracle_tree(model).export_json()
+
+
 def test_driver_round_trips_through_pcap():
     model = load_model(_model())
     direct = [run_capture(model, RuleSet(), seed) for seed in range(2)]
@@ -455,6 +464,40 @@ def test_pcap_round_trip_is_the_identity_on_simulator_captures(name):
                 (blocking_set, seed)
 
 
+def test_simulator_captures_are_pinned():
+    """The round-trip test's 1,620 captures, each written to pcap and
+    followed by its success bit, hash to one fixed digest."""
+    digest = hashlib.sha256()
+    for name in sorted(path.stem for path in MODEL_DIR.glob("*.json")):
+        model = load_model(model_path(name))
+        flows = [spec.flow for spec in model.flows + model.noise]
+        for blocking_set in [()] + [(flow,) for flow in flows] \
+                + list(itertools.combinations(flows, 2)):
+            rules = compile_rules(blocking_set)
+            for seed in range(10):
+                capture = run_capture(model, rules, seed)
+                digest.update(write_pcap(capture.trace))
+                digest.update(b"1" if capture.success else b"0")
+    assert digest.hexdigest() == \
+        "c3aa89ff4850d15fda9ce1ade5fa9483561ee739a94a3d16c71f49497fb8d350"
+
+
+@pytest.mark.parametrize("m", [20, 5])
+def test_each_flow_is_laid_out_once_per_model(monkeypatch, m):
+    """Frame lengths are worked out when a model's flows are laid out, not
+    per capture: the unpruned appendix_c walk sizes 46 frames at any m."""
+    frame_len = simnet.frame_len
+    calls = []
+
+    def counting(pkt):
+        calls.append(pkt)
+        return frame_len(pkt)
+    monkeypatch.setattr(simnet, "frame_len", counting)
+    model = load_model(model_path("appendix_c"))
+    profile_event(SimDriver(model), ProfileConfig(m=m, pruning=False))
+    assert len(calls) == 46
+
+
 def _odd_flow(transport, port, app):
     def add(obj):
         obj["flows"].append({
@@ -470,21 +513,34 @@ def _odd_flow(transport, port, app):
 COAP_GET = {"proto": "coap", "type": "CON", "code": "GET", "uri_path": "/x"}
 
 
-@pytest.mark.parametrize("mutate", [
-    _odd_flow("udp", 80, {"proto": "http", "method": "GET", "uri": "/x"}),
-    _odd_flow("tcp", 5683, COAP_GET),
-    _odd_flow("udp", 53, COAP_GET),
-    _odd_flow("tcp", 80, {"proto": "http", "method": "GET",
-                          "is_response": True}),
-    _odd_flow("udp", 5683, dict(COAP_GET, uri_path="/a//b")),
-    _odd_flow("udp", 53, {"proto": "dns", "qtype": "TXT",
-                          "qname": "x" * 70 + ".example"}),
+def _v6_only_domain(obj):
+    """The IPv4 device's odd flow goes to a domain with only an IPv6 record."""
+    _odd_flow("tcp", 443, None)(obj)
+    obj["dns_records"] = [["a.example", "2001:db8::1"]]
+    obj["flows"] = obj["flows"][2:]
+    obj["success"] = {"flow": "odd"}
+
+
+READS_BACK = "its app reads back as"
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_odd_flow("udp", 80, {"proto": "http", "method": "GET", "uri": "/x"}),
+     READS_BACK),
+    (_odd_flow("tcp", 5683, COAP_GET), READS_BACK),
+    (_odd_flow("udp", 53, COAP_GET), READS_BACK),
+    (_odd_flow("tcp", 80, {"proto": "http", "method": "GET",
+                           "is_response": True}), READS_BACK),
+    (_odd_flow("udp", 5683, dict(COAP_GET, uri_path="/a//b")), READS_BACK),
+    (_odd_flow("udp", 53, {"proto": "dns", "qtype": "TXT",
+                           "qname": "x" * 70 + ".example"}), READS_BACK),
+    (_v6_only_domain, "mixed address families in one packet"),
 ], ids=["http-over-udp", "coap-over-tcp", "coap-on-53", "http-response-method",
-        "coap-empty-segment", "dns-70-char-label"])
-def test_driver_refuses_a_flow_a_capture_cannot_carry(mutate):
+        "coap-empty-segment", "dns-70-char-label", "v6-only-domain"])
+def test_driver_refuses_a_flow_a_capture_cannot_carry(mutate, message):
     model = load_model(_model(mutate))
-    with pytest.raises(SchemaError, match="flow 'odd' cannot be captured: "
-                       "its app reads back as"):
+    with pytest.raises(SchemaError,
+                       match=f"flow 'odd' cannot be captured: {message}"):
         SimDriver(model)
 
 
