@@ -179,11 +179,26 @@ def matches_packet(rules: RuleSet, packet: ParsedPacket,
                       (dst_ref, packet.dst_addr, packet.dst_port), False)
 
 
+def could_match_packet(rules: RuleSet, packet: ParsedPacket,
+                       table: DnsTable) -> bool:
+    """Port-free packet verdict: some rule matches the packet's transport,
+    app and named endpoints in either orientation, whatever its ports.  So
+    when it is false, matches_packet is false for every pair of ports."""
+    transport = _PACKET_TRANSPORTS.get(packet.transport)
+    if transport is None:
+        return False
+    src_ref, dst_ref = name_endpoints(packet, table)
+    return _rules_hit(rules, transport, packet.app,
+                      (src_ref, packet.src_addr, None),
+                      (dst_ref, packet.dst_addr, None), True, ports=False)
+
+
 def _rules_hit(rules, transport: Transport, app: AppSelector, init: tuple,
-               resp: tuple, two_way: bool) -> bool:
-    """The rule loop of both verdicts.  `init` and `resp` are (host ref, raw
+               resp: tuple, two_way: bool, ports: bool = True) -> bool:
+    """The rule loop of all verdicts.  `init` and `resp` are (host ref, raw
     address or None, port) ends; they are also tried swapped when the rule
-    is bidirectional or `two_way` is set."""
+    is bidirectional or `two_way` is set.  Without `ports`, every rule port
+    is taken as a wildcard."""
     app_matchers = None
     for rule in rules:
         pattern = rule.pattern
@@ -194,12 +209,14 @@ def _rules_hit(rules, transport: Transport, app: AppSelector, init: tuple,
                 app_matchers = set(_matchers(app))
             if not app_matchers.issuperset(rule.matchers):
                 continue
-        if _end_hits(pattern.initiator, pattern.initiator_port, init) \
-                and _end_hits(pattern.responder, pattern.responder_port, resp):
+        init_port, resp_port = (pattern.initiator_port,
+                                pattern.responder_port) if ports else (None, None)
+        if _end_hits(pattern.initiator, init_port, init) \
+                and _end_hits(pattern.responder, resp_port, resp):
             return True
         if (two_way or pattern.direction is Direction.BIDIRECTIONAL) \
-                and _end_hits(pattern.initiator, pattern.initiator_port, resp) \
-                and _end_hits(pattern.responder, pattern.responder_port, init):
+                and _end_hits(pattern.initiator, init_port, resp) \
+                and _end_hits(pattern.responder, resp_port, init):
             return True
     return False
 

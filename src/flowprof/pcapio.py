@@ -516,7 +516,8 @@ def write_pcap(trace: Trace) -> bytes:
 
     Packets must carry enough to synthesize Ethernet/IP/transport headers;
     an address slot that holds no address literal raises UnresolvedHost.
-    Each frame is padded to at least the packet's wire_len.
+    Each TCP or UDP frame is padded to at least the packet's wire_len;
+    ARP and ICMP frames are never padded.
     read_pcap(write_pcap(t)) reproduces the ParsedPacket sequence field for
     field (wire_len may be recomputed) when the packets are ones a capture
     can carry; SimDriver checks that of a model's packets once.

@@ -7,7 +7,10 @@ probabilistic noise flows.  A deny list's verdict over the model is the
 set of flow ids it blocks.  Each flow's packets are laid out once per
 model; run_capture draws ports and times into the layouts under a deny list,
 delivering the flows that are emitted, not blocked and lose no packet to the
-packet-level firewall; oracle_tree computes the exact signature tree
+packet-level firewall.  The firewall is decided once per experiment and
+flow: only the packets of a flow that some rule could match at some ports
+are checked one by one, which catches a drawn ephemeral port equal to a
+rule's pinned one.  oracle_tree computes the exact signature tree
 symbolically, never touching packets or RNG, from one signature of m = 1 per
 node.  SimDriver checks once that a pcap capture carries the laid-out
 packets, then hands over captures with no codec pass.
@@ -47,7 +50,13 @@ from .pcapio import (
     read_pcap,
     write_pcap,
 )
-from .blocklist import RuleSet, compile_rules, matches_flow, matches_packet
+from .blocklist import (
+    RuleSet,
+    compile_rules,
+    could_match_packet,
+    matches_flow,
+    matches_packet,
+)
 from .signature import DnsTable, EventSignature
 from .sigtree import SigTree, explore
 
@@ -71,6 +80,7 @@ class UnresolvedDomain(SchemaError):
 SCHEMA_VERSION = 1
 BASE_TS_US = 1_700_000_000 * 1_000_000
 EPHEMERAL_LO, EPHEMERAL_HI = 49152, 65535
+MAX_FORMULA_DEPTH = 100  # clauses on a success formula's longest path
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 
@@ -305,7 +315,12 @@ def _visit_guards(edges: dict, done: set, path: List[str]):
     done.add(path[-1])
 
 
-def _validate_formula(formula, ids: set):
+def _validate_formula(formula, ids: set, depth: int = 1):
+    """Check a success clause nested `depth` clauses deep, refusing one past
+    MAX_FORMULA_DEPTH before eval_success would recurse that far."""
+    if depth > MAX_FORMULA_DEPTH:
+        raise SchemaError(
+            f"success formula nests deeper than {MAX_FORMULA_DEPTH} clauses")
     if not isinstance(formula, dict) or len(formula) != 1:
         raise SchemaError(f"bad success clause {formula!r}")
     key, value = next(iter(formula.items()))
@@ -316,7 +331,7 @@ def _validate_formula(formula, ids: set):
         if not isinstance(value, list) or not value:
             raise SchemaError(f"'{key}' needs a non-empty clause list")
         for clause in value:
-            _validate_formula(clause, ids)
+            _validate_formula(clause, ids, depth + 1)
     else:
         raise SchemaError(f"unknown success operator {key!r}")
 
@@ -343,56 +358,84 @@ def _guard_ok(spec: FlowSpec, blocked: frozenset) -> bool:
                                  for conj in spec.guard)
 
 
-def _capture_flows(model: DeviceModel, blocked: frozenset,
-                   rng: random.Random):
-    """Shared emission logic: noise Bernoulli draws happen first, in
+def _capture_flows(flows: tuple, noise: tuple, rng: random.Random) -> tuple:
+    """The entries of an experiment plan's flows that one capture emits.
+    The noise Bernoulli draws happen first, one per noise spec in
     declaration order, so packet-level draws never shift them."""
-    draws = [rng.random() for _ in model.noise]
-    active = [spec for spec in model.flows if _guard_ok(spec, blocked)]
-    fired = [spec for spec, draw in zip(model.noise, draws)
-             if draw < spec.p and _guard_ok(spec, blocked)]
-    emitted = active + fired
-    delivered = frozenset(s.id for s in emitted if s.id not in blocked)
-    return emitted, delivered
+    draws = [rng.random() for _ in noise]
+    return flows + tuple(entry for entry, draw in zip(noise, draws)
+                         if entry is not None and draw < entry[0].p)
 
 
 def capture_emission(model: DeviceModel, rules: RuleSet, seed: int):
-    """(delivered flow ids, success) without building packets; mirrors
-    run_capture's draws exactly.  The delivered set differs from
-    run_capture's only when the packet-level firewall drops a packet of a
-    flow the rules do not block, such as one whose ephemeral port was drawn
-    equal to a rule's pinned port: run_capture does not deliver that flow."""
-    _, delivered = _capture_flows(model, _blocked_ids(model, rules),
-                                  random.Random(seed))
+    """(delivered flow ids, success) without building packets; reads the
+    experiment's plan and mirrors run_capture's draws exactly.  The
+    delivered set differs from run_capture's only when the packet-level
+    firewall drops a packet of a flow the rules do not block but could
+    match at some ports, such as one whose ephemeral port was drawn equal
+    to a rule's pinned port: run_capture does not deliver that flow."""
+    _, _, flows, noise = _experiment_plan(model, rules)
+    emitted = _capture_flows(flows, noise, random.Random(seed))
+    delivered = frozenset(spec.id for spec, _, _ in emitted)
     return delivered, eval_success(model.success, delivered)
 
 
 @functools.lru_cache(maxsize=1)
 def _experiment_plan(model: DeviceModel, rules: RuleSet) -> tuple:
-    """(blocked ids, DNS table, ARP frames, flow layouts) shared by the
+    """(DNS table, ARP frames, main flows, noise flows) shared by the
     captures of one experiment, which run back to back: all four depend on
-    the model and the deny list only, and run_capture never mutates them."""
-    return (_blocked_ids(model, rules), model_table(model)) + _model_layout(model)
+    the model and the deny list only, and run_capture never mutates them.
+
+    The firewall is decided here, once per flow spec.  A spec the rules
+    block (matches_flow) is left out, and so is a main spec whose guard
+    fails; a noise spec that could never fire keeps its place as None, so
+    each capture still draws once per noise spec.  Every other spec is a
+    (spec, layout, exposed) entry, `exposed` being true when some rule
+    matches one of its packets whatever the ports (could_match_packet):
+    only those flows have each packet checked by matches_packet."""
+    blocked = _blocked_ids(model, rules)
+    table = model_table(model)
+    arp, layouts = _model_layout(model)
+
+    def entry(spec: FlowSpec):
+        if spec.id in blocked or not _guard_ok(spec, blocked):
+            return None
+        layout = layouts[spec.id]
+        return spec, layout, _exposed(rules, table, layout)
+
+    flows = [entry(spec) for spec in model.flows]
+    return (table, arp, tuple(e for e in flows if e is not None),
+            tuple(entry(spec) for spec in model.noise))
+
+
+def _exposed(rules: RuleSet, table: DnsTable, layout: tuple) -> bool:
+    """Whether some rule matches one of the layout's packets for some
+    ports.  The verdict ignores ports and orientation, and a layout's
+    packets share one transport and endpoint pair, so one packet per
+    distinct app decides."""
+    by_app = {fields.get("app"): fields for _, _, _, fields in layout}
+    return any(could_match_packet(rules, ParsedPacket(ts_us=0, **fields), table)
+               for fields in by_app.values())
 
 
 def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
     """One capture: the model's layouts with ports and times drawn, less
     what the deny list blocks."""
     rng = random.Random(seed)
-    blocked, table, arp, layouts = _experiment_plan(model, rules)
-    emitted, delivered = _capture_flows(model, blocked, rng)
+    table, arp, flows, noise = _experiment_plan(model, rules)
     packets = list(arp)
-    for spec in emitted:
-        if spec.id in blocked:
-            continue
-        # The packet-level firewall.  `blocked` already skips every flow
-        # some rule would drop a packet of; this filter catches what flow
-        # ids do not show, such as a randomly drawn ephemeral port equal to
-        # a rule's pinned port.  A flow that loses a packet is not delivered.
-        sent = _emit_flow(spec, layouts[spec.id], rng)
-        kept = [p for p in sent if not matches_packet(rules, p, table)]
-        if len(kept) < len(sent):
-            delivered -= {spec.id}
+    delivered = set()
+    for spec, layout, exposed in _capture_flows(flows, noise, rng):
+        sent = _emit_flow(spec, layout, rng)
+        # The packet-level firewall, for flows some rule could touch.  The
+        # plan already skips every flow some rule would drop a packet of;
+        # this filter catches what flow ids do not show, such as a randomly
+        # drawn ephemeral port equal to a rule's pinned port.  A flow that
+        # loses a packet is not delivered.
+        kept = [p for p in sent if not matches_packet(rules, p, table)] \
+            if exposed else sent
+        if len(kept) == len(sent):
+            delivered.add(spec.id)
         packets.extend(kept)
     packets.sort(key=lambda p: p.ts_us)
     packets = _strictly_increasing(packets)

@@ -1,10 +1,12 @@
 import json
+import threading
 
 import pytest
 
 from flowprof import FlowId, compile_rules, read_pcap, render
 from flowprof.blocklist import parse as parse_rules
 from flowprof.cli import main
+from flowprof.simnet import MAX_FORMULA_DEPTH
 
 from test_simnet import _model, _odd_flow
 
@@ -355,3 +357,45 @@ def test_over_deep_json_is_an_input_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err[-300:]
     assert not (tmp_path / "out").exists()
+
+
+def _nested_success(path, ands: int):
+    """The mini model with its success formula `ands` "and"s deep."""
+    obj = _model()
+    obj["success"] = "SUCCESS"
+    path.write_text(json.dumps(obj).replace(
+        '"SUCCESS"', '{"and": [' * ands + '{"flow": "ctrl"}' + "]}" * ands))
+
+
+def _main_on_a_fresh_stack(argv) -> int:
+    """cli.main(argv) on a thread of its own, as from a shell: the test
+    runner's frames do not count against the decoder's recursion limit."""
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join()
+    return codes[0]
+
+
+def test_an_over_nested_success_formula_is_a_schema_error(tmp_path, capsys):
+    """A formula the decoder reads but eval_success could not recurse
+    through is refused when the model loads."""
+    path = tmp_path / "deep.json"
+    _nested_success(path, 480)
+    assert _main_on_a_fresh_stack(["oracle", "--model", str(path),
+                                   "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: success formula nests deeper " \
+        f"than {MAX_FORMULA_DEPTH} clauses\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_success_formula_at_the_depth_limit_evaluates(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    _nested_success(path, MAX_FORMULA_DEPTH - 1)
+    assert main(["oracle", "--model", str(path),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "tree.json").exists()
+    _nested_success(path, MAX_FORMULA_DEPTH)
+    assert main(["oracle", "--model", str(path),
+                 "--out-dir", str(tmp_path / "out2")]) == 1
+    assert "nests deeper than" in capsys.readouterr().err

@@ -277,17 +277,31 @@ def test_filter_control_plane_keeps_data_only():
 # -- frame length ---------------------------------------------------------------
 
 
+def padded_len(pkt: ParsedPacket, wire_len: int) -> int:
+    """The length of pkt's frame synthesized for `wire_len`: a TCP or UDP
+    frame is padded up to wire_len bytes; ARP and ICMP frames never are."""
+    unpadded = frame_len(pkt)
+    return max(wire_len, unpadded) if pkt.transport in ("tcp", "udp") \
+        else unpadded
+
+
 @pytest.mark.parametrize("path", sorted(MODEL_DIR.glob("*.json")),
                          ids=lambda path: path.stem)
 def test_frame_len_matches_the_synthesized_frame(path):
+    """Each frame a capture carries, synthesized for a wire_len below, at
+    and above its frame_len: a TCP or UDP frame is max(wire_len,
+    frame_len) bytes long, an ARP frame frame_len bytes."""
     model = load_model(path)
     tree = oracle_tree(model)
     first_level = [tree.node(h).flow for h in tree.node(tree.root).children]
     for rules in [RuleSet()] + [compile_rules([f]) for f in first_level]:
         for seed in range(5):
             for pkt in run_capture(model, rules, seed).trace.packets:
-                frame = _synth_frame(pkt, 0)
-                assert frame_len(pkt) == len(frame)
+                unpadded = frame_len(pkt)
+                for wire_len in (0, unpadded - 1, unpadded, unpadded + 1,
+                                 unpadded + 333):
+                    assert len(_synth_frame(pkt, wire_len)) == \
+                        padded_len(pkt, wire_len), (pkt, wire_len)
 
 
 @pytest.mark.parametrize("transport,src,dst,message", [

@@ -31,10 +31,12 @@ from flowprof import (
     sorted_flows,
 )
 from flowprof import signature
-from flowprof.blocklist import parse as parse_rules
+from flowprof.blocklist import could_match_packet, parse as parse_rules
 from flowprof.pcapio import _synth_frame, frame_len
+from flowprof.simnet import EPHEMERAL_HI, EPHEMERAL_LO
 
 from test_blocklist import one_field_variants
+from test_pcap import padded_len
 from test_sigtree import assert_stdlib_encoding, dot_is_well_formed
 
 HOSTS = st.sampled_from([
@@ -280,6 +282,34 @@ def test_a_rule_blocks_a_flow_iff_it_drops_one_of_its_packets(flow, data):
         matches_packet(rules, p, table) for p in packets)
 
 
+@given(flow_ids(), st.data())
+def test_a_packet_the_port_free_verdict_refuses_matches_at_no_ports(flow,
+                                                                     data):
+    """When could_match_packet is false for a packet, matches_packet is
+    false for it at every pair of the rules' pinned ports and ephemeral
+    ports; when it is true, some such pair makes the packet or its reverse
+    match."""
+    others = data.draw(st.lists(near_flows(flow), min_size=1, max_size=3))
+    lines = render(compile_rules(others)).splitlines()
+    rules = parse_rules("".join(_loosen(line, data.draw(st.lists(
+        st.booleans(), min_size=8, max_size=8))) + "\n" for line in lines))
+    ports = {UNPINNED_PORT, EPHEMERAL_LO, EPHEMERAL_HI} | {
+        port for rule in rules for port in (rule.pattern.initiator_port,
+                                             rule.pattern.responder_port)
+        if port is not None}
+    table = DnsTable(TOPO, {addr: name for name, addr in DOMAIN_ADDRS.items()})
+    src, dst = _host_addr(flow.initiator), _host_addr(flow.responder)
+    packets = [ParsedPacket(ts_us=0, src_addr=a, dst_addr=b,
+                            transport=flow.transport.value, app=flow.app)
+               for a, b in ((src, dst), (dst, src))]
+    verdict = could_match_packet(rules, packets[0], table)
+    assert could_match_packet(rules, packets[1], table) == verdict
+    hit = any(matches_packet(rules, pkt._replace(src_port=sport,
+                                                 dst_port=dport), table)
+              for pkt in packets for sport in ports for dport in ports)
+    assert hit == verdict
+
+
 @given(st.data())
 def test_signature_soundness_and_monotonicity(data):
     pool = data.draw(st.lists(flow_ids(), min_size=1, max_size=6,
@@ -365,9 +395,12 @@ def synthesizable_packets(draw):
     )
 
 
-@given(synthesizable_packets())
-def test_frame_len_is_the_unpadded_synthesized_length(pkt):
-    assert frame_len(pkt) == len(_synth_frame(pkt, 0))
+@given(synthesizable_packets(), st.integers(-80, 80))
+def test_frame_len_is_the_unpadded_synthesized_length(pkt, offset):
+    """Synthesized for a wire_len near its frame_len, a TCP or UDP frame is
+    max(wire_len, frame_len) long; an ARP or ICMP frame is never padded."""
+    wire_len = max(0, frame_len(pkt) + offset)
+    assert len(_synth_frame(pkt, wire_len)) == padded_len(pkt, wire_len)
 
 
 ADDRS = st.sampled_from([

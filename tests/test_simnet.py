@@ -404,6 +404,32 @@ def test_a_flow_the_packet_firewall_cuts_is_not_delivered():
     assert cut >= 1
 
 
+def test_only_flows_a_rule_could_hit_are_refiltered(monkeypatch):
+    """Under each first-level block of appendix_c no rule touches a flow
+    it does not block, so no packet is re-checked; beside a pinned rule,
+    each of web's 7 packets is."""
+    checked = []
+
+    def counting(rules, packet, table):
+        checked.append(packet)
+        return matches_packet(rules, packet, table)
+    monkeypatch.setattr(simnet, "matches_packet", counting)
+    model = load_model(model_path("appendix_c"))
+    tree = oracle_tree(model)
+    for handle in tree.node(tree.root).children:
+        rules = compile_rules([tree.node(handle).flow])
+        for seed in range(3):
+            run_capture(model, rules, seed)
+    assert checked == []
+    model = load_model(_model(_pinned_beside_web))
+    rules = compile_rules([model.spec("pinned").flow])
+    for seed in range(3):
+        capture = run_capture(model, rules, seed)
+        assert checked[-7:] == [p for p in capture.trace.packets
+                                if p.transport == "tcp"]
+    assert len(checked) == 21
+
+
 def test_driver_run_seeds_sequentially():
     driver = SimDriver(load_model(_model()))
     results = driver.run(RuleSet(), m=4, seed=10)
