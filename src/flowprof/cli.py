@@ -149,16 +149,21 @@ def cmd_extract(args) -> int:
         raise ValueError(
             f"success.txt must hold {args.m} 0/1 flags, one per capture")
     table = DnsTable(load_model(args.model).topology)
-    # a corrupt capture errors even when it failed, so every one is read
-    successful = []
-    for path, flag in zip(pcaps, flags):
-        trace = read_pcap(path.read_bytes())
-        if flag == "1":
-            successful.append(filter_control_plane(trace))
-    signature = extract_signature(aggregate_flows(successful, table), m=args.m)
+    signature = extract_signature(
+        aggregate_flows(_successful_traces(pcaps, flags), table), m=args.m)
     out = Path(args.out_dir) / "signature.json"
     _write_text(out, json.dumps(signature.to_obj(), indent=2) + "\n")
     return 0
+
+
+def _successful_traces(pcaps: list, flags: list):
+    """The data-plane packets of each successful capture, read one at a
+    time; a corrupt capture errors even when it failed, so every one is
+    read."""
+    for path, flag in zip(pcaps, flags):
+        trace = read_pcap(path.read_bytes())
+        if flag == "1":
+            yield filter_control_plane(trace)
 
 
 def _profile_one(model_path: str, args) -> SigTree:
@@ -279,13 +284,14 @@ def cmd_simulate(args) -> int:
     if args.rules_file:
         rules = parse_rules(Path(args.rules_file).read_text())
     # the driver refuses a model whose packets a capture cannot carry
-    captures = list(SimDriver(model).run(rules, args.m, args.seed))
+    captures = SimDriver(model).run(rules, args.m, args.seed)
     out_dir = Path(args.out_dir)
+    flags = []
     for index, capture in enumerate(captures):
         _write_bytes(out_dir / f"capture_{index:03d}.pcap",
                      write_pcap(capture.trace))
-    flags = "".join(("1" if c.success else "0") + "\n" for c in captures)
-    _write_text(out_dir / "success.txt", flags)
+        flags.append("1\n" if capture.success else "0\n")
+    _write_text(out_dir / "success.txt", "".join(flags))
     return 0
 
 

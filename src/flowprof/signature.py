@@ -135,60 +135,82 @@ _FLOW_TRANSPORTS = (Transport.TCP.value, Transport.UDP.value)
 def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     """Aggregate each trace into a set of canonical FlowIds.
 
-    Two phases: per-trace grouping by unordered endpoint pair + transport +
-    app selector (a DNS response carries its question identity, so it lands
-    in its query's group), then cross-trace port retention: a port is kept
-    iff it is well-known or the same value recurs for that endpoint in every
-    trace containing the group, and at least two traces contain it (one
-    trace cannot tell a fixed port from a drawn ephemeral one).  The seed
-    table is folded over all packets (and mutated) before any naming, so one
-    address is never named two ways within the trace set.  Repeated packets change no group, so each trace's
-    distinct packet keys are grouped once, in first-seen order.
+    A trace's packets are grouped by unordered endpoint pair, transport and
+    app selector (a DNS response carries its question identity, so it joins
+    its query's group).  A group's first sender is its initiator; it is
+    unidirectional when no other end sends.  Per group and host, the lowest
+    well-known port is kept, else the lowest port common to every trace
+    holding the group if at least two do: one trace cannot tell a fixed port
+    from a drawn one.  `traces` is read once.  Each trace's DNS answers and
+    SNI fold into the seed table (mutated) and only its distinct packet keys
+    stay, so memory grows with those keys, not with the packets.  Naming
+    waits until every trace is folded, so no address is named two ways.
     """
-    traces = list(traces)
-    for trace in traces:
+    interned: dict = {}  # packet key -> the one copy the traces share
+
+    def fold(trace):
         for packet in trace.packets:
             if packet.dns_answers or packet.sni:
                 seed_table.update(packet)
+        keys = dict.fromkeys(
+            (p.src_addr, p.dst_addr, p.src_port, p.dst_port, p.transport,
+             p.app)
+            for p in trace.packets
+            if not p.control_plane and p.transport in _FLOW_TRANSPORTS)
+        return list(map(interned.setdefault, keys, keys))
 
-    per_trace_groups = []
-    for trace in traces:
-        # (endpoint pair, transport, app) -> (first (src, dst), ports per
-        # HostRef, (src, dst) pairs seen)
-        groups: dict = {}
-        for src_addr, dst_addr, sport, dport, transport, app in dict.fromkeys(
-                (p.src_addr, p.dst_addr, p.src_port, p.dst_port, p.transport,
-                 p.app)
-                for p in trace.packets
-                if not p.control_plane and p.transport in _FLOW_TRANSPORTS):
-            src = seed_table._name(src_addr)
-            dst = seed_table._name(dst_addr)
-            key = (frozenset((src, dst)), transport, app)
-            group = groups.get(key)
+    # map holds no folded trace while the next one is drawn
+    keys_per_trace = list(map(fold, traces))
+    del interned
+
+    # (src, dst) addresses -> their (src, dst) HostRefs and unordered pair
+    named: dict = {}
+    # group key -> [traces holding it, {HostRef: [union, common, with_ports]}]
+    tallies: dict = {}
+    shape_ids: dict = {}  # (group key, first (src, dst), unidirectional) -> id
+    shapes_per_trace = []
+    for keys in keys_per_trace:
+        groups: dict = {}  # group key -> [first (src, dst), ports, uni]
+        for src_addr, dst_addr, sport, dport, transport, app in keys:
+            names = named.get((src_addr, dst_addr))
+            if names is None:
+                ends = (seed_table._name(src_addr), seed_table._name(dst_addr))
+                names = named[src_addr, dst_addr] = (ends, frozenset(ends))
+            ends, pair = names
+            group = groups.get((pair, transport, app))
             if group is None:
-                group = groups[key] = ((src, dst), {}, set())
-            _, ports, pairs = group
+                group = groups[pair, transport, app] = [ends, {}, True]
+            elif group[2] and group[0] != ends:
+                group[2] = False
             if sport is not None:
-                ports.setdefault(src, set()).add(sport)
+                group[1].setdefault(ends[0], set()).add(sport)
             if dport is not None:
-                ports.setdefault(dst, set()).add(dport)
-            pairs.add((src, dst))
-        per_trace_groups.append(groups)
+                group[1].setdefault(ends[1], set()).add(dport)
+        shapes = []
+        for key, (ends, ports, unidirectional) in groups.items():
+            shapes.append(shape_ids.setdefault((key, ends, unidirectional),
+                                               len(shape_ids)))
+            tally = tallies.setdefault(key, [0, {}])
+            tally[0] += 1
+            for host, seen in ports.items():
+                host_tally = tally[1].get(host)
+                if host_tally is None:
+                    tally[1][host] = [seen, set(seen), 1]
+                else:
+                    host_tally[0] |= seen
+                    host_tally[1] &= seen
+                    host_tally[2] += 1
+        shapes_per_trace.append(shapes)
 
-    retained = _retained_ports(per_trace_groups)
-
-    # groups alike across traces share one FlowId, built once per call
-    flow_ids: dict = {}
-    flow_sets = []
-    for groups in per_trace_groups:
-        flows = set()
-        for key, (ends, _, pairs) in groups.items():
-            shape = (key, ends, len(pairs) == 1)
-            if shape not in flow_ids:
-                flow_ids[shape] = _flow_id(*shape, retained[key])
-            flows.add(flow_ids[shape])
-        flow_sets.append(flows)
-    return flow_sets
+    # each host's tally becomes the port it keeps, or None
+    for held, hosts in tallies.values():
+        for host, (union, common, with_ports) in hosts.items():
+            kept = [p for p in union if is_well_known_port(p)]
+            if not kept and with_ports == held > 1:
+                kept = common
+            hosts[host] = min(kept, default=None)
+    flows = [_flow_id(*shape, tallies[shape[0]][1]) for shape in shape_ids]
+    return [{flows[i] for i in shapes} for shapes in shapes_per_trace]
 
 
 def _flow_id(key: tuple, ends: tuple, unidirectional: bool,
@@ -212,28 +234,6 @@ def _flow_id(key: tuple, ends: tuple, unidirectional: bool,
         direction=direction,
         app=app,
     ))
-
-
-def _retained_ports(per_trace_groups: list) -> dict:
-    """One port decision per (group key, HostRef) across all traces."""
-    observed: dict = {}
-    for groups in per_trace_groups:
-        for key, (_, ports, _) in groups.items():
-            observed.setdefault(key, []).append(ports)
-    decisions: dict = {}
-    for key, port_maps in observed.items():
-        decision = {}
-        for host in set().union(*port_maps):
-            seen = [ports.get(host, set()) for ports in port_maps]
-            union = set().union(*seen)
-            common = set(seen[0]).intersection(*seen[1:]) if seen else set()
-            well_known = sorted(p for p in union if is_well_known_port(p))
-            if well_known:
-                decision[host] = well_known[0]
-            elif common and len(seen) > 1:
-                decision[host] = min(common)
-        decisions[key] = decision
-    return decisions
 
 
 # -- signatures -------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import gc
 import json
 import threading
+import tracemalloc
 
 import pytest
 
-from flowprof import FlowId, compile_rules, read_pcap, render
+from flowprof import FlowId, cli, compile_rules, read_pcap, render
 from flowprof.blocklist import parse as parse_rules
 from flowprof.cli import main
 from flowprof.simnet import MAX_FORMULA_DEPTH
 
+from conftest import model_path
 from test_simnet import _model, _odd_flow
 
 
@@ -206,6 +209,70 @@ def test_extract_rejects_bad_inputs(tmp_path, mini_model, capsys):
     assert main(["extract", "--dir", str(cap_dir), "--m", "5",
                  "--model", str(mini_model)]) == 1
     assert "expected 5 captures, found 3" in capsys.readouterr().err
+
+
+def _simulate(model, cap_dir, m: int):
+    assert main(["simulate", "--model", str(model), "--m", str(m),
+                 "--out-dir", str(cap_dir)]) == 0
+    return cap_dir
+
+
+def _extract(model, cap_dir, m: int, out_dir) -> int:
+    return main(["extract", "--dir", str(cap_dir), "--m", str(m),
+                 "--model", str(model), "--out-dir", str(out_dir)])
+
+
+def test_extract_reads_each_capture_once_in_sorted_order(tmp_path, mini_model,
+                                                         monkeypatch):
+    cap_dir = _simulate(mini_model, tmp_path / "caps", 4)
+    wanted = [path.read_bytes() for path in sorted(cap_dir.glob("*.pcap"))]
+    assert len(set(wanted)) == 4
+    read = []
+
+    def recording(data):
+        read.append(data)
+        return real(data)
+
+    real = cli.read_pcap
+    monkeypatch.setattr(cli, "read_pcap", recording)
+    assert _extract(mini_model, cap_dir, 4, tmp_path / "sig") == 0
+    assert read == wanted
+
+
+def test_a_corrupt_capture_fails_extract_even_when_its_flag_is_zero(
+        tmp_path, mini_model, capsys):
+    cap_dir = _simulate(mini_model, tmp_path / "caps", 3)
+    last = cap_dir / "capture_002.pcap"
+    last.write_bytes(last.read_bytes()[:-5])
+    (cap_dir / "success.txt").write_text("1\n1\n0\n")
+    out_dir = tmp_path / "sig"
+    assert _extract(mini_model, cap_dir, 3, out_dir) == 1
+    assert "record body truncated" in capsys.readouterr().err
+    assert not (out_dir / "signature.json").exists()
+
+
+def _traced_peak(model, cap_dir, m: int, out_dir) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert _extract(model, cap_dir, m, out_dir) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extract_memory_does_not_grow_with_every_capture(tmp_path):
+    """Memory guard: extraction keeps each capture's distinct packet keys,
+    not its packets, so 120 more captures add under 8 KB each to the
+    traced peak (about 4 KB; keeping every packet cost about 20 KB)."""
+    model = model_path("hs110_toggle")
+    sizes = (40, 160)
+    dirs = {m: _simulate(model, tmp_path / f"caps{m}", m) for m in sizes}
+    assert _extract(model, dirs[40], 40, tmp_path / "warm") == 0
+    peaks = {m: _traced_peak(model, dirs[m], m, tmp_path / f"sig{m}")
+             for m in sizes}
+    per_capture = (peaks[160] - peaks[40]) / (160 - 40)
+    assert per_capture < 8000, f"{per_capture:.0f} B per capture"
 
 
 def test_simulate_m_below_one_exits_one(tmp_path, mini_model, capsys):

@@ -491,3 +491,114 @@ def test_the_first_direction_seen_names_the_initiator(traces, pkt, data):
     assert reverse[index] == forward[index] - {flow} | {_swapped(flow)}
     del forward[index], reverse[index]
     assert reverse == forward
+
+
+# ports a conversation keeps in every capture, and ports drawn per capture
+# (None: the end has no port in that capture)
+FIXED_PORTS = st.sampled_from([53, 443, 5353, 7000, 8899, 49152])
+DRAWN_PORTS = st.one_of(st.none(), st.sampled_from([7000, 49152, 50001,
+                                                    50002, 61000]))
+
+
+@st.composite
+def conversations(draw):
+    """Two addresses, transport and app of one group, each end's port
+    fixed for the whole set or (None) drawn per capture."""
+    app = draw(apps())
+    transport = "udp" if isinstance(app, DnsSelector) \
+        else draw(st.sampled_from(["tcp", "udp"]))
+    return (draw(ADDRS), draw(ADDRS), transport, app,
+            draw(st.one_of(st.none(), FIXED_PORTS)),
+            draw(st.one_of(st.none(), FIXED_PORTS)))
+
+
+@st.composite
+def retention_cases(draw):
+    """Capture sets over a few conversations: a conversation is held by some
+    captures only, sends either way first, or one way only (a DNS one sent
+    by its server only is a response-only group), and its drawn ports may
+    recur or be missing in some captures."""
+    pool = draw(st.lists(conversations(), min_size=1, max_size=4))
+    traces = []
+    for _ in range(draw(st.integers(1, 5))):
+        packets = []
+        for a, b, transport, app, a_port, b_port in draw(
+                st.lists(st.sampled_from(pool), max_size=5)):
+            ports = (draw(DRAWN_PORTS) if a_port is None else a_port,
+                     draw(DRAWN_PORTS) if b_port is None else b_port)
+            # the ends that send, in order: one way only, or both
+            for sender in draw(st.sampled_from(["a", "b", "ab", "ba"])):
+                (src, sport), (dst, dport) = ((a, ports[0]), (b, ports[1])) \
+                    if sender == "a" else ((b, ports[1]), (a, ports[0]))
+                answers = tuple(draw(st.lists(st.tuples(QNAMES, ADDRS),
+                                              max_size=1))) \
+                    if isinstance(app, DnsSelector) else ()
+                packets.append(ParsedPacket(
+                    ts_us=0, src_addr=src, dst_addr=dst, src_port=sport,
+                    dst_port=dport, transport=transport, app=app,
+                    dns_answers=answers))
+        traces.append(packets)
+    return traces
+
+
+def _by_the_rule(traces: list, table: DnsTable) -> list:
+    """aggregate_flows restated from its docstring: each trace's groups,
+    then one port decision per group and host over the traces holding the
+    group."""
+    for packets in traces:
+        for pkt in packets:
+            table.update(pkt)
+    per_trace = []
+    for packets in traces:
+        groups = {}  # key -> (first (src, dst), {(src, dst)}, {host: ports})
+        for pkt in packets:
+            if pkt.control_plane or pkt.transport not in ("tcp", "udp"):
+                continue
+            src, dst = name_endpoints(pkt, table)
+            ends, senders, ports = groups.setdefault(
+                (frozenset((src, dst)), pkt.transport, pkt.app),
+                ((src, dst), set(), {}))
+            senders.add((src, dst))
+            for host, port in ((src, pkt.src_port), (dst, pkt.dst_port)):
+                if port is not None:
+                    ports.setdefault(host, set()).add(port)
+        per_trace.append(groups)
+    flow_sets = []
+    for groups in per_trace:
+        flows = set()
+        for key, ((init, resp), senders, _) in groups.items():
+            holding = [other[key][2] for other in per_trace if key in other]
+            kept = {}
+            for host in set().union(*holding):
+                used = [ports.get(host, set()) for ports in holding]
+                well_known = [port for port in set().union(*used)
+                              if signature.is_well_known_port(port)]
+                common = set.intersection(*used)
+                if well_known:
+                    kept[host] = min(well_known)
+                elif common and len(holding) >= 2:
+                    kept[host] = min(common)
+            _, transport, app = key
+            resp_port = kept.get(resp)
+            if isinstance(app, DnsSelector) and resp_port not in (None, 53,
+                                                                  5353):
+                resp_port = None  # a response-only group: no client port
+            flows.add(canonicalize(FlowId(
+                initiator=init, responder=resp,
+                initiator_port=kept.get(init), responder_port=resp_port,
+                transport=Transport(transport),
+                direction=Direction.UNIDIRECTIONAL if len(senders) == 1
+                else Direction.BIDIRECTIONAL,
+                app=app)))
+        flow_sets.append(flows)
+    return flow_sets
+
+
+@given(retention_cases())
+@settings(deadline=None)
+def test_aggregation_follows_the_retention_rule(traces):
+    seed = {addr: name for name, addr in DOMAIN_ADDRS.items()}
+    table, expected_table = DnsTable(TOPO, seed), DnsTable(TOPO, seed)
+    flow_sets = aggregate_flows((Trace(tuple(t)) for t in traces), table)
+    assert flow_sets == _by_the_rule(traces, expected_table)
+    assert table.entries == expected_table.entries

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import pytest
 
@@ -258,6 +259,46 @@ def test_selector_splits_groups(topo):
                 _pkt(DEVICE, GATEWAY, 50000, 53, app=b))],
         DnsTable(topo))
     assert len(sets[0]) == 2
+
+
+def _capture_packets():
+    """Packet lists of a capture set whose later captures are named by the
+    earlier ones' DNS answers and SNI, with fixed and drawn ports."""
+    sel = DnsSelector(qtype="A", qname="a.example")
+    return [
+        (_pkt(DEVICE, GATEWAY, 50000, 53, app=sel),
+         _pkt(GATEWAY, DEVICE, 53, 50000, app=sel,
+              dns_answers=(("a.example", CLOUD),)),
+         _pkt(DEVICE, CLOUD, 49200, 443, "tcp"),
+         _pkt(CLOUD, DEVICE, 443, 49200, "tcp")),
+        (_pkt(DEVICE, CLOUD, 51800, 443, "tcp"),
+         _pkt(PHONE, DEVICE, 7000, 7001, "tcp"),
+         _pkt(DEVICE, PHONE, 7001, 7000, "tcp")),
+        (_pkt(DEVICE, "52.44.10.101", 52000, 443, "tcp", sni="api.example"),
+         _pkt(PHONE, DEVICE, 7000, 7001, "tcp"),
+         _pkt(PHONE, "255.255.255.255", 49000, 9999)),
+    ]
+
+
+def test_aggregation_reads_a_one_shot_stream_one_trace_at_a_time(topo):
+    expected = aggregate_flows([_trace(*packets)
+                                for packets in _capture_packets()],
+                               DnsTable(topo))
+    drawn = []
+
+    def stream():
+        for packets in _capture_packets():
+            assert all(ref() is None for ref in drawn), \
+                "an earlier trace is alive while the next one is drawn"
+            trace = _trace(*packets)
+            drawn.append(weakref.ref(trace))
+            yield trace
+            del trace
+
+    table = DnsTable(topo)
+    assert aggregate_flows(stream(), table) == expected
+    assert len(drawn) == 3
+    assert table.lookup(CLOUD) == "a.example"
 
 
 # -- signatures ---------------------------------------------------------------------
