@@ -308,6 +308,10 @@ def app_from_obj(obj) -> AppSelector:
             if f.type == "bool" and not isinstance(value, bool):
                 raise ValueError(
                     f"selector flag must be true or false, not {value!r}")
+            if f.type == "str" and not isinstance(value, str):
+                raise ValueError(
+                    f"selector field {f.name!r} must be a string, "
+                    f"not {value!r}")
         elif f.default is MISSING:
             raise KeyError(f.name)
     return cls(**kwargs)

@@ -1,10 +1,13 @@
 """Signature tree: breadth-first exploration state over blocked-flow paths.
 
 Nodes live in an arena indexed by integer handles; handle 0 is the synthetic
-root (no flow).  The frontier is FIFO.  With pruning enabled, a popped node
-whose flow already reached a terminal explored state (Expanded or Failed)
-anywhere in the tree is marked Pruned instead of being returned.  explore,
-the one loop that grows a tree, observes each distinct blocking set once.
+root (no flow).  Each node carries its blocking set, the flows on its root
+path.  The frontier is FIFO.  With pruning enabled, a popped node whose flow
+already reached a terminal explored state (Expanded or Failed) anywhere in
+the tree is marked Pruned instead of being returned.  explore, the one loop
+that grows a tree, observes each distinct blocking set once.  An unpruned
+tree repeats each set once per order of its flows, so a tree sorts each
+set's children once, and its export writes each distinct node head once.
 """
 
 from __future__ import annotations
@@ -36,12 +39,15 @@ class RootFailed(RuntimeError):
 
 @dataclass
 class SigNode:
+    """A path's last flow and its blocking set: the parent's set plus that
+    flow, empty at the root; nodes of one set may share the instance."""
     flow: Optional[FlowId]  # None only for the root
     parent: Optional[int]
     depth: int
     status: NodeStatus = NodeStatus.UNEXPLORED
     children: list = field(default_factory=list)
     reason: Optional[str] = None  # set for Pruned nodes
+    blocked: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,8 @@ class SigTree:
         # one instance per distinct flow, so that each flow's hash and
         # canonical JSON are computed once per tree, not once per node
         self._flows: dict = {}
+        # (blocking set, signature flows) -> [(child flow, child set), ...]
+        self._children: dict = {}
 
     @property
     def root(self) -> int:
@@ -91,22 +99,26 @@ class SigTree:
     def add_children(self, handle: int, signature: EventSignature) -> list:
         """Expand a node with the signature seen under its blocking set.
 
-        Children are the signature flows minus flows already on the node's
-        root path, appended in canonical sort order.  Returns their handles.
+        Children are the signature flows minus the node's blocking set,
+        appended in canonical sort order.  Returns their handles.  Nodes of
+        one set and signature share one sort and each child's set.
         """
         node = self.nodes[handle]
         if node.status is not NodeStatus.UNEXPLORED:
             raise NodeAlreadyVisited(f"node {handle} is {node.status.value}")
-        fresh = signature.flows - set(self.blocking_set(handle))
-        handles = []
-        for flow in sorted_flows(self._flows.setdefault(flow, flow)
-                                 for flow in fresh):
-            child = SigNode(flow=flow, parent=handle, depth=node.depth + 1)
-            self.nodes.append(child)
-            child_handle = len(self.nodes) - 1
-            node.children.append(child_handle)
-            self.frontier.append(child_handle)
-            handles.append(child_handle)
+        key = (node.blocked, signature.flows)
+        if key not in self._children:
+            fresh = sorted_flows(self._flows.setdefault(flow, flow)
+                                 for flow in signature.flows - node.blocked)
+            self._children[key] = [(flow, node.blocked | {flow})
+                                   for flow in fresh]
+        first, depth = len(self.nodes), node.depth + 1
+        self.nodes.extend(SigNode(flow=flow, parent=handle, depth=depth,
+                                  blocked=blocked)
+                          for flow, blocked in self._children[key])
+        handles = list(range(first, len(self.nodes)))
+        node.children.extend(handles)
+        self.frontier.extend(handles)
         node.status = NodeStatus.EXPANDED
         if node.flow is not None:
             self._explored.add(node.flow)
@@ -173,10 +185,14 @@ class SigTree:
         """The tree as `json.dumps(obj, indent=2) + "\n"`, where each node
         object holds flow (except the root), status, depth, reason (Pruned
         nodes) and children.  The text is written directly, because the
-        stdlib's indented encoder is pure Python; each flow's and each
-        reason's block is encoded once per indent, by json.dumps itself."""
+        stdlib's indented encoder is pure Python.  A node's text up to its
+        children, and the separators its depth sets, are built once per
+        (flow, status, depth, reason); each flow's and each reason's block
+        is encoded once per depth, by json.dumps itself."""
         parts = ['{\n  "root": ']
+        nodes = self.nodes
         blocks: dict = {}  # (flow or reason, indent) -> encoded block
+        heads: dict = {}  # (flow, status, depth, reason) -> node texts
 
         def block(value, inner: str) -> str:
             key = (value, inner)
@@ -185,26 +201,36 @@ class SigTree:
                 blocks[key] = text.replace("\n", "\n" + inner)
             return blocks[key]
 
-        def write(handle: int, pad: str):
-            node = self.nodes[handle]
+        def texts(node: SigNode) -> tuple:
+            """(leaf text, head and first separator, separator, tail)"""
+            pad = "  " * (2 * node.depth + 1)
             inner = pad + "  "
-            parts.append("{\n")
-            if handle != self.root:
-                parts.append(f'{inner}"flow": {block(node.flow, inner)},\n')
-            parts.append(f'{inner}"status": "{node.status.value}",\n'
-                         f'{inner}"depth": {node.depth},\n')
+            head = "{\n"
+            if node.flow is not None:
+                head += f'{inner}"flow": {block(node.flow, inner)},\n'
+            head += (f'{inner}"status": "{node.status.value}",\n'
+                     f'{inner}"depth": {node.depth},\n')
             if node.reason is not None:
-                parts.append(f'{inner}"reason": {block(node.reason, inner)},\n')
-            if not node.children:
-                parts.append(f'{inner}"children": []\n{pad}}}')
-                return
-            parts.append(f'{inner}"children": [\n')
-            for index, child in enumerate(node.children):
-                parts.append(",\n" + inner + "  " if index else inner + "  ")
-                write(child, inner + "  ")
-            parts.append(f"\n{inner}]\n{pad}}}")
+                head += f'{inner}"reason": {block(node.reason, inner)},\n'
+            head += f'{inner}"children": ['
+            return (f"{head}]\n{pad}}}", f"{head}\n{inner}  ",
+                    f",\n{inner}  ", f"\n{inner}]\n{pad}}}")
 
-        write(self.root, "  ")
+        def write(handle: int):
+            node = nodes[handle]
+            key = (node.flow, node.status, node.depth, node.reason)
+            text = heads.get(key) or heads.setdefault(key, texts(node))
+            if not node.children:
+                parts.append(text[0])
+                return
+            parts.append(text[1])
+            write(node.children[0])
+            for child in node.children[1:]:
+                parts.append(text[2])
+                write(child)
+            parts.append(text[3])
+
+        write(self.root)
         del write  # the closure refers to itself; the cycle would hold parts
         parts.append("\n}\n")
         return "".join(parts)
@@ -221,30 +247,31 @@ class SigTree:
         return SigTree.from_obj(json.loads(text))
 
     def to_dot(self, hide_failed: bool = False) -> str:
-        """Graphviz rendering; Pruned nodes dashed, Failed nodes annotated."""
+        """Graphviz rendering; Pruned nodes dashed, Failed nodes annotated.
+        Each (flow, status, reason) has its attribute text built once."""
         lines = ["digraph sigtree {", "  rankdir=LR;",
                  '  n0 [label="event", shape=box];']
         edges = []
-        labels: dict = {}  # flow -> escaped describe()
+        nodes = self.nodes
+        attrs: dict = {}  # (flow, status, reason) -> attribute text
+
+        def attributes(node: SigNode) -> str:
+            label = _dot_escape(node.flow.describe())
+            if node.status is NodeStatus.PRUNED:
+                return (f'label="{label}", style=dashed, '
+                        f'tooltip="pruned: {_dot_escape(node.reason)}"')
+            if node.status is NodeStatus.FAILED:
+                return f'label="{label}\\n[failed]", color=red'
+            return f'label="{label}"'
 
         def visit(handle: int):
-            for child in self.nodes[handle].children:
-                node = self.nodes[child]
+            for child in nodes[handle].children:
+                node = nodes[child]
                 if hide_failed and node.status is NodeStatus.FAILED:
                     continue
-                label = labels.get(node.flow)
-                if label is None:
-                    label = labels[node.flow] = _dot_escape(
-                        node.flow.describe())
-                attrs = [f'label="{label}"']
-                if node.status is NodeStatus.PRUNED:
-                    attrs.append("style=dashed")
-                    reason = _dot_escape(node.reason)
-                    attrs.append(f'tooltip="pruned: {reason}"')
-                elif node.status is NodeStatus.FAILED:
-                    attrs[0] = f'label="{label}\\n[failed]"'
-                    attrs.append("color=red")
-                lines.append(f"  n{child} [{', '.join(attrs)}];")
+                key = (node.flow, node.status, node.reason)
+                text = attrs.get(key) or attrs.setdefault(key, attributes(node))
+                lines.append(f"  n{child} [{text}];")
                 edges.append(f"  n{handle} -> n{child};")
                 visit(child)
 
@@ -268,6 +295,7 @@ def _build_node(tree, node_obj: dict, parent: Optional[int], depth: int):
         tree.nodes[0] = node
         handle = 0
     else:
+        node.blocked = tree.nodes[parent].blocked | {flow}
         tree.nodes.append(node)
         handle = len(tree.nodes) - 1
         tree.nodes[parent].children.append(handle)
@@ -300,16 +328,16 @@ def explore(tree: SigTree,
     """
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be at least 1 when set")
-    observed: dict = {}  # frozenset(blocking set) -> its signature
+    observed: dict = {}  # blocking set -> its signature
     while (handle := tree.next_node()) is not None:
-        if max_depth is not None and tree.node(handle).depth > max_depth:
+        node = tree.node(handle)
+        if max_depth is not None and node.depth > max_depth:
             tree.prune(handle, "depth-capped")
             continue
-        blocking_set = tree.blocking_set(handle)
-        key = frozenset(blocking_set)
-        signature = observed.get(key)
+        signature = observed.get(node.blocked)
         if signature is None:
-            signature = observed[key] = observe(blocking_set)
+            signature = observed[node.blocked] = observe(
+                tree.blocking_set(handle))
         if accept_signature(signature):
             tree.add_children(handle, signature)
         elif handle == tree.root:

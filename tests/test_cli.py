@@ -350,6 +350,34 @@ def test_string_selector_flag_exits_one(tmp_path):
     assert not (tmp_path / "report.csv").exists()
 
 
+_APPS = ({"proto": "dns", "qtype": "A", "qname": "a.example"},
+         {"proto": "http", "method": "GET", "uri": "/x"},
+         {"proto": "coap", "type": "CON", "code": "GET", "uri_path": "/x"})
+
+
+@pytest.mark.parametrize("app, key", [
+    pytest.param(app, key, id=f"{app['proto']}.{key}")
+    for app in _APPS for key in app if key != "proto"])
+def test_a_selector_string_field_of_another_type_exits_one(
+        tmp_path, capsys, app, key):
+    flows_path, tree_path = tmp_path / "flows.json", tmp_path / "tree.json"
+    for value in (["x"], 1, {"a": 1}):
+        flow = {"initiator": "device", "responder": "gateway",
+                "transport": "udp", "app": {**app, key: value}}
+        flows_path.write_text(json.dumps([flow]))
+        tree_path.write_text(json.dumps({"root": {
+            "status": "expanded", "depth": 0, "children": [
+                {"flow": flow, "status": "unexplored", "depth": 1}]}}))
+        for argv in (["rules", str(flows_path)], ["analyze", str(tree_path)]):
+            capsys.readouterr()
+            assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert repr(key) in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["flows.json", "tree.json"]
+
+
 def test_profile_refuses_a_qtype_out_of_range(tmp_path, capsys):
     def add_query(obj):
         obj["flows"].append({

@@ -23,6 +23,7 @@ from flowprof import (
     load_model,
     oracle_tree,
     profile_event,
+    sigtree,
 )
 
 from conftest import MODEL_DIR, model_path
@@ -39,6 +40,7 @@ def _flow(name):
 
 
 A, B, C = _flow("a.example"), _flow("b.example"), _flow("c.example")
+D = _flow("d.example")
 
 
 def _sig(*flows):
@@ -196,6 +198,17 @@ def test_import_restores_frontier_and_dedupe():
     resumed.add_children(b, _sig())
     assert resumed.next_node() is None
     assert any(n.status is NodeStatus.PRUNED for n in resumed.nodes)
+
+
+def test_an_imported_node_keeps_its_path_flows_out_of_its_children():
+    tree = SigTree()
+    tree.add_children(tree.next_node(), _sig(A, B))
+    tree.add_children(tree.next_node(), _sig(A, B))  # B below A
+    resumed = SigTree.import_json(tree.export_json())
+    (handle,) = (h for h, n in enumerate(resumed.nodes) if n.depth == 2)
+    assert resumed.node(handle).status is NodeStatus.UNEXPLORED
+    children = resumed.add_children(handle, _sig(A, B, C))
+    assert [resumed.node(h).flow for h in children] == [C]
 
 
 def test_import_refuses_a_reason_that_is_not_a_string():
@@ -409,3 +422,53 @@ def test_a_refused_tree_file_leaves_no_reference_cycle():
     except TypeError:
         pass
     assert gc.collect() == 0
+
+
+def test_nodes_of_one_blocking_set_get_the_children_of_their_own_signature():
+    # A -> B and B -> A share a blocking set; given different signatures,
+    # each node is expanded by its own
+    tree = SigTree(pruning=False)
+    tree.add_children(tree.next_node(), _sig(A, B))
+    (ab,) = tree.add_children(tree.next_node(), _sig(A, B))
+    (ba,) = tree.add_children(tree.next_node(), _sig(A, B))
+    assert tree.node(ab).blocked == tree.node(ba).blocked == {A, B}
+    below_ab = tree.add_children(tree.next_node(), _sig(A, B, C))
+    below_ba = tree.add_children(tree.next_node(), _sig(D))
+    assert [tree.node(h).flow for h in below_ab] == [C]
+    assert [tree.node(h).flow for h in below_ba] == [D]
+    assert tree.node(below_ba[0]).blocked == {A, B, D}
+    while (handle := tree.next_node()) is not None:
+        tree.prune(handle, "depth-capped")
+    assert_stdlib_encoding(tree)
+    for hide_failed in (False, True):
+        assert tree.to_dot(hide_failed) == _dot_by_hand(tree, hide_failed)
+
+
+def test_each_set_sorts_its_children_once_and_each_block_encodes_once(
+        monkeypatch):
+    """Counts calls, not time: an unpruned tree repeats each blocking set
+    once per order of its flows, and the work that depends only on the set
+    or on a flow's text is not repeated with it."""
+    sorts, dumps = [], []
+    sort, encode = sigtree.sorted_flows, json.dumps
+    monkeypatch.setattr(sigtree, "sorted_flows",
+                        lambda flows: sorts.append(1) or sort(flows))
+    tree = oracle_tree(load_model(model_path("hs110_toggle")), pruning=False,
+                       max_depth=4)
+    expanded = [h for h, n in enumerate(tree.nodes)
+                if n.status is NodeStatus.EXPANDED]
+    # explore observes each set once, so a set has one signature, and the
+    # signature is the set's children plus the set itself
+    pairs = {(frozenset(tree.blocking_set(h)),
+              frozenset(tree.node(c).flow for c in tree.node(h).children))
+             for h in expanded}
+    assert len(pairs) < len(expanded)
+    assert 0 < len(sorts) <= len(pairs)
+    monkeypatch.setattr(sigtree.json, "dumps",
+                        lambda *args, **kwargs: dumps.append(1)
+                        or encode(*args, **kwargs))
+    tree.export_json()
+    blocks = {(value, n.depth) for n in tree.nodes[1:]
+              for value in (n.flow, n.reason) if value is not None}
+    assert len(blocks) < len(tree.nodes)
+    assert 0 < len(dumps) <= len(blocks)
