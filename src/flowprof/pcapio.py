@@ -9,6 +9,10 @@ file order and nothing else of the file.  `dissect` is total: any byte string
 comes back as a ParsedPacket, degrading to an opaque transport token instead
 of raising.  The writer and the dissector code selector fields through the
 tables in `core` that the selectors themselves are checked against.
+
+The DNS and TLS ClientHello parses, the two that check names, are memoized
+on the payload bytes, so a capture set that repeats a message parses it once
+per process.  No other payload enters a memo.
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ PCAPNG_MAGIC = 0x0A0D0D0A
 _MAGICS = {PCAP_MAGIC: ("<", 1), 0xD4C3B2A1: (">", 1),
            0xA1B23C4D: ("<", 1000), 0x4D3CB2A1: (">", 1000)}
 LINKTYPE_ETHERNET = 1
+
+# Payloads kept by each of the DNS and ClientHello parse memos, each entry
+# holding its payload as the key: at most 256 x the largest one read, as the
+# reader bounds no record's length.  Such messages are usually under 2 KB.
+PAYLOAD_CACHE_SIZE = 256
 
 _GLOBAL_LE = struct.Struct("<IHHiIII")
 _REC_LE = struct.Struct("<IIII")
@@ -275,7 +284,7 @@ def _dissect_udp(frame, ts_us, src, dst, start, end):
     if sport in (67, 68) or dport in (67, 68):
         control = True
     elif sport in DNS_PORTS or dport in DNS_PORTS:
-        parsed = _parse_dns(payload)
+        parsed = _parse_dns(bytes(payload))
         if parsed is not None:
             app, answers = parsed
     else:
@@ -306,12 +315,13 @@ def _classify_tls(payload: bytes):
     if rtype != 0x16:
         return None
     if len(payload) >= 6 and payload[5] == 0x01:
-        sni = _parse_sni(payload)
+        sni = _parse_sni(bytes(payload))
         if sni is not None:
             return (False, sni)
     return (True, None)
 
 
+@functools.lru_cache(maxsize=PAYLOAD_CACHE_SIZE)
 def _parse_sni(record: bytes):
     try:
         body = record[5:5 + int.from_bytes(record[3:5], "big")]
@@ -394,8 +404,10 @@ def _read_dns_name(msg: bytes, pos: int, jumps: int = 0):
     return (".".join(labels), pos + 1)
 
 
+@functools.lru_cache(maxsize=PAYLOAD_CACHE_SIZE)
 def _parse_dns(payload: bytes):
-    """(DnsSelector, answers) or None.  Answers only for responses."""
+    """(DnsSelector, answers) or None.  Answers only for responses.  The
+    selector checks the qname; a name it refuses makes the message None."""
     if len(payload) < 12:
         return None
     try:
@@ -410,13 +422,14 @@ def _parse_dns(payload: bytes):
     if parsed is None:
         return None
     qname, pos = parsed
-    if not is_valid_domain(qname):
-        return None
     if pos + 4 > len(payload):
         return None
     qtype = qtype_token(int.from_bytes(payload[pos:pos + 2], "big"))
     pos += 4
-    selector = DnsSelector(qtype=qtype, qname=qname)
+    try:
+        selector = DnsSelector(qtype=qtype, qname=qname)
+    except ValueError:
+        return None
     answers = []
     if flags & 0x8000:
         # Skip any further questions, then walk the answer section.

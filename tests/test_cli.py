@@ -5,9 +5,11 @@ import tracemalloc
 
 import pytest
 
-from flowprof import FlowId, cli, compile_rules, read_pcap, render
+from flowprof import (FlowId, cli, compile_rules, core, pcapio, read_pcap,
+                      render)
 from flowprof.blocklist import parse as parse_rules
 from flowprof.cli import main
+from flowprof.core import is_valid_domain
 from flowprof.simnet import MAX_FORMULA_DEPTH
 
 from conftest import model_path
@@ -273,6 +275,34 @@ def test_extract_memory_does_not_grow_with_every_capture(tmp_path):
              for m in sizes}
     per_capture = (peaks[160] - peaks[40]) / (160 - 40)
     assert per_capture < 8000, f"{per_capture:.0f} B per capture"
+
+
+def test_extract_checks_dns_names_per_distinct_payload(tmp_path,
+                                                      monkeypatch):
+    """The dissector checks the names of a DNS message or ClientHello once,
+    when it first parses it, so extract makes as many `is_valid_domain`
+    calls over 16 simulated captures of one event as over 4, cold or warm."""
+    model = model_path("hs110_toggle")
+    dirs = {m: _simulate(model, tmp_path / f"caps{m}", m) for m in (4, 16)}
+    assert _extract(model, dirs[16], 16, tmp_path / "warm") == 0
+    calls = []
+
+    def counted(name):
+        calls.append(name)
+        return is_valid_domain(name)
+
+    monkeypatch.setattr(core, "is_valid_domain", counted)
+    monkeypatch.setattr(pcapio, "is_valid_domain", counted)
+    counts = {}
+    for m, cold in ((4, True), (16, True), (4, False), (16, False)):
+        if cold:
+            pcapio._parse_dns.cache_clear()
+            pcapio._parse_sni.cache_clear()
+        calls.clear()
+        assert _extract(model, dirs[m], m, tmp_path / f"sig{m}") == 0
+        counts[m, cold] = len(calls)
+    assert counts[4, True] == counts[16, True] > counts[16, False]
+    assert counts[4, False] == counts[16, False]
 
 
 def test_simulate_m_below_one_exits_one(tmp_path, mini_model, capsys):

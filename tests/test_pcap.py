@@ -23,7 +23,9 @@ from flowprof import (
     run_capture,
     write_pcap,
 )
-from flowprof.core import COAP_CODES, COAP_TYPES, DNS_QTYPES, HTTP_METHODS
+from flowprof import core, pcapio
+from flowprof.core import (COAP_CODES, COAP_TYPES, DNS_QTYPES, HTTP_METHODS,
+                           is_valid_domain)
 from flowprof.pcapio import TCP_ACK, TCP_PSH, TCP_SYN, _synth_frame, frame_len
 
 
@@ -392,15 +394,72 @@ def _pinned_frames() -> list:
     return bases + [_mutated(rng.choice(bases), rng) for _ in range(20_000)]
 
 
+def _clear_payload_memos():
+    pcapio._parse_dns.cache_clear()
+    pcapio._parse_sni.cache_clear()
+
+
+def _payload_memo_stats():
+    infos = (pcapio._parse_dns.cache_info(), pcapio._parse_sni.cache_info())
+    return (sum(i.misses for i in infos), sum(i.hits for i in infos),
+            sum(i.currsize for i in infos))
+
+
 def test_dissector_output_is_pinned():
     """A digest of what dissect returns for every pinned frame, so any
-    change to its output shows; a bytearray frame dissects like its bytes
-    (an address slice left a bytearray is unhashable for the address cache,
-    which would degrade the frame to `undecoded`)."""
+    change to its output shows.  Each frame dissects alike with its DNS or
+    ClientHello payload parsed afresh, then from the payload memo, then
+    from the memo as a bytearray frame (an address or payload slice left a
+    bytearray is unhashable for the memos, which would degrade the frame to
+    `undecoded`)."""
     digest = hashlib.sha256()
     for i, frame in enumerate(_pinned_frames()):
+        _clear_payload_memos()
         pkt = dissect(frame, i)
+        assert dissect(frame, i) == pkt
         assert dissect(bytearray(frame), i) == pkt
+        misses, hits, _ = _payload_memo_stats()
+        assert misses <= 1 and hits == 2 * misses
         digest.update(repr(pkt).encode() + b"\n")
     assert digest.hexdigest() == (
         "0511a2a86b5db3149507f462fdaa76202fd1589593adcab06f7a6a5e93b46514")
+
+
+def _dns_response_frame():
+    response = _data(
+        src_addr="192.168.1.1", dst_addr="192.168.1.53",
+        src_port=53, dst_port=51111, transport="udp", tcp_flags=None,
+        app=DnsSelector(qtype="A", qname="use1-api.tplinkra.com"),
+        dns_answers=(("use1-api.tplinkra.com", "52.44.10.100"),),
+    )
+    return response, _synth_frame(response, 0)
+
+
+@pytest.mark.parametrize("first, second", [(bytes, bytearray),
+                                           (bytearray, bytes)])
+def test_bytes_and_bytearray_frames_share_one_memo_entry(first, second):
+    response, frame = _dns_response_frame()
+    _clear_payload_memos()
+    pkt = dissect(first(frame), 7)
+    assert dissect(second(frame), 7) == pkt
+    assert pkt.app == response.app
+    assert pkt.dns_answers == response.dns_answers
+    assert _payload_memo_stats() == (1, 1, 1)
+
+
+def test_dns_parse_checks_each_name_once(monkeypatch):
+    """A DNS response's qname is checked by its selector only, and each
+    answer name once, on a cold parse as on any other."""
+    response, frame = _dns_response_frame()
+    calls = []
+
+    def counted(name):
+        calls.append(name)
+        return is_valid_domain(name)
+
+    monkeypatch.setattr(core, "is_valid_domain", counted)
+    monkeypatch.setattr(pcapio, "is_valid_domain", counted)
+    _clear_payload_memos()
+    assert dissect(frame).app == response.app
+    assert calls == ["use1-api.tplinkra.com"] * 2
+
