@@ -438,6 +438,40 @@ def test_simulate_and_profile_refuse_what_a_capture_cannot_carry(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "profile"])
+def test_a_frame_too_long_for_ip_is_an_error_line(tmp_path, capsys, command):
+    http = {"proto": "http", "method": "GET", "uri": "/" + "a" * 70000}
+    model_path = tmp_path / "odd.json"
+    model_path.write_text(json.dumps(_model(_odd_flow("tcp", 80, http))))
+    assert main([command, "--model", str(model_path),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flow 'odd' cannot be captured: ") \
+        and err.count("\n") == 1, err
+    assert "70058 bytes" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_writes_alike_from_a_warm_and_a_cold_frame_memo(tmp_path):
+    """Two runs in one process, the second reading every frame from the
+    memo, and a third after clearing it, write the same bytes."""
+    pcapio._port_free_frame.cache_clear()
+    outputs = []
+    for run in range(3):
+        if run == 2:
+            pcapio._port_free_frame.cache_clear()
+        before = pcapio._port_free_frame.cache_info()
+        out = tmp_path / f"run{run}"
+        assert main(["simulate", "--model", str(model_path("hs110_toggle")),
+                     "--m", "4", "--seed", "3", "--out-dir", str(out)]) == 0
+        after = pcapio._port_free_frame.cache_info()
+        assert after.hits > before.hits
+        assert (after.misses == before.misses) == (run == 1)
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outputs[0]) == 5 and "success.txt" in outputs[0]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_analyze_rejects_missing_and_bad_trees(tmp_path, capsys):
     assert main(["analyze", "--out-dir", str(tmp_path)]) == 1
     junk = tmp_path / "junk.json"

@@ -3,8 +3,8 @@ in the package is used by its own module, every private method is loaded by
 its module outside its own body, no module imports another's private name,
 every exported name is used inside the package, only the modules that render the file formats call the text
 serializers, every packet is built with its fields named, no frozen
-value is changed after it was built, and only core spells out the selector
-vocabulary."""
+value is changed after it was built, only core spells out the selector
+vocabulary, and every module-level memo is bounded."""
 
 import ast
 import pathlib
@@ -324,3 +324,69 @@ def test_check_flags_a_copy_of_the_selector_vocabulary():
                      "_QTYPES = {name: code for code, name in _NAMES}\n")
     assert _selector_vocabularies(tree) == [(1, "_METHODS"), (3, "_CODES"),
                                             (7, "_TYPES")]
+
+
+def _memo_kind(decorator):
+    """'lru_cache' or 'cache' for a functools memo decorator, else None."""
+    func = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = getattr(func, "attr", None) or getattr(func, "id", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def _bounded(decorator) -> bool:
+    """An lru_cache whose maxsize is a named constant or 1."""
+    if not isinstance(decorator, ast.Call):
+        return False
+    sizes = decorator.args[:1] + [kw.value for kw in decorator.keywords
+                                  if kw.arg == "maxsize"]
+    return len(sizes) == 1 and (
+        isinstance(sizes[0], ast.Name) and sizes[0].id.isupper()
+        or isinstance(sizes[0], ast.Constant) and sizes[0].value == 1)
+
+
+def _unbounded_memos(tree: ast.Module) -> list:
+    """Module-level functions and methods of module-level classes memoized
+    without an explicit bound: such a memo lives as long as the process.
+    A memo inside a function dies with its call and may be unbounded."""
+    scopes = [tree.body] + [node.body for node in tree.body
+                            if isinstance(node, ast.ClassDef)]
+    return sorted((node.lineno, node.name) for body in scopes for node in body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for decorator in node.decorator_list
+                  if _memo_kind(decorator) and not _bounded(decorator))
+
+
+def test_module_level_memos_are_bounded():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {name}"
+                  for line, name in _unbounded_memos(tree)]
+    assert found == []
+
+
+def test_check_flags_an_unbounded_memo():
+    tree = ast.parse("import functools\n"
+                     "from functools import lru_cache\n"
+                     "@functools.lru_cache(maxsize=CACHE_SIZE)\n"
+                     "def named(x): return x\n"
+                     "@lru_cache(1)\n"
+                     "def single(x): return x\n"
+                     "@functools.lru_cache\n"
+                     "def default(x): return x\n"
+                     "@functools.lru_cache(maxsize=None)\n"
+                     "def unbounded(x): return x\n"
+                     "@functools.cache\n"
+                     "def cached(x): return x\n"
+                     "@lru_cache(maxsize=4096)\n"
+                     "def literal(x): return x\n"
+                     "class Table:\n"
+                     "    @functools.lru_cache()\n"
+                     "    def lookup(self, x): return x\n"
+                     "def per_call(xs):\n"
+                     "    @functools.cache\n"
+                     "    def inner(x): return x\n"
+                     "    return [inner(x) for x in xs]\n")
+    assert _unbounded_memos(tree) == [(8, "default"), (10, "unbounded"),
+                                      (12, "cached"), (14, "literal"),
+                                      (17, "lookup")]

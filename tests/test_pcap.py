@@ -14,6 +14,7 @@ from flowprof import (
     RuleSet,
     Trace,
     TruncatedRecord,
+    UnresolvedHost,
     compile_rules,
     dissect,
     filter_control_plane,
@@ -463,3 +464,98 @@ def test_dns_parse_checks_each_name_once(monkeypatch):
     assert dissect(frame).app == response.app
     assert calls == ["use1-api.tplinkra.com"] * 2
 
+
+
+# -- frame memo -------------------------------------------------------------------
+
+
+def _frames(data: bytes) -> list:
+    """The frames of a write_pcap capture, in record order."""
+    frames, offset = [], 24
+    while offset < len(data):
+        incl = struct.unpack_from("<IIII", data, offset)[2]
+        frames.append(data[offset + 16:offset + 16 + incl])
+        offset += 16 + incl
+    return frames
+
+
+@pytest.mark.parametrize("src, dst", [("192.168.1.53", "52.44.10.100"),
+                                      ("fd00::53", "2001:db8::1")],
+                         ids=["ipv4", "ipv6"])
+@pytest.mark.parametrize("fields", [
+    dict(transport="tcp", sni="use1-api.tplinkra.com"),
+    dict(transport="tcp", control_plane=True, tcp_flags=TCP_SYN),
+    dict(transport="udp", tcp_flags=None,
+         app=CoapSelector(type="CON", code="GET", uri_path="/x")),
+    dict(transport="udp", tcp_flags=None,
+         app=DnsSelector(qtype="A", qname="use1-api.tplinkra.com"),
+         dns_answers=(("use1-api.tplinkra.com", "52.44.10.100"),)),
+], ids=["tcp-sni", "tcp-syn", "udp-coap", "udp-dns"])
+def test_packets_differing_in_ports_differ_in_the_port_words_only(
+        src, dst, fields):
+    """The second packet's frame is the first's, read from the frame memo,
+    with other port words spliced in: byte for byte what the synthesizer
+    builds for it."""
+    one = _data(src_addr=src, dst_addr=dst, **fields)
+    two = one._replace(ts_us=one.ts_us + 1, src_port=53, dst_port=None)
+    pcapio._port_free_frame.cache_clear()
+    first, second = _frames(write_pcap(Trace(packets=(one, two))))
+    info = pcapio._port_free_frame.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first == _synth_frame(one, one.wire_len)
+    assert second == _synth_frame(two, two.wire_len)
+    ports = 34 if one.src_addr.count(".") == 3 else 54
+    assert len(first) == len(second)
+    assert first[:ports] == second[:ports]
+    assert first[ports + 4:] == second[ports + 4:]
+    assert first[ports:ports + 4] == struct.pack(">HH", 49321, 443)
+    assert second[ports:ports + 4] == struct.pack(">HH", 53, 0)
+
+
+@pytest.mark.parametrize("src, dst, error, message", [
+    ("a.example", "52.44.10.100", UnresolvedHost, "cannot resolve host"),
+    ("192.168.1.53", "2001:db8::1", ValueError, "mixed address families"),
+])
+def test_the_frame_memo_keeps_no_failure(src, dst, error, message):
+    pcapio._port_free_frame.cache_clear()
+    for transport in ("tcp", "udp"):
+        pkt = _data(src_addr=src, dst_addr=dst, transport=transport)
+        for _ in range(3):
+            with pytest.raises(error, match=message):
+                write_pcap(Trace(packets=(pkt,)))
+    info = pcapio._port_free_frame.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
+
+
+def test_the_frame_memo_stays_within_its_bound():
+    pcapio._port_free_frame.cache_clear()
+    for path in sorted(MODEL_DIR.glob("*.json")):
+        model = load_model(path)
+        for seed in range(3):
+            write_pcap(run_capture(model, RuleSet(), seed).trace)
+    info = pcapio._port_free_frame.cache_info()
+    assert info.maxsize == pcapio.PAYLOAD_CACHE_SIZE
+    assert 0 < info.currsize <= info.maxsize
+    assert info.hits > info.misses
+
+
+@pytest.mark.parametrize("transport", ["tcp", "udp"])
+@pytest.mark.parametrize("src, dst, largest", [
+    ("192.168.1.53", "52.44.10.100", 14 + 0xFFFF),
+    ("fd00::53", "2001:db8::1", 54 + 0xFFFF),
+], ids=["ipv4", "ipv6"])
+def test_a_frame_its_ip_length_field_cannot_hold_is_refused(
+        src, dst, largest, transport):
+    """The IPv4 total length counts the IP header, the IPv6 payload length
+    does not; both are 16 bits wide."""
+    pkt = _data(src_addr=src, dst_addr=dst, transport=transport,
+                tcp_flags=None, wire_len=largest)
+    assert _round_trip(pkt).wire_len == largest
+    version = 4 if src.count(".") == 3 else 6
+    for bad in (pkt._replace(wire_len=largest + 1), pkt._replace(
+            wire_len=0, app=HttpSelector(method="GET", uri="/" + "a" * 70000))):
+        with pytest.raises(ValueError, match=(
+                rf"an IPv{version} length field cannot hold \d+ bytes")):
+            write_pcap(Trace(packets=(bad,)))
+    with pytest.raises(ValueError, match="65536 bytes"):
+        write_pcap(Trace(packets=(pkt._replace(wire_len=largest + 1),)))
