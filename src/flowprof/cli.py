@@ -29,8 +29,8 @@ def _write_text(path: Path, text: str):
 
 
 def _write_bytes(path: Path, data: bytes):
-    """Write through a temporary sibling file, removed again on failure."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write through a temporary sibling file, removed again on failure.
+    Each command makes its output directory once, before its first write."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_bytes(data)
@@ -42,6 +42,7 @@ def _write_bytes(path: Path, data: bytes):
 
 
 def _write_tree(out_dir: Path, tree: SigTree, hide_failed: bool):
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "tree.json", tree.export_json())
     _write_text(out_dir / "tree.dot", tree.to_dot(hide_failed))
 
@@ -138,7 +139,9 @@ def cmd_extract(args) -> int:
         raise ValueError(f"not a directory: {capture_dir}")
     if args.m < 1:
         raise ValueError("m must be at least 1")
-    pcaps = sorted(capture_dir.glob("*.pcap"))
+    # names, not Paths, are held through the pass: a Path keeps several
+    # times the bytes of its name
+    pcaps = sorted(path.name for path in capture_dir.glob("*.pcap"))
     if len(pcaps) != args.m:
         raise ValueError(f"expected {args.m} captures, found {len(pcaps)}")
     flags_path = capture_dir / "success.txt"
@@ -150,18 +153,24 @@ def cmd_extract(args) -> int:
             f"success.txt must hold {args.m} 0/1 flags, one per capture")
     table = DnsTable(load_model(args.model).topology)
     signature = extract_signature(
-        aggregate_flows(_successful_traces(pcaps, flags), table), m=args.m)
-    out = Path(args.out_dir) / "signature.json"
-    _write_text(out, json.dumps(signature.to_obj(), indent=2) + "\n")
+        aggregate_flows(_successful_traces(capture_dir, pcaps, flags), table),
+        m=args.m)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_text(out_dir / "signature.json",
+                json.dumps(signature.to_obj(), indent=2) + "\n")
     return 0
 
 
-def _successful_traces(pcaps: list, flags: list):
+def _successful_traces(capture_dir: Path, pcaps: list, flags: list):
     """The data-plane packets of each successful capture, read one at a
     time; a corrupt capture errors even when it failed, so every one is
     read."""
-    for path, flag in zip(pcaps, flags):
-        trace = read_pcap(path.read_bytes())
+    for name, flag in zip(pcaps, flags):
+        # not capture_dir / name: that interns each name, and the dead names
+        # fill the interned-string table until it is resized, 1 MB at a time
+        with open(os.path.join(capture_dir, name), "rb") as pcap:
+            trace = read_pcap(pcap.read())
         if flag == "1":
             yield filter_control_plane(trace)
 
@@ -251,7 +260,9 @@ def cmd_analyze(args) -> int:
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad tree file {path}: {exc}") from exc
         reports.append(build_report(tree, label))
-    _write_text(Path(args.out_dir) / "report.csv", render_csv(reports))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_text(out_dir / "report.csv", render_csv(reports))
     return 0
 
 
@@ -273,8 +284,9 @@ def cmd_rules(args) -> int:
     if not isinstance(obj, list):
         raise ValueError("flows file must hold a JSON list of FlowId objects")
     flows = [FlowId.from_obj(item) for item in obj]
-    _write_text(Path(args.out_dir) / "rules.txt",
-                render(compile_rules(flows)))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_text(out_dir / "rules.txt", render(compile_rules(flows)))
     return 0
 
 
@@ -286,6 +298,7 @@ def cmd_simulate(args) -> int:
     # the driver refuses a model whose packets a capture cannot carry
     captures = SimDriver(model).run(rules, args.m, args.seed)
     out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     flags = []
     for index, capture in enumerate(captures):
         _write_bytes(out_dir / f"capture_{index:03d}.pcap",

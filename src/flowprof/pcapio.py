@@ -10,6 +10,12 @@ comes back as a ParsedPacket, degrading to an opaque transport token instead
 of raising.  The writer and the dissector code selector fields through the
 tables in `core` that the selectors themselves are checked against.
 
+Dissection makes one pass per frame: the Ethernet and IPv4 headers are read
+in `_dissect` itself and TCP and UDP in one transport function, which IPv6
+frames reach too, and packets are built through `core.new_packet`, which
+skips the keyword dict a call of the class would build.  An opaque TCP
+payload is rejected by its first bytes before any HTTP parse.
+
 The DNS and TLS ClientHello parses, the two that check names, are memoized
 on the payload bytes, so a capture set that repeats a message parses it once
 per process.  No other parse is memoized.  The writer memoizes each TCP or
@@ -39,6 +45,7 @@ from .core import (
     ParsedPacket,
     coap_code_token,
     is_valid_domain,
+    new_packet,
     qtype_code,
     qtype_token,
 )
@@ -159,16 +166,31 @@ def dissect(frame: bytes, ts_us: int = 0) -> ParsedPacket:
 
 
 def _dissect(frame: bytes, ts_us: int) -> ParsedPacket:
-    if len(frame) < 14:
-        return _opaque(ts_us, len(frame), "short")
+    wire_len = len(frame)
+    if wire_len < 14:
+        return _opaque(ts_us, wire_len, "short")
     ethertype = frame[12] << 8 | frame[13]
     if ethertype == ETH_IPV4:
-        return _dissect_ipv4(frame, ts_us)
+        # the common frame, parsed here rather than one call further down
+        if wire_len < 34:
+            return _opaque(ts_us, wire_len, "ipv4-bad")
+        ver_ihl, total_len, frag, proto, src, dst = _IPV4_HEAD.unpack_from(
+            frame, 14)
+        ihl = (ver_ihl & 0x0F) * 4
+        if ver_ihl >> 4 != 4 or ihl < 20 or wire_len - 14 < ihl:
+            return _opaque(ts_us, wire_len, "ipv4-bad")
+        src = _addr_text(src)
+        dst = _addr_text(dst)
+        if frag & 0x1FFF:
+            # Later fragment: no transport header; reassembly is out of scope.
+            return _opaque(ts_us, wire_len, "ip-frag", src, dst)
+        end = min(wire_len, 14 + total_len) if total_len >= ihl else wire_len
+        return _dissect_l4(frame, ts_us, proto, src, dst, 14 + ihl, end, False)
     if ethertype == ETH_IPV6:
         return _dissect_ipv6(frame, ts_us)
     if ethertype == ETH_ARP:
         return _dissect_arp(frame, ts_us)
-    return _opaque(ts_us, len(frame), f"ether-0x{ethertype:04x}")
+    return _opaque(ts_us, wire_len, f"ether-0x{ethertype:04x}")
 
 
 def _dissect_arp(frame: bytes, ts_us: int) -> ParsedPacket:
@@ -176,28 +198,10 @@ def _dissect_arp(frame: bytes, ts_us: int) -> ParsedPacket:
     # hardware/protocol sizes at body offsets 4/5; IPv4-over-Ethernet only.
     if len(frame) >= 42 and frame[18] == 6 and frame[19] == 4:
         src, dst = map(_addr_text, _ARP_ADDRS.unpack_from(frame, 14))
-    return ParsedPacket(
+    return new_packet(
         ts_us=ts_us, src_addr=src, dst_addr=dst, transport="arp",
         wire_len=len(frame), control_plane=True,
     )
-
-
-def _dissect_ipv4(frame: bytes, ts_us: int) -> ParsedPacket:
-    wire_len = len(frame)
-    if wire_len < 34:
-        return _opaque(ts_us, wire_len, "ipv4-bad")
-    ver_ihl, total_len, frag, proto, src, dst = _IPV4_HEAD.unpack_from(
-        frame, 14)
-    ihl = (ver_ihl & 0x0F) * 4
-    if ver_ihl >> 4 != 4 or ihl < 20 or wire_len - 14 < ihl:
-        return _opaque(ts_us, wire_len, "ipv4-bad")
-    src = _addr_text(src)
-    dst = _addr_text(dst)
-    if frag & 0x1FFF:
-        # Later fragment: no transport header; reassembly is out of scope.
-        return _opaque(ts_us, wire_len, "ip-frag", src, dst)
-    end = min(wire_len, 14 + total_len) if total_len >= ihl else wire_len
-    return _dissect_l4(frame, ts_us, proto, src, dst, 14 + ihl, end, False)
 
 
 def _dissect_ipv6(frame: bytes, ts_us: int) -> ParsedPacket:
@@ -232,74 +236,59 @@ def _addr_text(packed: bytes) -> str:
 
 def _opaque(ts_us, wire_len, token, src="", dst=""):
     """A frame degraded to the transport token `token`, app None."""
-    return ParsedPacket(
+    return new_packet(
         ts_us=ts_us, src_addr=src, dst_addr=dst, transport=token,
         wire_len=wire_len,
     )
 
 
 def _dissect_l4(frame, ts_us, proto, src, dst, start, end, icmp6):
-    """The transport layer at frame[start:end]."""
-    if proto == 6:
-        return _dissect_tcp(frame, ts_us, src, dst, start, end)
-    if proto == 17:
-        return _dissect_udp(frame, ts_us, src, dst, start, end)
-    if proto == 1 or (icmp6 and proto == 58):
-        return ParsedPacket(
-            ts_us=ts_us, src_addr=src, dst_addr=dst,
-            transport="icmpv6" if proto == 58 else "icmp",
-            wire_len=len(frame), control_plane=True,
-        )
-    return _opaque(ts_us, len(frame), f"ip-proto-{proto}", src, dst)
-
-
-def _dissect_tcp(frame, ts_us, src, dst, start, end):
-    if end - start < 20:
-        return _opaque(ts_us, len(frame), "tcp-bad", src, dst)
-    sport, dport, offset, flags = _TCP_HEAD.unpack_from(frame, start)
-    offset = (offset >> 4) * 4
-    payload = frame[start + offset:end] if offset >= 20 else b""
-    app = None
-    sni = None
-    control = False
-    if not payload:
-        if flags & (TCP_SYN | TCP_FIN | TCP_RST) or flags & TCP_ACK:
-            control = True
-    else:
-        tls = _classify_tls(payload)
-        if tls is not None:
-            control, sni = tls
-        else:
-            app = _parse_http(payload)
-    return ParsedPacket(
-        ts_us=ts_us, src_addr=src, dst_addr=dst, src_port=sport, dst_port=dport,
-        transport="tcp", app=app, sni=sni, wire_len=len(frame),
-        control_plane=control, tcp_flags=flags,
-    )
-
-
-def _dissect_udp(frame, ts_us, src, dst, start, end):
-    if end - start < 8:
-        return _opaque(ts_us, len(frame), "udp-bad", src, dst)
-    sport, dport, ulen = _UDP_HEAD.unpack_from(frame, start)
-    if ulen >= 8:
-        end = min(end, start + ulen)
-    payload = frame[start + 8:end]
-    app = None
+    """The transport layer at frame[start:end]: TCP and UDP in one pass."""
+    wire_len = len(frame)
+    app = sni = flags = None
     answers = ()
     control = False
-    if sport in (67, 68) or dport in (67, 68):
-        control = True
-    elif sport in DNS_PORTS or dport in DNS_PORTS:
-        parsed = _parse_dns(bytes(payload))
-        if parsed is not None:
-            app, answers = parsed
+    if proto == 6:
+        if end - start < 20:
+            return _opaque(ts_us, wire_len, "tcp-bad", src, dst)
+        sport, dport, offset, flags = _TCP_HEAD.unpack_from(frame, start)
+        offset = (offset >> 4) * 4
+        payload = frame[start + offset:end] if offset >= 20 else b""
+        if not payload:
+            control = bool(flags & (TCP_SYN | TCP_FIN | TCP_RST | TCP_ACK))
+        else:
+            tls = _classify_tls(payload)
+            if tls is not None:
+                control, sni = tls
+            else:
+                app = _parse_http(payload)
+    elif proto == 17:
+        if end - start < 8:
+            return _opaque(ts_us, wire_len, "udp-bad", src, dst)
+        sport, dport, ulen = _UDP_HEAD.unpack_from(frame, start)
+        if ulen >= 8:
+            end = min(end, start + ulen)
+        payload = frame[start + 8:end]
+        if sport in (67, 68) or dport in (67, 68):
+            control = True
+        elif sport in DNS_PORTS or dport in DNS_PORTS:
+            parsed = _parse_dns(bytes(payload))
+            if parsed is not None:
+                app, answers = parsed
+        else:
+            app = _parse_coap(payload)
+    elif proto == 1 or (icmp6 and proto == 58):
+        return new_packet(
+            ts_us=ts_us, src_addr=src, dst_addr=dst,
+            transport="icmpv6" if proto == 58 else "icmp",
+            wire_len=wire_len, control_plane=True,
+        )
     else:
-        app = _parse_coap(payload)
-    return ParsedPacket(
+        return _opaque(ts_us, wire_len, f"ip-proto-{proto}", src, dst)
+    return new_packet(
         ts_us=ts_us, src_addr=src, dst_addr=dst, src_port=sport, dst_port=dport,
-        transport="udp", app=app, dns_answers=answers, wire_len=len(frame),
-        control_plane=control,
+        transport="tcp" if proto == 6 else "udp", app=app, dns_answers=answers,
+        sni=sni, wire_len=wire_len, control_plane=control, tcp_flags=flags,
     )
 
 
@@ -365,8 +354,15 @@ def _parse_sni(record: bytes):
 # -- HTTP ----------------------------------------------------------------------
 
 
+# what an HTTP status line or a request line can begin with
+_HTTP_STARTS = (b"HTTP/1.",) + tuple(method.encode("ascii") + b" "
+                                     for method in HTTP_METHODS)
+
+
 def _parse_http(payload: bytes):
     """The selector of an HTTP request or status line, or None."""
+    if not payload.startswith(_HTTP_STARTS):
+        return None
     try:
         text = payload.split(b"\r\n", 1)[0][:2048].decode("ascii")
         if text.startswith("HTTP/1."):
@@ -584,7 +580,7 @@ def _port_free_frame(src_addr, dst_addr, transport, app, dns_answers, sni,
     packet with _replace cost about half the gain.  write_pcap appends the
     pieces and the ports to its output one by one rather than joining them
     into a frame first, which would allocate one more frame per packet."""
-    frame = _synth_frame(ParsedPacket(
+    frame = _synth_frame(new_packet(
         ts_us=0, src_addr=src_addr, dst_addr=dst_addr, transport=transport,
         app=app, dns_answers=dns_answers, sni=sni, wire_len=wire_len,
         control_plane=control_plane, tcp_flags=tcp_flags), wire_len)

@@ -35,9 +35,9 @@ from .core import (
     FlowId,
     HostKind,
     HostRef,
-    ParsedPacket,
     Topology,
     canonicalize,
+    new_packet,
 )
 from .pcapio import (
     TCP_ACK,
@@ -414,7 +414,7 @@ def _exposed(rules: RuleSet, table: DnsTable, layout: tuple) -> bool:
     packets share one transport and endpoint pair, so one packet per
     distinct app decides."""
     by_app = {fields.get("app"): fields for _, _, _, fields in layout}
-    return any(could_match_packet(rules, ParsedPacket(ts_us=0, **fields), table)
+    return any(could_match_packet(rules, new_packet(ts_us=0, **fields), table)
                for fields in by_app.values())
 
 
@@ -504,8 +504,8 @@ def _arp_frames(model: DeviceModel) -> tuple:
             continue  # ARP resolves IPv4 only; literals are normalized
         fields = dict(ts_us=BASE_TS_US + offset, src_addr=src, dst_addr=dst,
                       transport="arp", control_plane=True)
-        out.append(ParsedPacket(**fields,
-                                wire_len=frame_len(ParsedPacket(**fields))))
+        out.append(new_packet(**fields,
+                              wire_len=frame_len(new_packet(**fields))))
     return tuple(out)
 
 
@@ -547,7 +547,7 @@ def _flow_layout(model: DeviceModel, spec: FlowSpec) -> tuple:
     for forward, _, _, size, fields in plan:
         fields.update(src_addr=init if forward else resp,
                       dst_addr=resp if forward else init, transport=transport)
-        fields["wire_len"] = max(frame_len(ParsedPacket(ts_us=0, **fields)),
+        fields["wire_len"] = max(frame_len(new_packet(ts_us=0, **fields)),
                                  headers + size)
     return tuple((forward, anchor, offset, fields)
                  for forward, anchor, offset, _, fields in plan)
@@ -564,10 +564,10 @@ def _emit_flow(spec: FlowSpec, layout: tuple, rng: random.Random) -> list:
     times = [BASE_TS_US + int(start_s * 1_000_000)]
     for _ in range(1, spec.shape.count):
         times.append(times[-1] + int(rng.uniform(0.01, 0.12) * 1_000_000))
-    return [ParsedPacket(ts_us=times[anchor] + offset,
-                         src_port=init_port if forward else resp_port,
-                         dst_port=resp_port if forward else init_port,
-                         **fields)
+    return [new_packet(ts_us=times[anchor] + offset,
+                       src_port=init_port if forward else resp_port,
+                       dst_port=resp_port if forward else init_port,
+                       **fields)
             for forward, anchor, offset, fields in layout]
 
 

@@ -2,6 +2,7 @@ import gc
 import json
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,25 @@ def test_simulate_then_extract(tmp_path, mini_model):
     # only the unguarded local flow runs when nothing is blocked
     assert len(sig["flows"]) == 1
     assert sig["flows"][0]["initiator_port"] == 9999
+
+
+def test_simulate_makes_its_output_directory_once(tmp_path, mini_model,
+                                                  monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counted(path, *args, **kwargs):
+        made.append(path)
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    for m in (2, 6):
+        made.clear()
+        out_dir = tmp_path / f"caps{m}"
+        assert main(["simulate", "--model", str(mini_model), "--m", str(m),
+                     "--out-dir", str(out_dir)]) == 0
+        assert made == [out_dir]
+        assert len(list(out_dir.glob("*.pcap"))) == m
 
 
 def test_simulate_honors_rules_file(tmp_path, mini_model):

@@ -362,13 +362,19 @@ def test_address_memos_stay_within_their_bound(topo):
 
 def test_memo_misses_parse_through_the_module_attribute(topo, monkeypatch):
     calls = []
+    networks = []
 
     def counted(text):
         calls.append(text)
         return ipaddress.ip_address(text)
 
+    def counted_network(text):
+        networks.append(text)
+        return ipaddress.ip_network(text)
+
     counting = types.SimpleNamespace(**{**vars(ipaddress),
-                                        "ip_address": counted})
+                                        "ip_address": counted,
+                                        "ip_network": counted_network})
     for module in (core, pcapio, signature):
         monkeypatch.setattr(module, "ipaddress", counting)
     for memo in (core._is_local, pcapio._endpoint, pcapio._addr_text):
@@ -379,3 +385,5 @@ def test_memo_misses_parse_through_the_module_attribute(topo, monkeypatch):
         pcapio._endpoint(fresh)
         pcapio._addr_text(ipaddress.IPv4Address(fresh).packed)
     assert len(calls) == 3  # one real parse per memo, then hits
+    # the locality memo is keyed on the prefix text, parsed on a miss only
+    assert networks == list(topo.local_prefixes)

@@ -2,9 +2,9 @@
 in the package is used by its own module, every private method is loaded by
 its module outside its own body, no module imports another's private name,
 every exported name is used inside the package, only the modules that render the file formats call the text
-serializers, every packet is built with its fields named, no frozen
-value is changed after it was built, only core spells out the selector
-vocabulary, and every module-level memo is bounded."""
+serializers, every packet is built through core.new_packet with its fields
+named, no frozen value is changed after it was built, only core spells out
+the selector vocabulary, and every module-level memo is bounded."""
 
 import ast
 import pathlib
@@ -218,19 +218,22 @@ def test_check_flags_a_serializer_call():
 
 
 def _positional_packet_calls(tree: ast.Module) -> list:
-    """Lines that build a ParsedPacket from positional arguments, whose
-    values a reorder of its fields would shift silently."""
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and node.args
-                  and "ParsedPacket" in (getattr(node.func, "id", None),
-                                         getattr(node.func, "attr", None)))
+    """Lines that call ParsedPacket, a second and slower way to build a
+    packet than core.new_packet, or new_packet with positional arguments,
+    whose values a reorder of the fields would shift silently."""
+    calls = [(node, getattr(node.func, "id", None)
+              or getattr(node.func, "attr", None))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return sorted(node.lineno for node, name in calls
+                  if name == "ParsedPacket"
+                  or name == "new_packet" and node.args)
 
 
 def test_packets_are_built_with_keywords():
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        calls += [f"{path.name}:{line}: ParsedPacket(...)"
+        calls += [f"{path.name}:{line}: not new_packet(field=...)"
                   for line in _positional_packet_calls(tree)]
     assert calls == []
 
@@ -243,8 +246,14 @@ def test_check_flags_a_positional_packet():
                      "            ParsedPacket(ts, src, dst),\n"
                      "            core.ParsedPacket(ts, src_addr=src,\n"
                      "                              dst_addr=dst),\n"
-                     "            ParsedPacket(*args)]\n")
-    assert _positional_packet_calls(tree) == [5, 6, 8]
+                     "            ParsedPacket(*args),\n"
+                     "            new_packet(ts_us=ts, src_addr=src,\n"
+                     "                       dst_addr=dst),\n"
+                     "            new_packet(**fields),\n"
+                     "            core.new_packet(ts, src_addr=src,\n"
+                     "                            dst_addr=dst),\n"
+                     "            new_packet(*args)]\n")
+    assert _positional_packet_calls(tree) == [2, 4, 5, 6, 8, 12, 14]
 
 
 def _outside_mutations(tree: ast.Module) -> list:

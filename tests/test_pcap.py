@@ -466,6 +466,131 @@ def test_dns_parse_checks_each_name_once(monkeypatch):
 
 
 
+# -- IPv4 boundaries --------------------------------------------------------------
+
+
+def _ipv4_frame(l4: bytes, proto: int = 6, options: bytes = b"",
+                total=None, frag: int = 0, trailer: bytes = b"") -> bytes:
+    """An IPv4 frame 192.168.1.53 -> 52.44.10.100 carrying `l4`, its total
+    length the header's and l4's unless given, `trailer` after the packet."""
+    ihl = 5 + len(options) // 4
+    if total is None:
+        total = 4 * ihl + len(l4)
+    header = struct.pack(">BBHHHBBH4s4s", 0x40 | ihl, 0, total, 0, frag, 64,
+                         proto, 0, bytes([192, 168, 1, 53]),
+                         bytes([52, 44, 10, 100]))
+    return b"\x02" * 12 + b"\x08\x00" + header + options + l4 + trailer
+
+
+def _tcp(flags: int, payload: bytes = b"", offset: int = 5) -> bytes:
+    return struct.pack(">HHIIBBHHH", 49321, 80, 1, 1, offset << 4, flags,
+                       8192, 0, 0) + payload
+
+
+def _udp(sport: int, dport: int, payload: bytes, length=None) -> bytes:
+    length = 8 + len(payload) if length is None else length
+    return struct.pack(">HHHH", sport, dport, length, 0) + payload
+
+
+_GET = b"GET /x HTTP/1.1\r\n\r\n"
+_GET_X = HttpSelector(method="GET", uri="/x")
+_QUERY_APP = DnsSelector(qtype="A", qname="a.example")
+_QUERY = pcapio._synth_dns(_QUERY_APP, ())
+_COAP = pcapio._synth_coap(CoapSelector(type="CON", code="GET", uri_path="/x"))
+
+
+@pytest.mark.parametrize("frame, expected", [
+    (_ipv4_frame(_tcp(TCP_PSH | TCP_ACK, _GET), options=b"\x01" * 4),
+     dict(transport="tcp", src_port=49321, dst_port=80, app=_GET_X)),
+    # Ethernet padding past the IP total length is not payload
+    (_ipv4_frame(_tcp(TCP_ACK), trailer=_GET),
+     dict(transport="tcp", app=None, control_plane=True)),
+    # a total length below the IHL (0 under segmentation offload) is ignored
+    (_ipv4_frame(_tcp(TCP_PSH | TCP_ACK, _GET), total=19),
+     dict(transport="tcp", app=_GET_X, control_plane=False)),
+    # a data offset under 5 leaves no payload: the flags decide alone
+    (_ipv4_frame(_tcp(TCP_PSH | TCP_ACK, _GET, offset=4)),
+     dict(transport="tcp", app=None, control_plane=True, tcp_flags=0x18)),
+    (_ipv4_frame(_tcp(TCP_PSH, _GET, offset=4)),
+     dict(transport="tcp", app=None, control_plane=False, tcp_flags=0x08)),
+    # a UDP length under 8 is ignored: the IP length bounds the payload
+    (_ipv4_frame(_udp(40000, 53, _QUERY, length=4), proto=17),
+     dict(transport="udp", app=_QUERY_APP, control_plane=False)),
+    (_ipv4_frame(_udp(68, 67, _COAP), proto=17),
+     dict(transport="udp", src_port=68, app=None, control_plane=True)),
+    (_ipv4_frame(_udp(67, 68, _COAP), proto=17),
+     dict(transport="udp", src_port=67, app=None, control_plane=True)),
+    (_ipv4_frame(_udp(5353, 5353, _QUERY), proto=17),
+     dict(transport="udp", app=_QUERY_APP, tcp_flags=None)),
+    (_ipv4_frame(_tcp(TCP_PSH | TCP_ACK, _GET), frag=185),
+     dict(transport="ip-frag", src_port=None, app=None, tcp_flags=None)),
+], ids=["ihl-6-options", "ip-length-short-of-frame", "ip-length-below-ihl",
+        "tcp-offset-4-ack", "tcp-offset-4-no-ack", "udp-length-under-8",
+        "dhcp-68-to-67", "dhcp-67-to-68", "dns-port-5353", "later-fragment"])
+def test_ipv4_frame_boundaries(frame, expected):
+    pkt = dissect(frame, 5)
+    assert (pkt.ts_us, pkt.src_addr, pkt.dst_addr, pkt.wire_len) == (
+        5, "192.168.1.53", "52.44.10.100", len(frame))
+    assert {field: getattr(pkt, field) for field in expected} == expected
+    assert dissect(bytearray(frame), 5) == pkt
+
+
+# -- payloads that never repeat ---------------------------------------------------
+
+
+def _randomized(data: bytes, packets, rng) -> bytes:
+    """The write_pcap capture `data` of `packets` with each DNS ID, each
+    ClientHello random and each opaque TCP or UDP payload drawn from `rng`,
+    as they differ from message to message in a real capture."""
+    out = bytearray(data)
+    end = 24
+    for pkt in packets:
+        start = end + 16
+        end = start + struct.unpack_from("<IIII", out, end)[2]
+        if pkt.transport not in ("tcp", "udp"):
+            continue
+        start += pcapio.headers_len(pkt.transport, 6 if ":" in pkt.src_addr
+                                    else 4)
+        if isinstance(pkt.app, DnsSelector):
+            out[start:start + 2] = rng.randbytes(2)
+        elif pkt.sni:
+            out[start + 11:start + 43] = rng.randbytes(32)  # after 3 headers
+        elif pkt.app is None and not pkt.control_plane:
+            out[start:end] = rng.randbytes(end - start)
+    return bytes(out)
+
+
+def test_payloads_that_never_repeat_dissect_alike():
+    """Every bundled model's captures with the per-message bytes drawn at
+    random: the DNS and ClientHello memos only miss, and what they held
+    before is read off each frame again."""
+    rng = random.Random(19)
+    for path in sorted(MODEL_DIR.glob("*.json")):
+        model = load_model(path)
+        for seed in range(3):
+            packets = run_capture(model, RuleSet(), seed).trace.packets
+            data = write_pcap(Trace(packets=packets))
+            randomized = _randomized(data, packets, rng)
+            assert randomized != data or all(
+                isinstance(p.app, CoapSelector) for p in packets
+                if p.transport in ("tcp", "udp"))
+            _clear_payload_memos()
+            back = read_pcap(randomized).packets
+            misses, hits, _ = _payload_memo_stats()
+            assert hits == 0
+            assert misses == sum(isinstance(p.app, DnsSelector) or bool(p.sni)
+                                 for p in packets)
+            assert back == tuple(dissect(frame, pkt.ts_us) for frame, pkt
+                                 in zip(_frames(randomized), packets))
+            assert all(p.transport != "undecoded" for p in back)
+            for sent, read in zip(packets, back):
+                if isinstance(sent.app, (DnsSelector, CoapSelector)):
+                    assert (read.app, read.dns_answers) == \
+                        (sent.app, sent.dns_answers)
+                if sent.sni:
+                    assert read.sni == sent.sni
+
+
 # -- frame memo -------------------------------------------------------------------
 
 
