@@ -11,6 +11,7 @@ from .core import (
     HostRef,
     HttpSelector,
     ParsedPacket,
+    SchemaError,
     Topology,
     Transport,
     canonicalize,
@@ -58,7 +59,6 @@ from .simnet import (
     DeviceModel,
     FlowSpec,
     GuardCycle,
-    SchemaError,
     SimDriver,
     UnknownFlowRef,
     UnresolvedDomain,
@@ -81,8 +81,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AppSelector", "CoapSelector", "Direction", "DnsSelector", "FlowId",
-    "HostKind", "HostRef", "HttpSelector", "ParsedPacket", "Topology",
-    "Transport", "canonicalize", "sorted_flows",
+    "HostKind", "HostRef", "HttpSelector", "ParsedPacket", "SchemaError",
+    "Topology", "Transport", "canonicalize", "sorted_flows",
     "MalformedHeader", "Trace", "TruncatedRecord", "UnresolvedHost",
     "dissect", "filter_control_plane", "read_pcap", "write_pcap",
     "DnsTable", "EventSignature", "accept_signature",
@@ -91,9 +91,9 @@ __all__ = [
     "matches_packet", "parse", "render",
     "NodeAlreadyVisited", "NodeStatus", "RootFailed", "SigNode", "SigTree",
     "TreeStats", "explore",
-    "CaptureResult", "DeviceModel", "FlowSpec", "GuardCycle", "SchemaError",
-    "SimDriver", "UnknownFlowRef", "UnresolvedDomain", "load_model",
-    "oracle_tree", "run_capture",
+    "CaptureResult", "DeviceModel", "FlowSpec", "GuardCycle", "SimDriver",
+    "UnknownFlowRef", "UnresolvedDomain", "load_model", "oracle_tree",
+    "run_capture",
     "BlockingViolation", "DnsStats", "EventReport", "ProfileConfig",
     "build_report", "dns_stats", "profile_event", "render_csv",
 ]

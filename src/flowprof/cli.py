@@ -5,6 +5,9 @@ tree + report), analyze (tree JSONs -> report), rules (flows -> rule text),
 simulate (model -> pcap corpus), oracle (model -> expected tree).  All
 outputs are files, written atomically after inputs validate; exit code 0 on
 success, 1 on input errors, 2 when the event fails with nothing blocked.
+Every JSON input (model, tree, flows file, manifest) goes through one reader:
+a malformed field exits 1 with one error line naming the file and its JSON
+path, and a JSON boolean is never read as a number.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import FlowId
+from .core import FlowId, SchemaError, check, member, read_json
 from .pcapio import filter_control_plane, read_pcap, write_pcap
 from .signature import DnsTable, aggregate_flows, extract_signature
 from .blocklist import RuleSet, compile_rules, parse as parse_rules, render
@@ -210,31 +213,24 @@ def cmd_profile(args) -> int:
 
 
 def _load_manifest(path: Path) -> list:
-    try:
-        entries = json.loads(path.read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"manifest is not valid JSON: {exc}") from exc
-    if not isinstance(entries, list) or not entries:
-        raise ValueError("manifest must be a non-empty JSON list")
-    labels = set()
-    for entry in entries:
-        if not isinstance(entry, dict) or not all(
-                isinstance(entry.get(key), str) and entry[key]
-                for key in ("label", "model_path")):
-            raise ValueError(f"bad manifest entry: {entry!r}")
-        label = entry["label"]
-        # the label names a subdirectory of --out-dir, beside report.csv
-        if "/" in label or label in labels \
-                or label in (".", "..", "report.csv", "report.csv.tmp"):
-            raise ValueError(f"bad or duplicate manifest label {label!r}")
-        labels.add(label)
-        group = entry.get("group", {})
-        if not isinstance(group, dict) \
-                or not all(isinstance(v, str) for v in group.values()):
-            raise ValueError(f"bad group for manifest label {label!r}")
-        entry["model_path"] = str((path.parent
-                                   / entry["model_path"]).resolve())
-    return entries
+    def entries(obj) -> list:
+        if not check(obj, [dict]):
+            raise SchemaError("manifest must be a non-empty JSON list")
+        labels = set()
+        for index, entry in enumerate(obj):
+            label = member(entry, "label", str, (index,))
+            model_path = member(entry, "model_path", str, (index,))
+            # the label names a subdirectory of --out-dir, beside report.csv
+            if not label or "/" in label or label in labels \
+                    or label in (".", "..", "report.csv", "report.csv.tmp"):
+                raise SchemaError(f"bad or duplicate manifest label {label!r}")
+            labels.add(label)
+            for key, value in member(entry, "group", dict, (index,), {}).items():
+                check(value, str, (index, "group", key))
+            entry["model_path"] = str((path.parent / model_path).resolve())
+        return obj
+
+    return read_json(entries, "manifest", path=path)
 
 
 def cmd_analyze(args) -> int:
@@ -255,10 +251,7 @@ def cmd_analyze(args) -> int:
         labels[label] = path
     reports = []
     for label, path in labels.items():
-        try:
-            tree = SigTree.import_json(path.read_text())
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"bad tree file {path}: {exc}") from exc
+        tree = read_json(SigTree.from_obj, "tree", path=path)
         reports.append(build_report(tree, label))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,19 +268,18 @@ def _tree_label(path: Path) -> str:
 
 
 def cmd_rules(args) -> int:
-    try:
-        obj = json.loads(Path(args.flows).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"flows file is not valid JSON: {exc}") from exc
-    if isinstance(obj, dict):
-        obj = obj.get("flows")
-    if not isinstance(obj, list):
-        raise ValueError("flows file must hold a JSON list of FlowId objects")
-    flows = [FlowId.from_obj(item) for item in obj]
+    flows = read_json(_flows_from_obj, "flows", path=args.flows)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / "rules.txt", render(compile_rules(flows)))
     return 0
+
+
+def _flows_from_obj(obj) -> list:
+    """A flows file's list of FlowId objects, alone or as its "flows"."""
+    path = ("flows",) if isinstance(obj, dict) else ()
+    items = check(obj.get("flows") if path else obj, list, path)
+    return [FlowId.from_obj(item, path + (i,)) for i, item in enumerate(items)]
 
 
 def cmd_simulate(args) -> int:

@@ -20,9 +20,10 @@ import ipaddress
 import json
 import logging
 import re
+import reprlib
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +50,63 @@ def is_valid_domain(name: str) -> bool:
 def normalize_address(text: str) -> str:
     """Canonical textual form of an IPv4/IPv6 literal; raises ValueError."""
     return str(ipaddress.ip_address(text))
+
+
+# -- JSON input ---------------------------------------------------------------
+
+# Every JSON input (model, tree, flows file, manifest) is read by read_json
+# and its fields by check and member, which refuse a value of the wrong JSON
+# type with a SchemaError naming its path, like flows[2].flow.initiator.
+_KIND_NAMES = {str: "a string", int: "an integer", (int, float): "a number",
+               bool: "true or false", list: "a list", dict: "an object"}
+
+
+class SchemaError(ValueError):
+    """An input document violates its schema."""
+
+
+def read_json(build: Callable, what: str, path=None, text=None):
+    """build(document) for the JSON in the file at `path`, or in `text`; a
+    failure to read, decode or build it is one SchemaError naming the input."""
+    try:
+        if path is not None:
+            with open(path, "rb") as file:
+                text = file.read()
+        return build(json.loads(text))
+    except (OSError, ValueError, RecursionError) as exc:
+        where = what if path is None else f"{what} file {path}"
+        raise SchemaError(f"bad {where}: {exc}") from exc
+
+
+def check(value, kind, path: tuple = ()):
+    """`value`, refused unless it is of `kind`: str, int, (int, float) for a
+    number, bool, list, dict, or [kind] for a list of that kind.  A boolean
+    is not a number.  `path`, a tuple of keys and indices, is where it is."""
+    if type(kind) is list and isinstance(value, list):
+        for index, item in enumerate(value):
+            if type(item) is not kind[0]:
+                check(item, kind[0], path + (index,))
+        return value
+    if type(kind) is not list and isinstance(value, kind) \
+            and (kind is bool or type(value) is not bool):
+        return value
+    name = "a list" if type(kind) is list else _KIND_NAMES[kind]
+    raise SchemaError(f"{_path_text(path)} is missing" if value is MISSING else
+                      f"{_path_text(path)} must be {name}, not {reprlib.repr(value)}")
+
+
+def member(obj: dict, key: str, kind, path: tuple = (), default=MISSING):
+    """obj[key] checked by `check`, where `path` is obj's.  An absent key gives
+    `default`, or is refused without one; null only passes a None default."""
+    value = obj.get(key, default)
+    if type(value) is kind or value is default and default is not MISSING:
+        return value
+    return check(value, kind, path + (key,))
+
+
+def _path_text(path: tuple) -> str:
+    return "".join(f"[{key}]" if type(key) is int else f".{key}"
+                   for key in path).lstrip(".") or "document"
 
 
 class HostKind(str, Enum):
@@ -202,7 +260,7 @@ def qtype_code(token: str) -> int:
     n <= 65535 without leading zeros; raises ValueError for any other."""
     code = DNS_QTYPES.get(token)
     if code is None:
-        digits = token[4:] if isinstance(token, str) else ""
+        digits = token[4:]
         code = int(digits) if digits.isdecimal() else -1
         if not 0 <= code <= 0xFFFF or qtype_token(code) != token:
             raise ValueError(f"bad DNS qtype token {token!r}")
@@ -290,31 +348,17 @@ def app_to_obj(app: AppSelector):
     return {"proto": proto, **dict(items)}
 
 
-def app_from_obj(obj) -> AppSelector:
-    """Selector from its JSON object; raises KeyError for a missing field
-    without default."""
+def app_from_obj(obj: Optional[dict], path: tuple = ()) -> AppSelector:
+    """The selector of its JSON object at `path`, or None for null."""
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        raise ValueError("app selector must be an object or null")
-    cls = SELECTORS.get(obj.get("proto"))
+    proto = member(obj, "proto", str, path)
+    cls = SELECTORS.get(proto)
     if cls is None:
-        raise ValueError(f"unknown app selector protocol {obj.get('proto')!r}")
-    kwargs = {}
-    for f in _FIELDS[cls]:
-        if f.name in obj:
-            value = kwargs[f.name] = obj[f.name]
-            # f.type is a string under `from __future__ import annotations`
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(
-                    f"selector flag must be true or false, not {value!r}")
-            if f.type == "str" and not isinstance(value, str):
-                raise ValueError(
-                    f"selector field {f.name!r} must be a string, "
-                    f"not {value!r}")
-        elif f.default is MISSING:
-            raise KeyError(f.name)
-    return cls(**kwargs)
+        raise ValueError(f"unknown app selector protocol {proto!r}")
+    # f.type is "str" or "bool", a string under postponed annotations
+    return cls(**{f.name: member(obj, f.name, str if f.type == "str" else bool,
+                                path, f.default) for f in _FIELDS[cls]})
 
 
 # -- flow identifiers --------------------------------------------------------
@@ -341,9 +385,6 @@ class FlowId:
         for port in (self.initiator_port, self.responder_port):
             if port is None:
                 continue
-            # a float or bool port equals an int one yet serializes apart
-            if isinstance(port, bool) or not isinstance(port, int):
-                raise ValueError(f"port {port!r} is not an integer")
             if not (1 <= port <= 65535):
                 raise ValueError(f"port {port} out of range")
         if isinstance(self.app, DnsSelector):
@@ -386,21 +427,23 @@ class FlowId:
         return text
 
     @staticmethod
-    def from_obj(obj: dict) -> "FlowId":
-        if not isinstance(obj, dict):
-            raise ValueError("flow must be an object")
+    def from_obj(obj: dict, path: tuple = ()) -> "FlowId":
+        """The flow of its JSON object at `path`; a fault names the path."""
+        check(obj, dict, path)
         try:
             return FlowId(
-                initiator=HostRef.from_token(obj["initiator"]),
-                responder=HostRef.from_token(obj["responder"]),
-                initiator_port=obj.get("initiator_port"),
-                responder_port=obj.get("responder_port"),
-                transport=Transport(obj.get("transport", "tcp")),
-                direction=Direction(obj.get("direction", "bi")),
-                app=app_from_obj(obj.get("app")),
+                initiator=HostRef.from_token(member(obj, "initiator", str, path)),
+                responder=HostRef.from_token(member(obj, "responder", str, path)),
+                initiator_port=member(obj, "initiator_port", int, path, None),
+                responder_port=member(obj, "responder_port", int, path, None),
+                transport=Transport(member(obj, "transport", str, path, "tcp")),
+                direction=Direction(member(obj, "direction", str, path, "bi")),
+                app=app_from_obj(member(obj, "app", dict, path, None), path + ("app",)),
             )
-        except KeyError as exc:
-            raise ValueError(f"flow object missing field {exc.args[0]!r}") from exc
+        except SchemaError:
+            raise
+        except ValueError as exc:
+            raise SchemaError(f"{_path_text(path)}: {exc}") from exc
 
     def describe(self) -> str:
         """Compact human-readable label (used in DOT output)."""
@@ -442,10 +485,10 @@ class Topology:
 
     def __post_init__(self):
         addrs = {}
-        for name in ROLES:
-            raw = getattr(self, name + "_addr")
-            norm = normalize_address(raw)
-            object.__setattr__(self, name + "_addr", norm)
+        # constant names: the type's attribute cache keeps each name it sees
+        for name, attr in zip(ROLES, ("device_addr", "phone_addr", "gateway_addr")):
+            norm = normalize_address(getattr(self, attr))
+            object.__setattr__(self, attr, norm)
             addrs[name] = norm
         if len(set(addrs.values())) != 3:
             raise ValueError("role addresses must be distinct")
@@ -480,13 +523,14 @@ class Topology:
         return getattr(self, role + "_addr")
 
     @staticmethod
-    def from_obj(obj: dict) -> "Topology":
-        return Topology(
-            device_addr=obj["device"],
-            phone_addr=obj["phone"],
-            gateway_addr=obj["gateway"],
-            local_prefixes=tuple(obj.get("local_prefixes", ("192.168.0.0/16",))),
-        )
+    def from_obj(obj: dict, path: tuple = ()) -> "Topology":
+        """The topology of its JSON object at `path`; a fault names the path."""
+        addrs = [member(obj, role, str, path) for role in ROLES]
+        prefixes = member(obj, "local_prefixes", [str], path, ("192.168.0.0/16",))
+        try:
+            return Topology(*addrs, local_prefixes=tuple(prefixes))
+        except ValueError as exc:
+            raise SchemaError(f"{_path_text(path)}: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)

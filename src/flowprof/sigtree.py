@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Optional, Tuple
 
-from .core import FlowId, sorted_flows
+from .core import FlowId, check, member, read_json, sorted_flows
 from .signature import EventSignature, accept_signature
 
 
@@ -237,14 +237,15 @@ class SigTree:
 
     @staticmethod
     def from_obj(obj: dict) -> "SigTree":
+        """The tree of its JSON object; a bad field raises SchemaError."""
         tree = SigTree()
         tree.frontier.clear()
-        _build_node(tree, obj["root"], None, 0)
+        _build_node(tree, check(obj, dict).get("root"), None, 0, ("root",))
         return tree
 
     @staticmethod
     def import_json(text: str) -> "SigTree":
-        return SigTree.from_obj(json.loads(text))
+        return read_json(SigTree.from_obj, "tree", text=text)
 
     def to_dot(self, hide_failed: bool = False) -> str:
         """Graphviz rendering; Pruned nodes dashed, Failed nodes annotated.
@@ -280,17 +281,16 @@ class SigTree:
         return "\n".join(lines + edges + ["}"]) + "\n"
 
 
-def _build_node(tree, node_obj: dict, parent: Optional[int], depth: int):
-    """Add the node of `node_obj` under `parent`, then its subtree."""
-    if not isinstance(node_obj, dict):
-        raise TypeError(f"tree node must be an object, not {node_obj!r}")
+def _build_node(tree, node_obj: dict, parent: Optional[int], depth: int,
+                path: tuple):
+    """Add `node_obj`, the node at `path`, under `parent`, then its subtree."""
+    check(node_obj, dict, path)
     # every node but the root carries a flow; a root's is not read
-    flow = None if parent is None else FlowId.from_obj(node_obj.get("flow"))
-    reason = node_obj.get("reason")
-    if reason is not None and not isinstance(reason, str):
-        raise TypeError("reason must be a string")
+    flow = None if parent is None \
+        else FlowId.from_obj(node_obj.get("flow"), path + ("flow",))
     node = SigNode(flow=flow, parent=parent, depth=depth,
-                   status=NodeStatus(node_obj["status"]), reason=reason)
+                   status=NodeStatus(member(node_obj, "status", str, path)),
+                   reason=member(node_obj, "reason", str, path, None))
     if parent is None:
         tree.nodes[0] = node
         handle = 0
@@ -303,8 +303,9 @@ def _build_node(tree, node_obj: dict, parent: Optional[int], depth: int):
         tree._explored.add(flow)
     if node.status is NodeStatus.UNEXPLORED:
         tree.frontier.append(handle)
-    for child in node_obj.get("children", ()):
-        _build_node(tree, child, handle, depth + 1)
+    for index, child in enumerate(member(node_obj, "children", list, path, ())):
+        _build_node(tree, child, handle, depth + 1,
+                    path + ("children", index))
 
 
 def _dot_escape(text) -> str:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import functools
 import ipaddress
-import json
+import os
 import random
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .core import (
@@ -35,9 +34,13 @@ from .core import (
     FlowId,
     HostKind,
     HostRef,
+    SchemaError,
     Topology,
     canonicalize,
+    check,
+    member,
     new_packet,
+    read_json,
 )
 from .pcapio import (
     TCP_ACK,
@@ -59,10 +62,6 @@ from .blocklist import (
 )
 from .signature import DnsTable, EventSignature
 from .sigtree import SigTree, explore
-
-
-class SchemaError(ValueError):
-    """Model document violates the schema."""
 
 
 class GuardCycle(SchemaError):
@@ -127,51 +126,41 @@ class DeviceModel:
 
 def load_model(source) -> DeviceModel:
     """Parse and validate a device-model document (path, JSON text, or dict)."""
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        try:
-            source = Path(source).read_text()
-        except OSError as exc:
-            raise SchemaError(f"cannot read model: {exc}") from exc
-    if isinstance(source, (str, bytes)):
-        try:
-            source = json.loads(source)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise SchemaError(f"model is not valid JSON: {exc}") from exc
-    if not isinstance(source, dict):
-        raise SchemaError("model document must be a JSON object")
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        return read_json(_validate, "model", text=source)
+    if isinstance(source, (str, os.PathLike)):
+        return read_json(_validate, "model", path=source)
     return _validate(source)
 
 
 def _validate(obj: dict) -> DeviceModel:
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema version {obj.get('schema')!r}")
-    try:
-        topo = Topology.from_obj(obj["topology"])
-    except KeyError:
-        raise SchemaError("missing topology") from None
-    except ValueError as exc:
-        raise SchemaError(f"bad topology: {exc}") from exc
-
-    records = _validate_records(obj.get("dns_records", []), topo)
+    if member(check(obj, dict), "schema", int) != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema version {obj['schema']!r}")
+    topo = Topology.from_obj(member(obj, "topology", dict), ("topology",))
+    records = _validate_records(
+        member(obj, "dns_records", [[str]], default=()), topo)
     record_names = {rec_name for rec_name, _ in records}
     record_ips = {ip for _, ip in records}
 
-    flows = [_validate_spec(entry, noise=False)
-             for entry in _expect_list(obj, "flows")]
-    noise = [_validate_spec(entry, noise=True)
-             for entry in obj.get("noise", [])]
+    flows = [_validate_spec(entry, ("flows", index), noise=False)
+             for index, entry in enumerate(member(obj, "flows", [dict]))]
+    if not flows:
+        raise SchemaError("'flows' must be a non-empty list")
+    noise = [_validate_spec(entry, ("noise", index), noise=True)
+             for index, entry in enumerate(member(obj, "noise", [dict], default=()))]
     all_specs = flows + noise
 
-    ids = [spec.id for spec in all_specs]
-    for flow_id in ids:
-        if ids.count(flow_id) > 1:
-            raise SchemaError(f"duplicate flow id {flow_id!r}")
-    templates = [spec.flow for spec in all_specs]
+    id_set = set()
     for spec in all_specs:
-        if templates.count(spec.flow) > 1:
-            raise SchemaError(f"flow {spec.id!r} duplicates another template")
+        if spec.id in id_set:
+            raise SchemaError(f"duplicate flow id {spec.id!r}")
+        id_set.add(spec.id)
+    firsts = {}  # template -> id of the first spec with it
+    for spec in all_specs:
+        if firsts.setdefault(spec.flow, spec.id) != spec.id:
+            raise SchemaError(
+                f"flow {firsts[spec.flow]!r} duplicates another template")
 
-    id_set = set(ids)
     for spec in all_specs:
         for conj in spec.guard:
             for ref in conj:
@@ -207,8 +196,6 @@ def _validate(obj: dict) -> DeviceModel:
                     "with no DNS record")
 
     success = obj.get("success")
-    if success is None:
-        raise SchemaError("missing success formula")
     _validate_formula(success, id_set)
 
     return DeviceModel(
@@ -220,20 +207,11 @@ def _validate(obj: dict) -> DeviceModel:
     )
 
 
-def _expect_list(obj: dict, key: str) -> list:
-    value = obj.get(key)
-    if not isinstance(value, list) or not value:
-        raise SchemaError(f"{key!r} must be a non-empty list")
-    return value
-
-
 def _validate_records(raw, topo: Topology) -> Tuple[Tuple[str, str], ...]:
-    if not isinstance(raw, list):
-        raise SchemaError("'dns_records' must be a list")
     records = []
     seen_ips = set()
     for entry in raw:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        if len(entry) != 2:
             raise SchemaError(f"bad DNS record {entry!r}")
         rec_name, ip = entry
         try:
@@ -250,48 +228,31 @@ def _validate_records(raw, topo: Topology) -> Tuple[Tuple[str, str], ...]:
     return tuple(records)
 
 
-def _validate_spec(entry, noise: bool) -> FlowSpec:
-    if not isinstance(entry, dict):
-        raise SchemaError(f"flow entry must be an object, got {entry!r}")
-    flow_id = entry.get("id")
-    if not isinstance(flow_id, str) or not _ID_RE.match(flow_id):
+def _validate_spec(entry: dict, path: tuple, noise: bool) -> FlowSpec:
+    flow_id = member(entry, "id", str, path)
+    if not _ID_RE.match(flow_id):
         raise SchemaError(f"bad flow id {flow_id!r}")
-    try:
-        flow = canonicalize(FlowId.from_obj(entry["flow"]))
-    except KeyError:
-        raise SchemaError(f"flow {flow_id!r} missing 'flow'") from None
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"flow {flow_id!r}: {exc}") from exc
-    guard_raw = entry.get("guard", [])
-    if not isinstance(guard_raw, list):
-        raise SchemaError(f"flow {flow_id!r}: guard must be a list")
-    guard = []
-    for conj in guard_raw:
-        if (not isinstance(conj, list) or not conj
-                or not all(isinstance(ref, str) for ref in conj)):
-            raise SchemaError(
-                f"flow {flow_id!r}: guard conjunction must be a non-empty "
-                "list of flow ids")
-        guard.append(tuple(conj))
-    packets = entry.get("packets")
-    if not isinstance(packets, dict):
-        raise SchemaError(f"flow {flow_id!r} missing 'packets'")
-    count = packets.get("count")
-    sizes = packets.get("sizes")
-    if not isinstance(count, int) or not (2 <= count <= 8):
+    flow = canonicalize(FlowId.from_obj(entry.get("flow"), path + ("flow",)))
+    guard = member(entry, "guard", [[str]], path, ())
+    if not all(guard):
+        raise SchemaError(
+            f"flow {flow_id!r}: guard conjunction must be a non-empty "
+            "list of flow ids")
+    packets = member(entry, "packets", dict, path)
+    count = member(packets, "count", int, path + ("packets",))
+    sizes = member(packets, "sizes", [int], path + ("packets",))
+    if not 2 <= count <= 8:
         raise SchemaError(f"flow {flow_id!r}: packet count must be 2..8")
-    if (not isinstance(sizes, list) or not sizes
-            or not all(isinstance(s, int) and 1 <= s <= 1400 for s in sizes)):
+    if not sizes or not all(1 <= s <= 1400 for s in sizes):
         raise SchemaError(f"flow {flow_id!r}: sizes must be ints in 1..1400")
     p = None
     if noise:
-        p = entry.get("p")
-        if not isinstance(p, (int, float)) or not (0.0 <= p <= 1.0):
+        p = float(member(entry, "p", (int, float), path))
+        if not 0.0 <= p <= 1.0:
             raise SchemaError(f"noise flow {flow_id!r}: p must be in [0, 1]")
-        p = float(p)
     elif "p" in entry:
         raise SchemaError(f"flow {flow_id!r}: only noise entries take 'p'")
-    return FlowSpec(id=flow_id, flow=flow, guard=tuple(guard),
+    return FlowSpec(id=flow_id, flow=flow, guard=tuple(map(tuple, guard)),
                     shape=PacketShape(count=count, sizes=tuple(sizes)), p=p)
 
 
@@ -315,23 +276,23 @@ def _visit_guards(edges: dict, done: set, path: List[str]):
     done.add(path[-1])
 
 
-def _validate_formula(formula, ids: set, depth: int = 1):
-    """Check a success clause nested `depth` clauses deep, refusing one past
-    MAX_FORMULA_DEPTH before eval_success would recurse that far."""
+def _validate_formula(formula, ids: set, path=("success",), depth: int = 1):
+    """Check the success clause at `path`, `depth` clauses deep, refusing one
+    past MAX_FORMULA_DEPTH before eval_success would recurse that far."""
     if depth > MAX_FORMULA_DEPTH:
         raise SchemaError(
             f"success formula nests deeper than {MAX_FORMULA_DEPTH} clauses")
-    if not isinstance(formula, dict) or len(formula) != 1:
+    if len(check(formula, dict, path)) != 1:
         raise SchemaError(f"bad success clause {formula!r}")
     key, value = next(iter(formula.items()))
     if key == "flow":
-        if value not in ids:
+        if check(value, str, path + (key,)) not in ids:
             raise UnknownFlowRef(f"success references unknown flow {value!r}")
     elif key in ("and", "or"):
-        if not isinstance(value, list) or not value:
+        if not check(value, list, path + (key,)):
             raise SchemaError(f"'{key}' needs a non-empty clause list")
-        for clause in value:
-            _validate_formula(clause, ids, depth + 1)
+        for index, clause in enumerate(value):
+            _validate_formula(clause, ids, path + (key, index), depth + 1)
     else:
         raise SchemaError(f"unknown success operator {key!r}")
 

@@ -423,7 +423,7 @@ def test_a_selector_string_field_of_another_type_exits_one(
             assert main(argv + ["--out-dir", str(tmp_path)]) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
-            assert repr(key) in err, err
+            assert f"app.{key} must be a string, not " in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == ["flows.json", "tree.json"]
 
@@ -509,7 +509,7 @@ def test_analyze_rejects_missing_and_bad_trees(tmp_path, capsys):
         assert f"bad tree file {junk}" in capsys.readouterr().err
     # junk.json still holds the last body, whose reason is not a string
     assert main(["analyze", str(junk), "--out-dir", str(tmp_path)]) == 1
-    assert f"bad tree file {junk}: reason must be a string" \
+    assert f"bad tree file {junk}: root.reason must be a string" \
         in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
 
@@ -563,8 +563,8 @@ def test_an_over_nested_success_formula_is_a_schema_error(tmp_path, capsys):
     _nested_success(path, 480)
     assert _main_on_a_fresh_stack(["oracle", "--model", str(path),
                                    "--out-dir", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: success formula nests deeper " \
-        f"than {MAX_FORMULA_DEPTH} clauses\n"
+    assert capsys.readouterr().err == f"error: bad model file {path}: " \
+        f"success formula nests deeper than {MAX_FORMULA_DEPTH} clauses\n"
     assert not (tmp_path / "out").exists()
 
 

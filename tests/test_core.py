@@ -135,7 +135,7 @@ def test_flow_port_bounds():
 def test_flow_ports_must_be_integers(port):
     obj = _flow().to_obj()
     obj["responder_port"] = port
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match="responder_port must be an integer"):
         FlowId.from_obj(obj)
 
 

@@ -4,7 +4,8 @@ its module outside its own body, no module imports another's private name,
 every exported name is used inside the package, only the modules that render the file formats call the text
 serializers, every packet is built through core.new_packet with its fields
 named, no frozen value is changed after it was built, only core spells out
-the selector vocabulary, and every module-level memo is bounded."""
+the selector vocabulary, every module-level memo is bounded, and only the
+one JSON reader decodes JSON or names a decode error in an except clause."""
 
 import ast
 import pathlib
@@ -399,3 +400,57 @@ def test_check_flags_an_unbounded_memo():
     assert _unbounded_memos(tree) == [(8, "default"), (10, "unbounded"),
                                       (12, "cached"), (14, "literal"),
                                       (17, "lookup")]
+
+
+# the one JSON reader, and the errors only it may catch
+READER = "read_json"
+DECODE_ERRORS = ("JSONDecodeError", "RecursionError")
+
+
+def _json_decoding(tree: ast.Module) -> list:
+    """Calls of json.loads or json.load, and except clauses naming a decode
+    error, outside the body of the reader."""
+    inside = {id(node) for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) and func.name == READER
+              for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Call) \
+                and ast.unparse(node.func) in ("json.loads", "json.load"):
+            found.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            found += [(node.lineno, name) for name in DECODE_ERRORS
+                      if name in ast.unparse(node.type)]
+    return sorted(found)
+
+
+def test_only_the_reader_decodes_json():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {name}"
+                  for line, name in _json_decoding(tree)]
+    assert found == []
+
+
+def test_check_flags_json_decoding_outside_the_reader():
+    tree = ast.parse("import json\n"
+                     "def read_json(build, text):\n"
+                     "    try:\n"
+                     "        return build(json.loads(text))\n"
+                     "    except (ValueError, RecursionError):\n"
+                     "        raise\n"
+                     "def load(path):\n"
+                     "    try:\n"
+                     "        with open(path) as file:\n"
+                     "            return json.load(file)\n"
+                     "    except json.JSONDecodeError:\n"
+                     "        return json.loads('null'), json.dumps(path)\n"
+                     "    except (OSError, RecursionError) as exc:\n"
+                     "        raise ValueError(path) from exc\n")
+    assert _json_decoding(tree) == [(10, "json.load"),
+                                    (11, "JSONDecodeError"),
+                                    (12, "json.loads"),
+                                    (13, "RecursionError")]

@@ -16,6 +16,7 @@ from flowprof import (
     NodeAlreadyVisited,
     NodeStatus,
     ProfileConfig,
+    SchemaError,
     SigTree,
     SimDriver,
     Transport,
@@ -221,7 +222,7 @@ def test_import_refuses_a_reason_that_is_not_a_string():
     assert SigTree.from_obj(obj).export_json() == tree.export_json()
     for bad in ({"a": [1]}, 7, ["depth"], True):
         child["reason"] = bad
-        with pytest.raises(TypeError, match="reason must be a string"):
+        with pytest.raises(SchemaError, match="reason must be a string"):
             SigTree.from_obj(obj)
 
 
@@ -419,7 +420,7 @@ def test_a_refused_tree_file_leaves_no_reference_cycle():
     gc.collect()
     try:
         SigTree.import_json(text)
-    except TypeError:
+    except SchemaError:
         pass
     assert gc.collect() == 0
 

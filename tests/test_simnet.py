@@ -3,6 +3,8 @@ import gc
 import hashlib
 import itertools
 import json
+import re
+import tracemalloc
 
 import pytest
 
@@ -230,6 +232,46 @@ def test_rejects_unpinned_dns_flow():
         })
     with pytest.raises(SchemaError):
         load_model(_model(twist))
+
+
+def test_a_json_boolean_is_not_a_number():
+    def noisy(obj):
+        obj["noise"] = [{
+            "id": "hum",
+            "flow": {"initiator": "phone", "responder": "dom:a.example",
+                     "responder_port": 443},
+            "packets": {"count": 2, "sizes": [80]},
+            "p": True,
+        }]
+
+    def boolean_size(obj):
+        obj["flows"][0]["packets"]["sizes"] = [True]
+    for path, kind, mutate in (
+            ("schema", "an integer", lambda obj: obj.update(schema=True)),
+            ("noise[0].p", "a number", noisy),
+            ("flows[0].packets.sizes[0]", "an integer", boolean_size)):
+        with pytest.raises(SchemaError,
+                           match=re.escape(f"{path} must be {kind}, not True")):
+            load_model(_model(mutate))
+
+
+def test_loading_from_a_path_retains_no_memory():
+    """Loads of one path keep nothing: the path is opened as it is, not
+    parsed by pathlib, which interns its parts, and the topology names its
+    attributes with constant strings."""
+    path = str(model_path("hs110_toggle"))
+    load_model(path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2000):
+            load_model(path)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
 
 
 # -- capture behavior ---------------------------------------------------------------
