@@ -13,6 +13,7 @@ path, and a JSON boolean is never read as a number.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: each build leaves strings behind."""
     parser = _Parser(prog="flowprof",
                      description="Smart-home traffic profiling pipeline")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -91,8 +91,8 @@ def check(value, kind, path: tuple = ()):
             and (kind is bool or type(value) is not bool):
         return value
     name = "a list" if type(kind) is list else _KIND_NAMES[kind]
-    raise SchemaError(f"{_path_text(path)} is missing" if value is MISSING else
-                      f"{_path_text(path)} must be {name}, not {reprlib.repr(value)}")
+    raise SchemaError(f"{path_text(path)} is missing" if value is MISSING else
+                      f"{path_text(path)} must be {name}, not {reprlib.repr(value)}")
 
 
 def member(obj: dict, key: str, kind, path: tuple = (), default=MISSING):
@@ -104,7 +104,8 @@ def member(obj: dict, key: str, kind, path: tuple = (), default=MISSING):
     return check(value, kind, path + (key,))
 
 
-def _path_text(path: tuple) -> str:
+def path_text(path: tuple) -> str:
+    """Where `path` is, as an error names it: `root.children[0].depth`."""
     return "".join(f"[{key}]" if type(key) is int else f".{key}"
                    for key in path).lstrip(".") or "document"
 
@@ -443,7 +444,7 @@ class FlowId:
         except SchemaError:
             raise
         except ValueError as exc:
-            raise SchemaError(f"{_path_text(path)}: {exc}") from exc
+            raise SchemaError(f"{path_text(path)}: {exc}") from exc
 
     def describe(self) -> str:
         """Compact human-readable label (used in DOT output)."""
@@ -530,7 +531,7 @@ class Topology:
         try:
             return Topology(*addrs, local_prefixes=tuple(prefixes))
         except ValueError as exc:
-            raise SchemaError(f"{_path_text(path)}: {exc}") from exc
+            raise SchemaError(f"{path_text(path)}: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)

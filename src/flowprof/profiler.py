@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .core import DnsSelector, HostKind
 from .blocklist import compile_rules, matches_packet
@@ -97,32 +97,19 @@ def dns_stats(tree: SigTree) -> DnsStats:
     first level.  Domains come from Domain-kind endpoints and DNS question
     names; resolvers are the responder endpoints of DNS-selector flows.
     """
-    domain_depth: Dict[str, int] = {}
-    resolver_depth: Dict[str, int] = {}
-    for handle, node in enumerate(tree.nodes):
-        if handle == tree.root:
-            continue
-        flow = node.flow
-        names = {host.value for host in (flow.initiator, flow.responder)
-                 if host.kind is HostKind.DOMAIN}
-        if isinstance(flow.app, DnsSelector):
-            names.add(flow.app.qname)
-            resolver = flow.responder.display()
-            resolver_depth[resolver] = min(
-                resolver_depth.get(resolver, node.depth), node.depth)
-        for name in names:
-            domain_depth[name] = min(domain_depth.get(name, node.depth),
-                                     node.depth)
-    return DnsStats(
-        domains_first_level=frozenset(
-            n for n, d in domain_depth.items() if d == 1),
-        domains_hidden=frozenset(
-            n for n, d in domain_depth.items() if d > 1),
-        resolvers_first_level=frozenset(
-            n for n, d in resolver_depth.items() if d == 1),
-        resolvers_hidden=frozenset(
-            n for n, d in resolver_depth.items() if d > 1),
-    )
+    def found(flows) -> tuple:  # (domains, resolvers)
+        dns = [flow for flow in flows if isinstance(flow.app, DnsSelector)]
+        return (frozenset({host.value for flow in flows
+                           for host in (flow.initiator, flow.responder)
+                           if host.kind is HostKind.DOMAIN}
+                          | {flow.app.qname for flow in dns}),
+                frozenset(flow.responder.display() for flow in dns))
+
+    domains, resolvers = found([node.flow for node in tree.nodes[1:]])
+    first_domains, first_resolvers = found(
+        [node.flow for node in tree.nodes[1:] if node.depth == 1])
+    return DnsStats(first_domains, domains - first_domains,
+                    first_resolvers, resolvers - first_resolvers)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ Nodes live in an arena indexed by integer handles; handle 0 is the synthetic
 root (no flow).  Each node carries its blocking set, the flows on its root
 path.  The frontier is FIFO.  With pruning enabled, a popped node whose flow
 already reached a terminal explored state (Expanded or Failed) anywhere in
-the tree is marked Pruned instead of being returned.  explore, the one loop
-that grows a tree, observes each distinct blocking set once.  An unpruned
-tree repeats each set once per order of its flows, so a tree sorts each
-set's children once, and its export writes each distinct node head once.
+the tree is marked Pruned instead of being returned, and each path has its
+node.  Unpruned, each distinct blocking set has one node, which every path
+to the set reaches; export_json, to_dot and stats() describe the unfolding,
+one node per path.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Optional, Tuple
 
-from .core import FlowId, check, member, read_json, sorted_flows
+from .core import (FlowId, SchemaError, check, member, path_text, read_json,
+                   sorted_flows)
 from .signature import EventSignature, accept_signature
 
 
@@ -39,8 +40,9 @@ class RootFailed(RuntimeError):
 
 @dataclass
 class SigNode:
-    """A path's last flow and its blocking set: the parent's set plus that
-    flow, empty at the root; nodes of one set may share the instance."""
+    """A blocking set's node: the last flow of the first path reaching it,
+    whose parent is `parent`, and the set, the parent's set plus that flow,
+    empty at the root.  Every path to a set has its length as `depth`."""
     flow: Optional[FlowId]  # None only for the root
     parent: Optional[int]
     depth: int
@@ -57,7 +59,7 @@ class TreeStats:
     hidden_flows: int  # flows reached only after blocking another
     pruned_per_depth: Tuple[Tuple[int, int], ...]  # (depth, count), sorted
     failed_count: int
-    node_count: int  # non-root nodes
+    node_count: int  # non-root nodes of the unfolding, one per root path
     expanded_count: int
 
 
@@ -70,8 +72,7 @@ class SigTree:
         # one instance per distinct flow, so that each flow's hash and
         # canonical JSON are computed once per tree, not once per node
         self._flows: dict = {}
-        # (blocking set, signature flows) -> [(child flow, child set), ...]
-        self._children: dict = {}
+        self._sets: dict = {}  # blocking set -> its node, unpruned only
 
     @property
     def root(self) -> int:
@@ -84,115 +85,118 @@ class SigTree:
         """Pop the next frontier node; prune duplicates at pop time."""
         while self.frontier:
             handle = self.frontier.popleft()
-            node = self.nodes[handle]
-            if (
-                self.pruning
-                and node.flow is not None
-                and node.flow in self._explored
-            ):
-                node.status = NodeStatus.PRUNED
-                node.reason = "duplicate"
-                continue
-            return handle
+            if self.pruning and self.nodes[handle].flow in self._explored:
+                self.prune(handle, "duplicate")
+            else:
+                return handle
         return None
 
     def add_children(self, handle: int, signature: EventSignature) -> list:
         """Expand a node with the signature seen under its blocking set.
 
         Children are the signature flows minus the node's blocking set,
-        appended in canonical sort order.  Returns their handles.  Nodes of
-        one set and signature share one sort and each child's set.
+        appended in canonical sort order.  Returns their handles.  Unpruned,
+        a child whose blocking set already has a node is that node, which
+        is neither made nor queued again.
         """
-        node = self.nodes[handle]
-        if node.status is not NodeStatus.UNEXPLORED:
-            raise NodeAlreadyVisited(f"node {handle} is {node.status.value}")
-        key = (node.blocked, signature.flows)
-        if key not in self._children:
-            fresh = sorted_flows(self._flows.setdefault(flow, flow)
-                                 for flow in signature.flows - node.blocked)
-            self._children[key] = [(flow, node.blocked | {flow})
-                                   for flow in fresh]
-        first, depth = len(self.nodes), node.depth + 1
-        self.nodes.extend(SigNode(flow=flow, parent=handle, depth=depth,
-                                  blocked=blocked)
-                          for flow, blocked in self._children[key])
-        handles = list(range(first, len(self.nodes)))
+        node = self._settle(handle, NodeStatus.EXPANDED)
+        handles, depth = [], node.depth + 1
+        for flow in sorted_flows(self._flows.setdefault(flow, flow)
+                                 for flow in signature.flows - node.blocked):
+            blocked = node.blocked | {flow}
+            child = self._sets.get(blocked)
+            if child is None:
+                child = len(self.nodes)
+                self.nodes.append(SigNode(flow=flow, parent=handle,
+                                          depth=depth, blocked=blocked))
+                self.frontier.append(child)
+                if not self.pruning:
+                    self._sets[blocked] = child
+            handles.append(child)
         node.children.extend(handles)
-        self.frontier.extend(handles)
-        node.status = NodeStatus.EXPANDED
-        if node.flow is not None:
-            self._explored.add(node.flow)
         return handles
 
     def mark_failed(self, handle: int):
-        node = self.nodes[handle]
         if handle == self.root:
             raise ValueError("root cannot be marked failed")
-        if node.status is not NodeStatus.UNEXPLORED:
-            raise NodeAlreadyVisited(f"node {handle} is {node.status.value}")
-        node.status = NodeStatus.FAILED
-        self._explored.add(node.flow)
+        self._settle(handle, NodeStatus.FAILED)
 
     def prune(self, handle: int, reason: str):
+        self._settle(handle, NodeStatus.PRUNED, reason)
+
+    def _settle(self, handle: int, status: NodeStatus,
+                reason: Optional[str] = None) -> SigNode:
+        """Move a node out of the Unexplored state, which it leaves once."""
         node = self.nodes[handle]
         if node.status is not NodeStatus.UNEXPLORED:
             raise NodeAlreadyVisited(f"node {handle} is {node.status.value}")
-        node.status = NodeStatus.PRUNED
-        node.reason = reason
+        node.status, node.reason = status, reason
+        if status is not NodeStatus.PRUNED and node.flow is not None:
+            self._explored.add(node.flow)
+        return node
 
     def blocking_set(self, handle: int) -> Tuple[FlowId, ...]:
-        """Flows on the path from the root to this node, root side first."""
+        """Flows on the first path from the root to this node, root side
+        first."""
         flows = []
-        current: Optional[int] = handle
-        while current is not None:
-            node = self.nodes[current]
-            if node.flow is not None:
-                flows.append(node.flow)
-            current = node.parent
+        while handle != self.root:
+            flows.append(self.nodes[handle].flow)
+            handle = self.nodes[handle].parent
         return tuple(reversed(flows))
 
+    def edges(self, handle: int) -> list:
+        """(flow, child) for each child of a node: the flow that the child's
+        blocking set adds to the node's."""
+        blocked = self.nodes[handle].blocked
+        return [(next(iter(self.nodes[child].blocked - blocked)), child)
+                for child in self.nodes[handle].children]
+
     def stats(self) -> TreeStats:
-        unique: set = set()
-        first_level: set = set()
-        pruned: Dict[int, int] = {}
-        failed = 0
-        expanded = 0
-        for handle, node in enumerate(self.nodes):
-            if handle == self.root:
-                continue
-            unique.add(node.flow)
-            if node.depth == 1:
-                first_level.add(node.flow)
-            if node.status is NodeStatus.PRUNED:
-                pruned[node.depth] = pruned.get(node.depth, 0) + 1
-            elif node.status is NodeStatus.FAILED:
-                failed += 1
-            elif node.status is NodeStatus.EXPANDED:
-                expanded += 1
+        """Counts over the unfolding, where a node stands for its root paths,
+        the sum of its parents'; every flow there is some node's own."""
+        paths = [1] + [0] * (len(self.nodes) - 1)
+        counts: Dict[tuple, int] = {}  # (status, depth) -> non-root paths
+        # parents first, however the tree grew: each edge goes one level down
+        for handle in sorted(range(len(self.nodes)),
+                             key=lambda h: self.nodes[h].depth):
+            node = self.nodes[handle]
+            for child in node.children:
+                paths[child] += paths[handle]
+            if handle != self.root:
+                key = (node.status, node.depth)
+                counts[key] = counts.get(key, 0) + paths[handle]
+        flows = {node.flow for node in self.nodes[1:]}
+        first = {node.flow for node in self.nodes[1:] if node.depth == 1}
+
+        def per_depth(status: NodeStatus) -> tuple:
+            return tuple(sorted((depth, count) for (kind, depth), count
+                                in counts.items() if kind is status))
+
         return TreeStats(
-            unique_flows=len(unique),
-            first_level=len(first_level),
-            hidden_flows=len(unique - first_level),
-            pruned_per_depth=tuple(sorted(pruned.items())),
-            failed_count=failed,
-            node_count=len(self.nodes) - 1,
-            expanded_count=expanded,
+            unique_flows=len(flows),
+            first_level=len(first),
+            hidden_flows=len(flows - first),
+            pruned_per_depth=per_depth(NodeStatus.PRUNED),
+            failed_count=sum(n for _, n in per_depth(NodeStatus.FAILED)),
+            node_count=sum(counts.values()),
+            expanded_count=sum(n for _, n in per_depth(NodeStatus.EXPANDED)),
         )
 
     # -- serialization ---------------------------------------------------------
 
     def export_json(self) -> str:
-        """The tree as `json.dumps(obj, indent=2) + "\n"`, where each node
-        object holds flow (except the root), status, depth, reason (Pruned
-        nodes) and children.  The text is written directly, because the
-        stdlib's indented encoder is pure Python.  A node's text up to its
-        children, and the separators its depth sets, are built once per
-        (flow, status, depth, reason); each flow's and each reason's block
-        is encoded once per depth, by json.dumps itself."""
+        """The unfolding as `json.dumps(obj, indent=2) + "\n"`, where each
+        node object holds flow (except the root), status, depth, reason
+        (Pruned nodes) and children.  The text is written directly, because
+        the stdlib's indented encoder is pure Python.  A node's text up to
+        its children is built once per (flow, status, depth, reason), the
+        text of a node's children once per node, and each flow's and each
+        reason's block once per depth, by json.dumps itself."""
         parts = ['{\n  "root": ']
         nodes = self.nodes
         blocks: dict = {}  # (flow or reason, indent) -> encoded block
         heads: dict = {}  # (flow, status, depth, reason) -> node texts
+        spans: dict = {}  # handle -> slice of parts holding its children
 
         def block(value, inner: str) -> str:
             key = (value, inner)
@@ -201,13 +205,13 @@ class SigTree:
                 blocks[key] = text.replace("\n", "\n" + inner)
             return blocks[key]
 
-        def texts(node: SigNode) -> tuple:
+        def texts(flow: Optional[FlowId], node: SigNode) -> tuple:
             """(leaf text, head and first separator, separator, tail)"""
             pad = "  " * (2 * node.depth + 1)
             inner = pad + "  "
             head = "{\n"
-            if node.flow is not None:
-                head += f'{inner}"flow": {block(node.flow, inner)},\n'
+            if flow is not None:
+                head += f'{inner}"flow": {block(flow, inner)},\n'
             head += (f'{inner}"status": "{node.status.value}",\n'
                      f'{inner}"depth": {node.depth},\n')
             if node.reason is not None:
@@ -216,21 +220,26 @@ class SigTree:
             return (f"{head}]\n{pad}}}", f"{head}\n{inner}  ",
                     f",\n{inner}  ", f"\n{inner}]\n{pad}}}")
 
-        def write(handle: int):
+        def write(handle: int, flow: Optional[FlowId]):
             node = nodes[handle]
-            key = (node.flow, node.status, node.depth, node.reason)
-            text = heads.get(key) or heads.setdefault(key, texts(node))
+            key = (flow, node.status, node.depth, node.reason)
+            text = heads.get(key) or heads.setdefault(key, texts(flow, node))
             if not node.children:
                 parts.append(text[0])
                 return
             parts.append(text[1])
-            write(node.children[0])
-            for child in node.children[1:]:
-                parts.append(text[2])
-                write(child)
+            if handle in spans:
+                parts.extend(parts[spans[handle]])
+            else:
+                start = len(parts)
+                for child_flow, child in self.edges(handle):
+                    write(child, child_flow)
+                    parts.append(text[2])
+                parts.pop()  # no separator follows the last child
+                spans[handle] = slice(start, len(parts))
             parts.append(text[3])
 
-        write(self.root)
+        write(self.root, None)
         del write  # the closure refers to itself; the cycle would hold parts
         parts.append("\n}\n")
         return "".join(parts)
@@ -248,35 +257,49 @@ class SigTree:
         return read_json(SigTree.from_obj, "tree", text=text)
 
     def to_dot(self, hide_failed: bool = False) -> str:
-        """Graphviz rendering; Pruned nodes dashed, Failed nodes annotated.
-        Each (flow, status, reason) has its attribute text built once."""
+        """Graphviz rendering of the unfolding, its nodes numbered
+        breadth-first; Pruned nodes dashed, Failed nodes annotated.  Each
+        (flow, status, reason) has its attribute text built once."""
+        nodes = self.nodes
+        # order[i] is the handle of the i-th node of the unfolding, breadth
+        # first, and its children are numbered first[i] to first[i + 1] - 1
+        order, first = [self.root], []
+        for handle in order:
+            first.append(len(order))
+            order.extend(nodes[handle].children)
+        first.append(len(order))
         lines = ["digraph sigtree {", "  rankdir=LR;",
                  '  n0 [label="event", shape=box];']
         edges = []
-        nodes = self.nodes
         attrs: dict = {}  # (flow, status, reason) -> attribute text
 
-        def attributes(node: SigNode) -> str:
-            label = _dot_escape(node.flow.describe())
-            if node.status is NodeStatus.PRUNED:
-                return (f'label="{label}", style=dashed, '
-                        f'tooltip="pruned: {_dot_escape(node.reason)}"')
-            if node.status is NodeStatus.FAILED:
-                return f'label="{label}\\n[failed]", color=red'
-            return f'label="{label}"'
+        def attributes(flow: FlowId, node: SigNode) -> Optional[str]:
+            key = (flow, node.status, node.reason)
+            if key not in attrs:
+                label = _dot_escape(flow.describe())
+                attrs[key] = (
+                    f'label="{label}", style=dashed, '
+                    f'tooltip="pruned: {_dot_escape(node.reason)}"'
+                    if node.status is NodeStatus.PRUNED else
+                    f'label="{label}\\n[failed]", color=red'
+                    if node.status is NodeStatus.FAILED else
+                    f'label="{label}"')
+            hidden = hide_failed and node.status is NodeStatus.FAILED
+            return None if hidden else attrs[key]
 
-        def visit(handle: int):
-            for child in nodes[handle].children:
-                node = nodes[child]
-                if hide_failed and node.status is NodeStatus.FAILED:
-                    continue
-                key = (node.flow, node.status, node.reason)
-                text = attrs.get(key) or attrs.setdefault(key, attributes(node))
-                lines.append(f"  n{child} [{text}];")
-                edges.append(f"  n{handle} -> n{child};")
-                visit(child)
+        rows = [[attributes(flow, nodes[child]) for flow, child in
+                 self.edges(handle)] for handle in range(len(nodes))]
 
-        visit(self.root)
+        def visit(number: int):
+            for child, text in zip(range(first[number], first[number + 1]),
+                                   rows[order[number]]):
+                if text is not None:
+                    lines.append(f"  n{child} [{text}];")
+                    edges.append(f"  n{number} -> n{child};")
+                    if first[child] < first[child + 1]:
+                        visit(child)
+
+        visit(0)
         del visit  # the closure refers to itself; the cycle would hold lines
         return "\n".join(lines + edges + ["}"]) + "\n"
 
@@ -285,6 +308,9 @@ def _build_node(tree, node_obj: dict, parent: Optional[int], depth: int,
                 path: tuple):
     """Add `node_obj`, the node at `path`, under `parent`, then its subtree."""
     check(node_obj, dict, path)
+    if (written := member(node_obj, "depth", int, path)) != depth:
+        raise SchemaError(f"{path_text(path + ('depth',))} must be {depth}, "
+                          f"not {written}")
     # every node but the root carries a flow; a root's is not read
     flow = None if parent is None \
         else FlowId.from_obj(node_obj.get("flow"), path + ("flow",))
@@ -292,13 +318,12 @@ def _build_node(tree, node_obj: dict, parent: Optional[int], depth: int,
                    status=NodeStatus(member(node_obj, "status", str, path)),
                    reason=member(node_obj, "reason", str, path, None))
     if parent is None:
-        tree.nodes[0] = node
-        handle = 0
+        tree.nodes.clear()
     else:
         node.blocked = tree.nodes[parent].blocked | {flow}
-        tree.nodes.append(node)
-        handle = len(tree.nodes) - 1
-        tree.nodes[parent].children.append(handle)
+        tree.nodes[parent].children.append(len(tree.nodes))
+    handle = len(tree.nodes)
+    tree.nodes.append(node)
     if node.status in (NodeStatus.EXPANDED, NodeStatus.FAILED) and flow:
         tree._explored.add(flow)
     if node.status is NodeStatus.UNEXPLORED:
@@ -321,24 +346,20 @@ def explore(tree: SigTree,
 
     Each popped node is observed with its blocking set blocked: `observe`
     returns the node's signature, which depends on the set and not on its
-    order, so a node whose set was observed (B -> A after A -> B) reuses it.
-    An accepted signature (2 * m_plus >= m) expands the node, its flows
-    becoming the children; any other marks the node Failed.  Nodes deeper
-    than `max_depth` are pruned unobserved.  Raises RootFailed when the
-    unblocked event's signature is not accepted.
+    order.  Each set is observed once: unpruned, B -> A is the node of
+    A -> B, and pruned, it is cut as a duplicate of A.  An accepted
+    signature (2 * m_plus >= m) expands the node, its flows becoming the
+    children; any other marks the node Failed.  Nodes deeper than
+    `max_depth` are pruned unobserved.  Raises RootFailed when the unblocked
+    event's signature is not accepted.
     """
     if max_depth is not None and max_depth < 1:
         raise ValueError("max_depth must be at least 1 when set")
-    observed: dict = {}  # blocking set -> its signature
     while (handle := tree.next_node()) is not None:
-        node = tree.node(handle)
-        if max_depth is not None and node.depth > max_depth:
+        if max_depth is not None and tree.node(handle).depth > max_depth:
             tree.prune(handle, "depth-capped")
             continue
-        signature = observed.get(node.blocked)
-        if signature is None:
-            signature = observed[node.blocked] = observe(
-                tree.blocking_set(handle))
+        signature = observe(tree.blocking_set(handle))
         if accept_signature(signature):
             tree.add_children(handle, signature)
         elif handle == tree.root:

@@ -514,6 +514,24 @@ def test_analyze_rejects_missing_and_bad_trees(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("depth, message", [
+    ('"x"', "must be an integer, not 'x'"),
+    ("false", "must be an integer, not False"),
+    ("3", "must be 1, not 3")])
+def test_analyze_refuses_a_node_depth_its_path_does_not_have(
+        tmp_path, mini_model, capsys, depth, message):
+    assert main(["oracle", "--model", str(mini_model),
+                 "--out-dir", str(tmp_path)]) == 0
+    tree_path = tmp_path / "tree.json"
+    text = tree_path.read_text()
+    tree_path.write_text(text.replace('"depth": 1', f'"depth": {depth}', 1))
+    out_dir = tmp_path / "out"
+    assert main(["analyze", str(tree_path), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: bad tree file {tree_path}: " \
+        f"root.children[0].depth {message}\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command", ["oracle", "analyze", "manifest", "rules"])
 def test_over_deep_json_is_an_input_error(tmp_path, capsys, command):
     """JSON nested past the decoder's recursion limit gives one error line."""
@@ -578,3 +596,23 @@ def test_a_success_formula_at_the_depth_limit_evaluates(tmp_path, capsys):
     assert main(["oracle", "--model", str(path),
                  "--out-dir", str(tmp_path / "out2")]) == 1
     assert "nests deeper than" in capsys.readouterr().err
+
+
+def test_repeated_commands_retain_no_memory(tmp_path, mini_model):
+    """Memory guard: main parses with one parser per process, so a long
+    run of commands keeps nothing of each (a parser built per call left
+    about 800 B of strings behind every time)."""
+    argv = ["oracle", "--model", str(mini_model), "--out-dir",
+            str(tmp_path / "out")]
+    assert main(argv) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(30):
+            assert main(argv) == 0
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096, f"{retained} B retained over 30 commands"

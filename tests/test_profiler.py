@@ -111,8 +111,9 @@ def test_blind_walk_runs_one_experiment_per_distinct_blocking_set():
     model = load_model(model_path("appendix_c"))
     driver = _Counting(model)
     tree = profile_event(driver, ProfileConfig(m=20, seed=0, pruning=False))
-    # 76 nodes, 20 distinct blocking sets; 4 of them fail after 11 captures
-    assert len(tree.nodes) == 76
+    # 76 paths, 20 distinct blocking sets; 4 of them fail after 11 captures
+    assert tree.stats().node_count == 75
+    assert len(tree.nodes) == 20  # one node per set
     assert driver.seeds == list(range(0, 400, 20))
     assert sum(driver.drawn) == 364
     assert tree.export_json() == oracle_tree(model, pruning=False).export_json()

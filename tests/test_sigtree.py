@@ -2,6 +2,7 @@ import gc
 import json
 import re
 import tracemalloc
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -17,14 +18,22 @@ from flowprof import (
     NodeStatus,
     ProfileConfig,
     SchemaError,
+    SigNode,
     SigTree,
     SimDriver,
     Transport,
+    TreeStats,
+    accept_signature,
+    build_report,
     explore,
     load_model,
     oracle_tree,
     profile_event,
+    profiler,
+    render_csv,
     sigtree,
+    simnet,
+    sorted_flows,
 )
 
 from conftest import MODEL_DIR, model_path
@@ -132,10 +141,12 @@ def test_explore_observes_each_distinct_blocking_set_once():
         return _sig(A, B)
 
     tree = explore(SigTree(pruning=False), observe)
-    paths = [tree.blocking_set(h) for h in range(len(tree.nodes))]
+    unfolded = _unfolded(tree)
+    paths = [unfolded.blocking_set(h) for h in range(len(unfolded.nodes))]
     assert (A, B) in paths and (B, A) in paths
-    # the path B -> A reuses the signature observed under A -> B
+    # the path B -> A reaches the node of A -> B, observed once
     assert calls == [(), (A,), (B,), (A, B)]
+    assert len(tree.nodes) == 4
     assert {node.status for node in tree.nodes} == {NodeStatus.EXPANDED}
 
 
@@ -245,12 +256,13 @@ def test_dot_output_marks_statuses():
 
 def assert_stdlib_encoding(tree):
     """export_json is json.dumps(..., indent=2) + newline of what it holds,
-    and importing it gives back the same tree."""
+    and importing it gives back the same tree, numbered alike in DOT."""
     text = tree.export_json()
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     again = SigTree.import_json(text)
     assert again.export_json() == text
     assert again.stats() == tree.stats()
+    assert again.to_dot() == tree.to_dot()
 
 
 # a DOT line of to_dot once each quoted string is replaced by S
@@ -336,11 +348,32 @@ def test_a_flow_and_a_reason_at_two_depths_export_as_the_stdlib_encoding():
     assert_stdlib_encoding(tree)
 
 
+def _unfolded(tree):
+    """The tree of paths `tree` stands for, one node per root path, numbered
+    breadth-first; a child's flow is the one its blocking set adds to its
+    parent's."""
+    plain = SigTree()
+    plain.nodes[0] = replace(tree.node(tree.root), children=[])
+    queue = deque([(tree.root, plain.root)])
+    while queue:
+        handle, copy = queue.popleft()
+        for child in tree.node(handle).children:
+            node = tree.node(child)
+            (flow,) = node.blocked - tree.node(handle).blocked
+            plain.nodes.append(replace(node, flow=flow, parent=copy,
+                                       children=[]))
+            plain.node(copy).children.append(len(plain.nodes) - 1)
+            queue.append((child, len(plain.nodes) - 1))
+    return plain
+
+
 def _dot_by_hand(tree, hide_failed: bool) -> str:
-    """The DOT text rendered node by node from each flow's describe()."""
+    """The DOT text of the unfolding rendered node by node from each flow's
+    describe()."""
     def quoted(text):
         return text.replace("\\", "\\\\").replace('"', '\\"')
 
+    tree = _unfolded(tree)
     nodes, edges = [], []
 
     def visit(handle):
@@ -425,22 +458,29 @@ def test_a_refused_tree_file_leaves_no_reference_cycle():
     assert gc.collect() == 0
 
 
-def test_nodes_of_one_blocking_set_get_the_children_of_their_own_signature():
-    # A -> B and B -> A share a blocking set; given different signatures,
-    # each node is expanded by its own
+def test_paths_to_one_blocking_set_share_its_node():
+    # A -> B and B -> A share a blocking set, so they are one node, queued
+    # and expanded once, whose parent is the first path's
     tree = SigTree(pruning=False)
     tree.add_children(tree.next_node(), _sig(A, B))
     (ab,) = tree.add_children(tree.next_node(), _sig(A, B))
     (ba,) = tree.add_children(tree.next_node(), _sig(A, B))
-    assert tree.node(ab).blocked == tree.node(ba).blocked == {A, B}
-    below_ab = tree.add_children(tree.next_node(), _sig(A, B, C))
-    below_ba = tree.add_children(tree.next_node(), _sig(D))
-    assert [tree.node(h).flow for h in below_ab] == [C]
-    assert [tree.node(h).flow for h in below_ba] == [D]
-    assert tree.node(below_ba[0]).blocked == {A, B, D}
+    assert ab == ba and tree.node(ab).blocked == {A, B}
+    assert tree.blocking_set(ab) == (A, B)
+    assert tree.next_node() == ab
+    below = tree.add_children(ab, _sig(A, B, C))
+    with pytest.raises(NodeAlreadyVisited):
+        tree.add_children(ab, _sig(D))  # the path B -> A is the same node
+    assert [tree.node(h).flow for h in below] == [C]
     while (handle := tree.next_node()) is not None:
         tree.prune(handle, "depth-capped")
+    assert len(tree.nodes) == 5 and tree.stats().node_count == 6
+    # written out, each path is a node: B -> A, then C below it
+    plain = _unfolded(tree)
+    assert [plain.blocking_set(h) for h in range(len(plain.nodes))] \
+        == [(), (A,), (B,), (A, B), (B, A), (A, B, C), (B, A, C)]
     assert_stdlib_encoding(tree)
+    assert json.loads(tree.export_json()) == json.loads(_json_by_hand(tree))
     for hide_failed in (False, True):
         assert tree.to_dot(hide_failed) == _dot_by_hand(tree, hide_failed)
 
@@ -461,15 +501,178 @@ def test_each_set_sorts_its_children_once_and_each_block_encodes_once(
     # explore observes each set once, so a set has one signature, and the
     # signature is the set's children plus the set itself
     pairs = {(frozenset(tree.blocking_set(h)),
-              frozenset(tree.node(c).flow for c in tree.node(h).children))
+              frozenset(tree.node(c).blocked for c in tree.node(h).children))
              for h in expanded}
-    assert len(pairs) < len(expanded)
+    assert len(pairs) == len(expanded)
     assert 0 < len(sorts) <= len(pairs)
     monkeypatch.setattr(sigtree.json, "dumps",
                         lambda *args, **kwargs: dumps.append(1)
                         or encode(*args, **kwargs))
     tree.export_json()
-    blocks = {(value, n.depth) for n in tree.nodes[1:]
+    plain = _unfolded(tree)
+    blocks = {(value, n.depth) for n in plain.nodes[1:]
               for value in (n.flow, n.reason) if value is not None}
-    assert len(blocks) < len(tree.nodes)
+    assert len(blocks) < len(plain.nodes)
     assert 0 < len(dumps) <= len(blocks)
+
+
+# -- the unfolding against a path-by-path reference ---------------------------
+
+
+def _json_by_hand(tree) -> str:
+    """tree.json of the unfolding, built as objects and encoded by the
+    stdlib."""
+    def obj(handle):
+        node = plain.node(handle)
+        out = {} if node.flow is None else {"flow": node.flow.to_obj()}
+        out.update(status=node.status.value, depth=node.depth)
+        if node.reason is not None:
+            out["reason"] = node.reason
+        out["children"] = [obj(child) for child in node.children]
+        return out
+
+    plain = _unfolded(tree)
+    return json.dumps({"root": obj(plain.root)}, indent=2) + "\n"
+
+
+def _stats_by_hand(tree) -> TreeStats:
+    """stats() counted node by node over the unfolding."""
+    nodes = _unfolded(tree).nodes[1:]
+    flows = {n.flow for n in nodes}
+    first = {n.flow for n in nodes if n.depth == 1}
+    statuses = Counter(n.status for n in nodes)
+    pruned = Counter(n.depth for n in nodes if n.status is NodeStatus.PRUNED)
+    return TreeStats(unique_flows=len(flows), first_level=len(first),
+                     hidden_flows=len(flows - first),
+                     pruned_per_depth=tuple(sorted(pruned.items())),
+                     failed_count=statuses[NodeStatus.FAILED],
+                     node_count=len(nodes),
+                     expanded_count=statuses[NodeStatus.EXPANDED])
+
+
+def _path_walk(signatures: dict, pruning: bool, max_depth):
+    """The tree explore grows, grown one node per path as before blocking
+    sets shared nodes, each set's signature taken from `signatures`.
+    Returns the tree and the blocking sets it observes, in order."""
+    tree, observed, seen, explored = SigTree(), [], set(), set()
+    queue = deque([tree.root])
+    while queue:
+        handle = queue.popleft()
+        node = tree.node(handle)
+        if pruning and node.flow in explored:
+            node.status, node.reason = NodeStatus.PRUNED, "duplicate"
+            continue
+        if max_depth is not None and node.depth > max_depth:
+            node.status, node.reason = NodeStatus.PRUNED, "depth-capped"
+            continue
+        if node.blocked not in seen:
+            seen.add(node.blocked)
+            observed.append(tree.blocking_set(handle))
+        signature = signatures[node.blocked]
+        explored.add(node.flow)
+        if not accept_signature(signature):
+            node.status = NodeStatus.FAILED
+            continue
+        node.status = NodeStatus.EXPANDED
+        for flow in sorted_flows(signature.flows - node.blocked):
+            tree.nodes.append(SigNode(flow=flow, parent=handle,
+                                      depth=node.depth + 1,
+                                      blocked=node.blocked | {flow}))
+            node.children.append(len(tree.nodes) - 1)
+            queue.append(len(tree.nodes) - 1)
+    return tree, observed
+
+
+def _recorded(monkeypatch, module, grow):
+    """The tree `grow` returns, with the blocking sets its explore observes
+    in order and the signature of each."""
+    calls, signatures = [], {}
+
+    def recording(tree, observe, max_depth=None):
+        def recorded(blocking_set):
+            calls.append(blocking_set)
+            signature = signatures[frozenset(blocking_set)] = \
+                observe(blocking_set)
+            return signature
+        return sigtree.explore(tree, recorded, max_depth)
+
+    monkeypatch.setattr(module, "explore", recording)
+    tree = grow()
+    monkeypatch.undo()
+    return tree, calls, signatures
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in MODEL_DIR.glob("*.json")))
+def test_trees_write_what_a_path_by_path_walk_grows(monkeypatch, name):
+    model = load_model(model_path(name))
+    # unpruned and uncapped, hs110_toggle has 704 sets and far more paths
+    caps = (1, 2, 3) if name == "hs110_toggle" else (1, 2, 3, None)
+    for pruning, cap in [(True, None)] + [(False, cap) for cap in caps]:
+        for module, grow in (
+                (simnet, lambda: oracle_tree(model, pruning, cap)),
+                (profiler, lambda: profile_event(SimDriver(model), (
+                    ProfileConfig(m=2, seed=1, pruning=pruning,
+                                  max_depth=cap))))):
+            tree, calls, signatures = _recorded(monkeypatch, module, grow)
+            expected, observed = _path_walk(signatures, pruning, cap)
+            case = (module.__name__, pruning, cap)
+            assert calls == observed, case
+            # a pruned tree shares no node; an unpruned one, one per set
+            assert len(tree.nodes) == (len(expected.nodes) if pruning else len(
+                {n.blocked for n in expected.nodes})), case
+            assert tree.export_json() == _json_by_hand(expected), case
+            for hide_failed in (False, True):
+                assert tree.to_dot(hide_failed) \
+                    == _dot_by_hand(expected, hide_failed), case
+            assert tree.stats() == _stats_by_hand(expected), case
+            assert render_csv([build_report(tree, name)]) \
+                == render_csv([build_report(expected, name)]), case
+
+
+def test_an_unpruned_tree_keeps_one_node_per_blocking_set():
+    """Counts nodes, not time: the wide_oracle tree written with 10,227
+    nodes below its root is held as one node per distinct blocking set."""
+    tree = oracle_tree(load_model(model_path("hs110_toggle")), pruning=False,
+                       max_depth=4)
+    plain = _unfolded(tree)
+    sets = {frozenset(plain.blocking_set(h)) for h in range(len(plain.nodes))}
+    assert len(tree.nodes) == len(sets) == 337
+    assert tree.stats().node_count == len(plain.nodes) - 1 == 10_227
+
+
+def test_stats_count_every_path_of_a_tree_grown_out_of_order():
+    # expanding A -> B before B: the set {A, B, C} gets a node, then a
+    # parent, B -> C, with a higher handle
+    tree = SigTree(pruning=False)
+    tree.add_children(tree.root, _sig(A, B, C))
+    a, b, _ = tree.node(tree.root).children
+    ab, _ = tree.add_children(a, _sig(A, B, C))
+    (abc,) = tree.add_children(ab, _sig(A, B, C))
+    _, bc = tree.add_children(b, _sig(A, B, C))
+    assert tree.add_children(bc, _sig(A, B, C)) == [abc] and bc > abc
+    assert tree.stats() == _stats_by_hand(tree)
+    assert tree.stats().node_count == 10
+
+
+def test_import_refuses_a_depth_that_is_not_the_nodes_own():
+    tree = SigTree()
+    tree.add_children(tree.next_node(), _sig(A))
+    obj = json.loads(tree.export_json())
+    child = obj["root"]["children"][0]
+    for bad, message in (("x", "must be an integer, not 'x'"),
+                         (True, "must be an integer, not True"),
+                         (2, "must be 1, not 2")):
+        child["depth"] = bad
+        with pytest.raises(SchemaError, match=re.escape(
+                f"root.children[0].depth {message}")):
+            SigTree.from_obj(obj)
+    child["depth"] = 1
+    del obj["root"]["depth"]
+    with pytest.raises(SchemaError, match=r"^root\.depth is missing$"):
+        SigTree.from_obj(obj)
+    obj["root"]["depth"] = 1
+    with pytest.raises(SchemaError, match=r"^root\.depth must be 0, not 1$"):
+        SigTree.from_obj(obj)
+    obj["root"]["depth"] = 0
+    assert SigTree.from_obj(obj).export_json() == tree.export_json()
