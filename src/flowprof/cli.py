@@ -28,20 +28,24 @@ from .simnet import SimDriver, load_model, oracle_tree
 from .profiler import ProfileConfig, build_report, profile_event, render_csv
 
 
-def _write_text(path: Path, text: str):
+def _write_text(path, text: str):
     _write_bytes(path, text.encode())
 
 
-def _write_bytes(path: Path, data: bytes):
+def _write_bytes(path, data: bytes):
     """Write through a temporary sibling file, removed again on failure.
-    Each command makes its output directory once, before its first write."""
-    tmp = path.with_name(path.name + ".tmp")
+    Each command makes its output directory once, before its first write.
+    `path` is a string or a Path; the sibling's name is a string, since
+    pathlib interns the parts of each path it parses (see
+    _successful_traces)."""
+    tmp = os.fspath(path) + ".tmp"
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb") as out:
+            out.write(data)
         os.replace(tmp, path)
     except OSError:
-        if tmp.is_file():
-            tmp.unlink()
+        if os.path.isfile(tmp):
+            os.remove(tmp)
         raise
 
 
@@ -296,7 +300,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     flags = []
     for index, capture in enumerate(captures):
-        _write_bytes(out_dir / f"capture_{index:03d}.pcap",
+        _write_bytes(os.path.join(out_dir, f"capture_{index:03d}.pcap"),
                      write_pcap(capture.trace))
         flags.append("1\n" if capture.success else "0\n")
     _write_text(out_dir / "success.txt", "".join(flags))

@@ -28,6 +28,9 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 log = logging.getLogger(__name__)
 
 ROLES = ("device", "phone", "gateway")
+# (role, its Topology attribute): constant names, since the type's attribute
+# cache keeps each name it is asked for
+_ROLE_ATTRS = tuple(zip(ROLES, ("device_addr", "phone_addr", "gateway_addr")))
 BROADCAST_ADDR = "255.255.255.255"
 # UDP ports that carry DNS: unicast DNS and multicast DNS
 DNS_PORTS = (53, 5353)
@@ -486,8 +489,7 @@ class Topology:
 
     def __post_init__(self):
         addrs = {}
-        # constant names: the type's attribute cache keeps each name it sees
-        for name, attr in zip(ROLES, ("device_addr", "phone_addr", "gateway_addr")):
+        for name, attr in _ROLE_ATTRS:
             norm = normalize_address(getattr(self, attr))
             object.__setattr__(self, attr, norm)
             addrs[name] = norm
@@ -513,15 +515,16 @@ class Topology:
         return _is_local(self.local_prefixes, addr)
 
     def role_of(self, addr: str) -> Optional[str]:
-        for name in ROLES:
-            if getattr(self, name + "_addr") == addr:
+        for name, attr in _ROLE_ATTRS:
+            if getattr(self, attr) == addr:
                 return name
         return None
 
     def addr_of(self, role: str) -> str:
-        if role not in ROLES:
-            raise ValueError(f"unknown role {role!r}")
-        return getattr(self, role + "_addr")
+        for name, attr in _ROLE_ATTRS:
+            if name == role:
+                return getattr(self, attr)
+        raise ValueError(f"unknown role {role!r}")
 
     @staticmethod
     def from_obj(obj: dict, path: tuple = ()) -> "Topology":

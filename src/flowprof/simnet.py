@@ -5,12 +5,12 @@ emit, guard conditions that activate fallback flows when defaults are
 blocked, a monotone success formula over delivered flows, and optional
 probabilistic noise flows.  A deny list's verdict over the model is the
 set of flow ids it blocks.  Each flow's packets are laid out once per
-model; run_capture draws ports and times into the layouts under a deny list,
-delivering the flows that are emitted, not blocked and lose no packet to the
-packet-level firewall.  The firewall is decided once per experiment and
-flow: only the packets of a flow that some rule could match at some ports
-are checked one by one, which catches a drawn ephemeral port equal to a
-rule's pinned one.  oracle_tree computes the exact signature tree
+model as template packets with time 0 and no ports; run_capture draws only
+the times and ports into them under a deny list, delivering the flows that
+are emitted, not blocked and lose no packet to the packet-level firewall.
+The firewall is decided once per experiment and flow: only the packets of
+a flow that some rule could match at some ports are checked one by one,
+which catches a drawn ephemeral port equal to a rule's pinned one.  oracle_tree computes the exact signature tree
 symbolically, never touching packets or RNG, from one signature of m = 1 per
 node.  SimDriver checks once that a pcap capture carries the laid-out
 packets, then hands over captures with no codec pass.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import ipaddress
+import operator
 import os
 import random
 import re
@@ -82,6 +83,7 @@ EPHEMERAL_LO, EPHEMERAL_HI = 49152, 65535
 MAX_FORMULA_DEPTH = 100  # clauses on a success formula's longest path
 
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+_TS_US = operator.attrgetter("ts_us")
 
 
 @dataclass(frozen=True)
@@ -330,7 +332,8 @@ def _capture_flows(flows: tuple, noise: tuple, rng: random.Random) -> tuple:
 
 def capture_emission(model: DeviceModel, rules: RuleSet, seed: int):
     """(delivered flow ids, success) without building packets; reads the
-    experiment's plan and mirrors run_capture's draws exactly.  The
+    experiment's plan and mirrors run_capture's draws exactly, stopping
+    short of drawing the times and ports of the layouts' templates.  The
     delivered set differs from run_capture's only when the packet-level
     firewall drops a packet of a flow the rules do not block but could
     match at some ports, such as one whose ephemeral port was drawn equal
@@ -346,17 +349,18 @@ def _experiment_plan(model: DeviceModel, rules: RuleSet) -> tuple:
     """(DNS table, ARP frames, main flows, noise flows) shared by the
     captures of one experiment, which run back to back: all four depend on
     the model and the deny list only, and run_capture never mutates them.
+    The table and the ARP frames are the model's (_model_layout).
 
     The firewall is decided here, once per flow spec.  A spec the rules
     block (matches_flow) is left out, and so is a main spec whose guard
     fails; a noise spec that could never fire keeps its place as None, so
     each capture still draws once per noise spec.  Every other spec is a
-    (spec, layout, exposed) entry, `exposed` being true when some rule
-    matches one of its packets whatever the ports (could_match_packet):
-    only those flows have each packet checked by matches_packet."""
+    (spec, layout, exposed) entry, the layout holding its port-free
+    template packets and `exposed` being true when some rule matches one
+    of them whatever the ports (could_match_packet): only those flows have
+    each packet checked by matches_packet."""
     blocked = _blocked_ids(model, rules)
-    table = model_table(model)
-    arp, layouts = _model_layout(model)
+    table, arp, layouts = _model_layout(model)
 
     def entry(spec: FlowSpec):
         if spec.id in blocked or not _guard_ok(spec, blocked):
@@ -372,16 +376,16 @@ def _experiment_plan(model: DeviceModel, rules: RuleSet) -> tuple:
 def _exposed(rules: RuleSet, table: DnsTable, layout: tuple) -> bool:
     """Whether some rule matches one of the layout's packets for some
     ports.  The verdict ignores ports and orientation, and a layout's
-    packets share one transport and endpoint pair, so one packet per
-    distinct app decides."""
-    by_app = {fields.get("app"): fields for _, _, _, fields in layout}
-    return any(could_match_packet(rules, new_packet(ts_us=0, **fields), table)
-               for fields in by_app.values())
+    packets share one transport and endpoint pair, so one port-free
+    template per distinct app decides."""
+    by_app = {template.app: template for _, _, _, template in layout}
+    return any(could_match_packet(rules, template, table)
+               for template in by_app.values())
 
 
 def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
-    """One capture: the model's layouts with ports and times drawn, less
-    what the deny list blocks."""
+    """One capture: the model's layouts with ports and times drawn into
+    their templates, less what the deny list blocks."""
     rng = random.Random(seed)
     table, arp, flows, noise = _experiment_plan(model, rules)
     packets = list(arp)
@@ -398,10 +402,8 @@ def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
         if len(kept) == len(sent):
             delivered.add(spec.id)
         packets.extend(kept)
-    packets.sort(key=lambda p: p.ts_us)
-    packets = _strictly_increasing(packets)
     return CaptureResult(
-        trace=Trace(packets=tuple(packets)),
+        trace=Trace(packets=tuple(_in_time_order(packets))),
         success=eval_success(model.success, delivered),
         seed=seed,
     )
@@ -441,10 +443,12 @@ def _answers_for(model: DeviceModel, app) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _model_layout(model: DeviceModel) -> tuple:
-    """(ARP frames, layout of each flow spec by id), built once per model
-    and never mutated; a capture only draws ports and times into the
-    layouts.  Raises SchemaError naming the first flow whose packets cannot
-    be framed."""
+    """(DNS table, ARP frames, layout of each flow spec by id), built once
+    per model and never mutated; a capture only draws ports and times into
+    the layouts' template packets.  The table is shared by every experiment
+    on the model, so its memo names each address once, not once per
+    experiment.  Raises SchemaError naming the first flow whose packets
+    cannot be framed."""
     layouts = {}
     for spec in model.flows + model.noise:
         try:
@@ -452,7 +456,7 @@ def _model_layout(model: DeviceModel) -> tuple:
         except ValueError as exc:
             raise SchemaError(
                 f"flow {spec.id!r} cannot be captured: {exc}") from exc
-    return _arp_frames(model), layouts
+    return model_table(model), _arp_frames(model), layouts
 
 
 def _arp_frames(model: DeviceModel) -> tuple:
@@ -472,9 +476,11 @@ def _arp_frames(model: DeviceModel) -> tuple:
 
 def _flow_layout(model: DeviceModel, spec: FlowSpec) -> tuple:
     """Each packet of the flow as (forward, index of the data packet whose
-    time it follows, offset in us from that time, fields): every field but
-    the time and the ports.  A TCP flow's data is wrapped in a handshake
-    and a teardown that the side which sent the last data packet begins."""
+    time it follows, offset in us from that time, template): the template
+    is the packet with time 0 and no ports, built once per model, so a
+    capture draws only the times and ports.  A TCP flow's data is wrapped in
+    a handshake and a teardown that the side which sent the last data
+    packet begins."""
     flow, shape = spec.flow, spec.shape
     init = _endpoint_addr(model, flow.initiator)
     resp = _endpoint_addr(model, flow.responder)
@@ -484,39 +490,40 @@ def _flow_layout(model: DeviceModel, spec: FlowSpec) -> tuple:
     # an app-less TCP flow opens with a ClientHello naming its domain
     domains = [host.value for host in (flow.responder, flow.initiator)
                if host.kind is HostKind.DOMAIN]
-    sni = domains[0] if domains and tcp and flow.app is None else None
-    # (forward, data packet index, offset, payload size, fields)
-    plan = []
+    hello = domains[0] if domains and tcp and flow.app is None else None
+    answers = _answers_for(model, flow.app)
+    headers = headers_len(transport, 6 if ":" in init else 4)
+
+    def template(forward: bool, size: int, **fields):
+        probe = new_packet(ts_us=0, src_addr=init if forward else resp,
+                           dst_addr=resp if forward else init,
+                           transport=transport, **fields)
+        return probe._replace(wire_len=max(frame_len(probe), headers + size))
+
+    layout = []
     for k in range(shape.count):
         forward = not (bi and k % 2)
-        plan.append((forward, k, 0, shape.sizes[k % len(shape.sizes)], dict(
-            app=flow.app, sni=None if k else sni,
-            dns_answers=() if forward else _answers_for(model, flow.app),
+        layout.append((forward, k, 0, template(
+            forward, shape.sizes[k % len(shape.sizes)], app=flow.app,
+            sni=None if k else hello, dns_answers=() if forward else answers,
             tcp_flags=TCP_PSH | TCP_ACK if tcp else None)))
     if tcp:
-        last, step, closer = shape.count - 1, 5_000, plan[-1][0]
-        ctrl = [(forward, anchor, offset, 0,
-                 dict(control_plane=True, tcp_flags=flags))
+        last, step, closer = shape.count - 1, 5_000, layout[-1][0]
+        ctrl = [(forward, anchor, offset,
+                 template(forward, 0, control_plane=True, tcp_flags=flags))
                 for forward, anchor, offset, flags in (
                     (True, 0, -3 * step, TCP_SYN),
                     (False, 0, -2 * step, TCP_SYN | TCP_ACK),
                     (True, 0, -step, TCP_ACK),
                     (closer, last, step, TCP_FIN | TCP_ACK),
                     (not closer, last, 2 * step, TCP_ACK))]
-        plan = ctrl[:3] + plan + ctrl[3:]
-    headers = headers_len(transport, 6 if ":" in init else 4)
-    for forward, _, _, size, fields in plan:
-        fields.update(src_addr=init if forward else resp,
-                      dst_addr=resp if forward else init, transport=transport)
-        fields["wire_len"] = max(frame_len(new_packet(ts_us=0, **fields)),
-                                 headers + size)
-    return tuple((forward, anchor, offset, fields)
-                 for forward, anchor, offset, _, fields in plan)
+        layout = ctrl[:3] + layout + ctrl[3:]
+    return tuple(layout)
 
 
 def _emit_flow(spec: FlowSpec, layout: tuple, rng: random.Random) -> list:
-    """The flow's packets: its layout with the unset ports, the start time
-    and the gaps between data packets drawn, in that order."""
+    """The flow's packets: its layout's templates with the unset ports, the
+    start time and the gaps between data packets drawn, in that order."""
     flow = spec.flow
     init_port = flow.initiator_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI)
     resp_port = flow.responder_port or rng.randint(EPHEMERAL_LO, EPHEMERAL_HI)
@@ -526,10 +533,26 @@ def _emit_flow(spec: FlowSpec, layout: tuple, rng: random.Random) -> list:
     for _ in range(1, spec.shape.count):
         times.append(times[-1] + int(rng.uniform(0.01, 0.12) * 1_000_000))
     return [new_packet(ts_us=times[anchor] + offset,
+                       src_addr=template.src_addr, dst_addr=template.dst_addr,
                        src_port=init_port if forward else resp_port,
                        dst_port=resp_port if forward else init_port,
-                       **fields)
-            for forward, anchor, offset, fields in layout]
+                       transport=template.transport, app=template.app,
+                       dns_answers=template.dns_answers, sni=template.sni,
+                       wire_len=template.wire_len,
+                       control_plane=template.control_plane,
+                       tcp_flags=template.tcp_flags)
+            for forward, anchor, offset, template in layout]
+
+
+def _in_time_order(packets: list) -> list:
+    """The packets sorted by time, in place and stably; if two times tie,
+    a copy with each tied packet moved to 1 us past the one before it.  The
+    check for a tie runs in C, and no bundled model draws one."""
+    packets.sort(key=_TS_US)
+    times = list(map(_TS_US, packets))
+    if all(map(operator.lt, times, times[1:])):
+        return packets
+    return _strictly_increasing(packets)
 
 
 def _strictly_increasing(packets: list) -> list:
@@ -560,7 +583,7 @@ class SimDriver:
 
     def __init__(self, model: DeviceModel):
         self.model = model
-        arp, layouts = _model_layout(model)
+        _, arp, layouts = _model_layout(model)
         rng = random.Random(0)
         emissions = [("the ARP frames", arp)] + [
             (f"flow {spec.id!r}", _emit_flow(spec, layouts[spec.id], rng))

@@ -62,6 +62,30 @@ def test_simulate_makes_its_output_directory_once(tmp_path, mini_model,
         assert len(list(out_dir.glob("*.pcap"))) == m
 
 
+def test_simulate_joins_capture_names_as_strings(tmp_path, mini_model,
+                                                monkeypatch):
+    """pathlib interns the parts of each path it parses, so simulate joins
+    no capture name through it: 6 captures parse as few paths as 2."""
+    joins = []
+    truediv, with_name = Path.__truediv__, Path.with_name
+
+    def counted(method):
+        def call(path, *args):
+            joins.append(args)
+            return method(path, *args)
+        return call
+
+    monkeypatch.setattr(Path, "__truediv__", counted(truediv))
+    monkeypatch.setattr(Path, "with_name", counted(with_name))
+    counts = []
+    for m in (2, 6):
+        joins.clear()
+        assert main(["simulate", "--model", str(mini_model), "--m", str(m),
+                     "--out-dir", str(tmp_path / f"caps{m}")]) == 0
+        counts.append(len(joins))
+    assert counts[0] == counts[1]
+
+
 def test_simulate_honors_rules_file(tmp_path, mini_model):
     flow = FlowId.from_obj({
         "initiator": "device", "responder": "phone",

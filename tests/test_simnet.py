@@ -36,6 +36,7 @@ from flowprof.blocklist import matches_packet
 from flowprof.simnet import (
     _blocked_ids,
     _blocked_ids_by_flow,
+    _in_time_order,
     capture_emission,
     model_table,
 )
@@ -295,6 +296,25 @@ def test_timestamps_strictly_increase():
     assert len(set(stamps)) == len(stamps)
 
 
+def test_tied_times_are_nudged_past_the_packet_before():
+    """Unsorted packets with a two-way and a three-way tie come out in time
+    order, ties in input order, each tied packet after the first moved 1 us
+    past the one before it; every other packet is the same object."""
+    packets = [ParsedPacket(ts_us=ts, src_addr="192.168.1.53",
+                            dst_addr="52.1.1.1", wire_len=index)
+               for index, ts in enumerate((30, 10, 20, 10, 20, 20, 40))]
+    out = _in_time_order(list(packets))
+    assert [p.ts_us for p in out] == [10, 11, 20, 21, 22, 30, 40]
+    assert [p.wire_len for p in out] == [1, 3, 2, 4, 5, 0, 6]
+    for got in out:
+        sent = packets[got.wire_len]
+        if got.ts_us == sent.ts_us:
+            assert got is sent
+        else:
+            assert got == sent._replace(ts_us=got.ts_us)
+    assert sum(got is packets[got.wire_len] for got in out) == 4
+
+
 def test_capture_carries_dressing_but_filter_removes_it():
     model = load_model(_model())
     trace = run_capture(model, RuleSet(), seed=0).trace
@@ -548,6 +568,15 @@ def test_simulator_captures_are_pinned():
                 digest.update(b"1" if capture.success else b"0")
     assert digest.hexdigest() == \
         "c3aa89ff4850d15fda9ce1ade5fa9483561ee739a94a3d16c71f49497fb8d350"
+
+
+def test_experiments_on_one_model_share_its_dns_table():
+    """The plan's table is the model's, so its memo names each address once
+    per model, not once per experiment."""
+    model = load_model(model_path("appendix_c"))
+    plans = [simnet._experiment_plan(model, compile_rules([spec.flow]))
+             for spec in model.flows]
+    assert all(plan[0] is plans[0][0] for plan in plans)
 
 
 @pytest.mark.parametrize("m", [20, 5])
