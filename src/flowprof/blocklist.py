@@ -146,16 +146,13 @@ def compile_rules(flows: Iterable[FlowId]) -> RuleSet:
 # -- matching -------------------------------------------------------------------
 
 
-def matches_flow(rules: RuleSet, flow: FlowId) -> bool:
-    """True iff some rule would drop one of the flow's packets: its pattern
-    equals the flow on all specified fields, in the flow's orientation or,
-    when the rule or the flow is bidirectional, the reverse one.  So a uni
-    rule also blocks a bi flow on the same endpoints.  Unspecified rule
-    ports and an empty matcher list are wildcards."""
-    return _rules_hit(rules, flow.transport, flow.app,
-                      (flow.initiator, None, flow.initiator_port),
-                      (flow.responder, None, flow.responder_port),
-                      flow.direction is Direction.BIDIRECTIONAL)
+def matches_flow(rules: RuleSet, packets: Iterable[ParsedPacket],
+                 table: DnsTable) -> bool:
+    """True iff the rules drop one of a flow's packets whatever ports a
+    capture draws.  `packets` are the flow's distinct packets, a port left
+    None standing for a drawn one: no pinned rule port matches it, while
+    an unspecified rule port does."""
+    return any(matches_packet(rules, packet, table) for packet in packets)
 
 
 _PACKET_TRANSPORTS = {t.value: t for t in Transport}
@@ -176,29 +173,30 @@ def matches_packet(rules: RuleSet, packet: ParsedPacket,
     src_ref, dst_ref = name_endpoints(packet, table)
     return _rules_hit(rules, transport, packet.app,
                       (src_ref, packet.src_addr, packet.src_port),
-                      (dst_ref, packet.dst_addr, packet.dst_port), False)
+                      (dst_ref, packet.dst_addr, packet.dst_port))
 
 
 def could_match_packet(rules: RuleSet, packet: ParsedPacket,
                        table: DnsTable) -> bool:
     """Port-free packet verdict: some rule matches the packet's transport,
     app and named endpoints in either orientation, whatever its ports.  So
-    when it is false, matches_packet is false for every pair of ports."""
+    when it is false, matches_packet is false for every pair of ports, and
+    a flow whose packets it all refuses loses none at any drawn port."""
     transport = _PACKET_TRANSPORTS.get(packet.transport)
     if transport is None:
         return False
     src_ref, dst_ref = name_endpoints(packet, table)
     return _rules_hit(rules, transport, packet.app,
                       (src_ref, packet.src_addr, None),
-                      (dst_ref, packet.dst_addr, None), True, ports=False)
+                      (dst_ref, packet.dst_addr, None), ports=False)
 
 
 def _rules_hit(rules, transport: Transport, app: AppSelector, init: tuple,
-               resp: tuple, two_way: bool, ports: bool = True) -> bool:
-    """The rule loop of all verdicts.  `init` and `resp` are (host ref, raw
-    address or None, port) ends; they are also tried swapped when the rule
-    is bidirectional or `two_way` is set.  Without `ports`, every rule port
-    is taken as a wildcard."""
+               resp: tuple, ports: bool = True) -> bool:
+    """The rule loop of the packet verdicts.  `init` and `resp` are (host
+    ref, raw address or None, port) ends; they are also tried swapped when
+    the rule is bidirectional.  Without `ports`, every rule port is taken
+    as a wildcard and both orientations are tried."""
     app_matchers = None
     for rule in rules:
         pattern = rule.pattern
@@ -214,7 +212,7 @@ def _rules_hit(rules, transport: Transport, app: AppSelector, init: tuple,
         if _end_hits(pattern.initiator, init_port, init) \
                 and _end_hits(pattern.responder, resp_port, resp):
             return True
-        if (two_way or pattern.direction is Direction.BIDIRECTIONAL) \
+        if (not ports or pattern.direction is Direction.BIDIRECTIONAL) \
                 and _end_hits(pattern.initiator, init_port, resp) \
                 and _end_hits(pattern.responder, resp_port, init):
             return True

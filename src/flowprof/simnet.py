@@ -3,17 +3,19 @@
 A DeviceModel declares the flows a device (and its controlling phone) can
 emit, guard conditions that activate fallback flows when defaults are
 blocked, a monotone success formula over delivered flows, and optional
-probabilistic noise flows.  A deny list's verdict over the model is the
-set of flow ids it blocks.  Each flow's packets are laid out once per
+probabilistic noise flows.  Each flow's packets are laid out once per
 model as template packets with time 0 and no ports; run_capture draws only
 the times and ports into them under a deny list, delivering the flows that
 are emitted, not blocked and lose no packet to the packet-level firewall.
-The firewall is decided once per experiment and flow: only the packets of
-a flow that some rule could match at some ports are checked one by one,
-which catches a drawn ephemeral port equal to a rule's pinned one.  oracle_tree computes the exact signature tree
-symbolically, never touching packets or RNG, from one signature of m = 1 per
-node.  SimDriver checks once that a pcap capture carries the laid-out
-packets, then hands over captures with no codec pass.
+A deny list blocks a flow when it drops one of the flow's packets whatever
+ports a capture draws.  That one verdict is taken once per experiment on
+each flow's packets with only their pinned ports, and it drives both the
+guards of run_capture and oracle_tree.  Then only the packets of a flow
+that some rule could match at some ports are checked one by one, which
+catches a drawn ephemeral port equal to a rule's pinned one.  oracle_tree
+computes the exact signature tree from one signature of m = 1 per node,
+drawing no capture.  SimDriver checks once that a pcap capture carries the
+laid-out packets, then hands over captures with no codec pass.
 """
 
 from __future__ import annotations
@@ -310,10 +312,12 @@ def eval_success(formula: dict, delivered: frozenset) -> bool:
     return all(clauses) if key == "and" else any(clauses)
 
 
-def _blocked_ids(model: DeviceModel, rules: RuleSet) -> frozenset:
-    """The deny list's verdict over the model: ids of the specs it blocks."""
-    return frozenset(spec.id for spec in model.flows + model.noise
-                     if matches_flow(rules, spec.flow))
+def _blocked_ids(rules: RuleSet, table: DnsTable, packets: dict) -> frozenset:
+    """The deny list's verdict over a model laid out with `table` and
+    `packets` (_lay_out): ids of the specs it drops a packet of whatever
+    ports a capture draws (matches_flow)."""
+    return frozenset(spec_id for spec_id, flow_packets in packets.items()
+                     if matches_flow(rules, flow_packets, table))
 
 
 def _guard_ok(spec: FlowSpec, blocked: frozenset) -> bool:
@@ -330,57 +334,36 @@ def _capture_flows(flows: tuple, noise: tuple, rng: random.Random) -> tuple:
                          if entry is not None and draw < entry[0].p)
 
 
-def capture_emission(model: DeviceModel, rules: RuleSet, seed: int):
-    """(delivered flow ids, success) without building packets; reads the
-    experiment's plan and mirrors run_capture's draws exactly, stopping
-    short of drawing the times and ports of the layouts' templates.  The
-    delivered set differs from run_capture's only when the packet-level
-    firewall drops a packet of a flow the rules do not block but could
-    match at some ports, such as one whose ephemeral port was drawn equal
-    to a rule's pinned port: run_capture does not deliver that flow."""
-    _, _, flows, noise = _experiment_plan(model, rules)
-    emitted = _capture_flows(flows, noise, random.Random(seed))
-    delivered = frozenset(spec.id for spec, _, _ in emitted)
-    return delivered, eval_success(model.success, delivered)
-
-
 @functools.lru_cache(maxsize=1)
 def _experiment_plan(model: DeviceModel, rules: RuleSet) -> tuple:
     """(DNS table, ARP frames, main flows, noise flows) shared by the
     captures of one experiment, which run back to back: all four depend on
     the model and the deny list only, and run_capture never mutates them.
-    The table and the ARP frames are the model's (_model_layout).
+    The table and the ARP frames are the model's (_lay_out).
 
-    The firewall is decided here, once per flow spec.  A spec the rules
-    block (matches_flow) is left out, and so is a main spec whose guard
-    fails; a noise spec that could never fire keeps its place as None, so
-    each capture still draws once per noise spec.  Every other spec is a
-    (spec, layout, exposed) entry, the layout holding its port-free
-    template packets and `exposed` being true when some rule matches one
-    of them whatever the ports (could_match_packet): only those flows have
-    each packet checked by matches_packet."""
-    blocked = _blocked_ids(model, rules)
-    table, arp, layouts = _model_layout(model)
+    The firewall is decided here, once per flow spec, on the spec's
+    distinct packets with the ports it pins.  A spec the rules block,
+    dropping one of those packets whatever ports are drawn, is left out,
+    and so is a main spec whose guard fails; a noise spec that could never
+    fire keeps its place as None, so each capture still draws once per
+    noise spec.  Every other spec is a (spec, layout, exposed) entry,
+    the layout holding its port-free template packets and `exposed` being
+    true when some rule matches one of its packets at some ports
+    (could_match_packet): only those flows have each packet checked by
+    matches_packet."""
+    table, arp, layouts, packets = _model_layout(model)
+    blocked = _blocked_ids(rules, table, packets)
 
     def entry(spec: FlowSpec):
         if spec.id in blocked or not _guard_ok(spec, blocked):
             return None
-        layout = layouts[spec.id]
-        return spec, layout, _exposed(rules, table, layout)
+        return spec, layouts[spec.id], any(
+            could_match_packet(rules, packet, table)
+            for packet in packets[spec.id])
 
     flows = [entry(spec) for spec in model.flows]
     return (table, arp, tuple(e for e in flows if e is not None),
             tuple(entry(spec) for spec in model.noise))
-
-
-def _exposed(rules: RuleSet, table: DnsTable, layout: tuple) -> bool:
-    """Whether some rule matches one of the layout's packets for some
-    ports.  The verdict ignores ports and orientation, and a layout's
-    packets share one transport and endpoint pair, so one port-free
-    template per distinct app decides."""
-    by_app = {template.app: template for _, _, _, template in layout}
-    return any(could_match_packet(rules, template, table)
-               for template in by_app.values())
 
 
 def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
@@ -393,10 +376,10 @@ def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
     for spec, layout, exposed in _capture_flows(flows, noise, rng):
         sent = _emit_flow(spec, layout, rng)
         # The packet-level firewall, for flows some rule could touch.  The
-        # plan already skips every flow some rule would drop a packet of;
-        # this filter catches what flow ids do not show, such as a randomly
-        # drawn ephemeral port equal to a rule's pinned port.  A flow that
-        # loses a packet is not delivered.
+        # plan already skips every flow some rule drops a packet of at any
+        # drawn ports; this filter catches a drawn ephemeral port equal to
+        # a rule's pinned port.  A flow that loses a packet is not
+        # delivered.
         kept = [p for p in sent if not matches_packet(rules, p, table)] \
             if exposed else sent
         if len(kept) == len(sent):
@@ -441,22 +424,33 @@ def _answers_for(model: DeviceModel, app) -> tuple:
                  if rec_name == app.qname and (":" in ip) == want_v6)
 
 
-@functools.lru_cache(maxsize=1)
-def _model_layout(model: DeviceModel) -> tuple:
-    """(DNS table, ARP frames, layout of each flow spec by id), built once
-    per model and never mutated; a capture only draws ports and times into
-    the layouts' template packets.  The table is shared by every experiment
-    on the model, so its memo names each address once, not once per
-    experiment.  Raises SchemaError naming the first flow whose packets
-    cannot be framed."""
-    layouts = {}
+def _lay_out(model: DeviceModel) -> tuple:
+    """(DNS table, ARP frames, layout of each flow spec by id, distinct
+    packets of each flow spec by id), never mutated; a capture only draws
+    ports and times into the layouts' template packets.  A spec's distinct
+    packets are its templates with the ports its flow pins and None for
+    the drawn ones, one per orientation and app: what the firewall verdict
+    reads.  Raises SchemaError naming the first flow whose packets cannot
+    be framed."""
+    layouts, packets = {}, {}
     for spec in model.flows + model.noise:
         try:
-            layouts[spec.id] = _flow_layout(model, spec)
+            layout = layouts[spec.id] = _flow_layout(model, spec)
         except ValueError as exc:
             raise SchemaError(
                 f"flow {spec.id!r} cannot be captured: {exc}") from exc
-    return model_table(model), _arp_frames(model), layouts
+        pinned = (spec.flow.initiator_port, spec.flow.responder_port)
+        distinct = {}
+        for forward, _, _, template in layout:
+            distinct.setdefault((forward, template.app), template._replace(
+                src_port=pinned[not forward], dst_port=pinned[forward]))
+        packets[spec.id] = tuple(distinct.values())
+    return model_table(model), _arp_frames(model), layouts, packets
+
+
+# The experiments on one model, which run back to back, share its layout,
+# so the table's memo names each address once per model.
+_model_layout = functools.lru_cache(maxsize=1)(_lay_out)
 
 
 def _arp_frames(model: DeviceModel) -> tuple:
@@ -583,7 +577,7 @@ class SimDriver:
 
     def __init__(self, model: DeviceModel):
         self.model = model
-        _, arp, layouts = _model_layout(model)
+        _, arp, layouts, _ = _model_layout(model)
         rng = random.Random(0)
         emissions = [("the ARP frames", arp)] + [
             (f"flow {spec.id!r}", _emit_flow(spec, layouts[spec.id], rng))
@@ -615,10 +609,13 @@ def _blocked_ids_by_flow(model: DeviceModel):
 
     A rule set blocks a spec iff one of its rules does, and each rule comes
     from one flow, so each flow's verdict is computed once and a blocking
-    set's is their union."""
+    set's is their union.  The model is laid out for this function alone,
+    so an oracle run leaves no layout cached."""
+    table, _, _, packets = _lay_out(model)
+
     @functools.cache
     def verdict(flow: FlowId) -> frozenset:
-        return _blocked_ids(model, compile_rules([flow]))
+        return _blocked_ids(compile_rules([flow]), table, packets)
 
     def blocked_ids(blocking_set) -> frozenset:
         return frozenset().union(*map(verdict, blocking_set))

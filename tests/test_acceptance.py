@@ -36,11 +36,11 @@ from flowprof import (
     load_model,
     oracle_tree,
     profile_event,
+    run_capture,
 )
 from flowprof.blocklist import Rule, parse as parse_rules, render
 from flowprof.cli import main as cli_main
 from flowprof.pcapio import Trace, dissect, read_pcap, write_pcap
-from flowprof.simnet import capture_emission
 
 from conftest import MODEL_DIR, model_path
 
@@ -268,13 +268,14 @@ def test_signature_soundness_monotonicity_and_noise_rejection(topo):
             prev = cur
 
     model = load_model(NOISE_MODEL)
+    chatter = model.spec("chatter").flow
     for seed in range(1000):
-        common = None
-        for i in range(20):
-            delivered, success = capture_emission(model, RuleSet(), seed + i)
-            assert success
-            common = delivered if common is None else common & delivered
-        assert "chatter" not in common, seed
+        captures = [run_capture(model, RuleSet(), seed + i) for i in range(20)]
+        assert all(capture.success for capture in captures)
+        flow_sets = aggregate_flows([capture.trace for capture in captures],
+                                    DnsTable(model.topology))
+        assert any(chatter in flow_set for flow_set in flow_sets), seed
+        assert chatter not in extract_signature(flow_sets, m=20).flows, seed
     _verdict(4, True, "1000 trace sets sound and monotone; p=0.5 noise "
                       "absent from every m=20 signature, seeds 0-999")
 

@@ -8,12 +8,14 @@ from flowprof import (
     DnsSelector,
     DnsTable,
     FlowId,
+    HostKind,
     HostRef,
     HttpSelector,
     ParsedPacket,
     Rule,
     RuleSet,
     RuleSyntaxError,
+    Topology,
     Transport,
     compile_rules,
     load_model,
@@ -38,6 +40,40 @@ def _flow(**kw):
     )
     base.update(kw)
     return FlowId(**base)
+
+
+TOPO = Topology("192.168.1.53", "192.168.1.77", "192.168.1.1")
+DOMAIN_ADDRS = {"a.example": "198.51.100.1",
+                "cdn.vendor-cloud.example": "198.51.100.2"}
+TABLE = DnsTable(TOPO, {addr: name for name, addr in DOMAIN_ADDRS.items()})
+
+
+def host_addr(host: HostRef) -> str:
+    if host.kind is HostKind.ROLE:
+        return TOPO.addr_of(host.value)
+    if host.kind is HostKind.DOMAIN:
+        return DOMAIN_ADDRS[host.value]
+    return host.display()
+
+
+def flow_packets(flow: FlowId, init_port=None, resp_port=None) -> list:
+    """The flow's distinct packets as a capture lays them out: one from the
+    initiator and, for a bi flow, one back.  A port the flow does not pin
+    is the drawn port given, None when none is drawn yet."""
+    init = (host_addr(flow.initiator), flow.initiator_port or init_port)
+    resp = (host_addr(flow.responder), flow.responder_port or resp_port)
+    ends = [(init, resp), (resp, init)]
+    if flow.direction is Direction.UNIDIRECTIONAL:
+        del ends[1]
+    return [ParsedPacket(ts_us=0, src_addr=src[0], dst_addr=dst[0],
+                         src_port=src[1], dst_port=dst[1],
+                         transport=flow.transport.value, app=flow.app)
+            for src, dst in ends]
+
+
+def blocks(rules, flow: FlowId) -> bool:
+    """The flow verdict on the flow's packets, named through TABLE."""
+    return matches_flow(rules, flow_packets(flow), TABLE)
 
 
 # -- grammar ---------------------------------------------------------------------
@@ -216,11 +252,11 @@ def test_compiled_rule_blocks_exactly_its_flow():
     ]
     for flow in flows:
         rules = RuleSet((Rule.from_flow(flow),))
-        assert matches_flow(rules, flow)
+        assert blocks(rules, flow)
         variants = one_field_variants(flow)
         assert variants
         for variant in variants:
-            assert not matches_flow(rules, variant), variant
+            assert not blocks(rules, variant), variant
 
 
 # -- flow matching -----------------------------------------------------------------
@@ -228,11 +264,11 @@ def test_compiled_rule_blocks_exactly_its_flow():
 
 def test_matches_flow_requires_transport_and_direction():
     rules = compile_rules([_flow()])
-    assert matches_flow(rules, _flow())
-    assert not matches_flow(rules, _flow(transport=Transport.UDP,
-                                         responder_port=None))
+    assert blocks(rules, _flow())
+    assert not blocks(rules, _flow(transport=Transport.UDP,
+                                   responder_port=None))
     # a bi rule drops the packets of the uni flow on its endpoints
-    assert matches_flow(rules, _flow(direction=Direction.UNIDIRECTIONAL))
+    assert blocks(rules, _flow(direction=Direction.UNIDIRECTIONAL))
     uni = compile_rules([_flow(direction=Direction.UNIDIRECTIONAL)])
     reverse = FlowId(
         initiator=HostRef.domain("a.example"),
@@ -241,7 +277,7 @@ def test_matches_flow_requires_transport_and_direction():
         transport=Transport.TCP,
         direction=Direction.UNIDIRECTIONAL,
     )
-    assert not matches_flow(uni, reverse)
+    assert not blocks(uni, reverse)
 
 
 def test_matches_flow_tries_both_orientations_for_bi():
@@ -253,16 +289,23 @@ def test_matches_flow_tries_both_orientations_for_bi():
         transport=Transport.TCP,
         direction=Direction.BIDIRECTIONAL,
     )
-    assert matches_flow(rules, swapped)
+    assert blocks(rules, swapped)
 
 
 def test_unspecified_rule_port_is_wildcard():
     rules = parse("block tcp init device resp dom:a.example dir bi\n")
-    assert matches_flow(rules, _flow(responder_port=443))
-    assert matches_flow(rules, _flow(responder_port=None))
+    assert blocks(rules, _flow(responder_port=443))
+    assert blocks(rules, _flow(responder_port=None))
     pinned = parse("block tcp init device resp dom:a.example:443 dir bi\n")
-    assert not matches_flow(pinned, _flow(responder_port=None))
-    assert not matches_flow(pinned, _flow(responder_port=8443))
+    assert not blocks(pinned, _flow(responder_port=None))
+    assert not blocks(pinned, _flow(responder_port=8443))
+
+
+def test_an_address_rule_blocks_the_flows_of_the_domain_it_answers_for():
+    rules = parse("block tcp init device resp ip:198.51.100.1 dir bi\n")
+    assert blocks(rules, _flow())
+    assert not blocks(rules, _flow(
+        responder=HostRef.domain("cdn.vendor-cloud.example")))
 
 
 def test_matchers_are_field_subset():
@@ -274,11 +317,11 @@ def test_matchers_are_field_subset():
     miss = _flow(transport=Transport.UDP,
                  responder=HostRef.role("gateway"), responder_port=53,
                  app=DnsSelector(qtype="A", qname="b.example"))
-    assert matches_flow(rules, hit)
-    assert not matches_flow(rules, miss)
+    assert blocks(rules, hit)
+    assert not blocks(rules, miss)
     bare = _flow(transport=Transport.UDP,
                  responder=HostRef.role("gateway"), responder_port=53)
-    assert not matches_flow(rules, bare)
+    assert not blocks(rules, bare)
 
 
 # -- packet matching ----------------------------------------------------------------
@@ -343,6 +386,6 @@ def test_non_ip_packets_never_match(topo):
 
 
 def test_empty_ruleset_matches_nothing(topo):
-    assert not matches_flow(RuleSet(), _flow())
+    assert not blocks(RuleSet(), _flow())
     assert not matches_packet(RuleSet(), _pkt(DEVICE, CLOUD, 49000, 443),
                               DnsTable(topo))

@@ -106,6 +106,18 @@ def test_simulate_honors_rules_file(tmp_path, mini_model):
     assert (cap_dir / "success.txt").read_text().split() == ["1"] * 3
 
 
+def test_simulate_falls_back_when_an_address_rule_drops_coap(tmp_path):
+    """The rule drops coap_http's CoAP packets by the server's address, so
+    the device's guarded HTTP fallback carries every capture."""
+    rules_path = tmp_path / "deny.rules"
+    rules_path.write_text(
+        "block udp init device resp ip:198.51.100.80 dir bi\n")
+    cap_dir = tmp_path / "caps"
+    assert main(["simulate", "--model", str(model_path("coap_http")),
+                 str(rules_path), "--m", "5", "--out-dir", str(cap_dir)]) == 0
+    assert (cap_dir / "success.txt").read_text().split() == ["1"] * 5
+
+
 def test_profile_matches_oracle_output(tmp_path, mini_model):
     prof_dir = tmp_path / "prof"
     oracle_dir = tmp_path / "oracle"
@@ -482,7 +494,7 @@ def test_simulate_and_profile_refuse_what_a_capture_cannot_carry(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "profile"])
+@pytest.mark.parametrize("command", ["simulate", "profile", "oracle"])
 def test_a_frame_too_long_for_ip_is_an_error_line(tmp_path, capsys, command):
     http = {"proto": "http", "method": "GET", "uri": "/" + "a" * 70000}
     model_path = tmp_path / "odd.json"

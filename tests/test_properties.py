@@ -12,12 +12,10 @@ from flowprof import (
     DnsTable,
     EventSignature,
     FlowId,
-    HostKind,
     HostRef,
     HttpSelector,
     ParsedPacket,
     SigTree,
-    Topology,
     Trace,
     Transport,
     aggregate_flows,
@@ -35,7 +33,8 @@ from flowprof.blocklist import could_match_packet, parse as parse_rules
 from flowprof.pcapio import _synth_frame, frame_len
 from flowprof.simnet import EPHEMERAL_HI, EPHEMERAL_LO
 
-from test_blocklist import one_field_variants
+from test_blocklist import (DOMAIN_ADDRS, TABLE, TOPO, blocks, flow_packets,
+                            host_addr, one_field_variants)
 from test_pcap import padded_len
 from test_sigtree import assert_stdlib_encoding, dot_is_well_formed
 
@@ -196,39 +195,28 @@ def test_rules_render_parse_identity(flows):
 @given(flow_ids())
 def test_compiled_rule_blocks_its_flow_and_no_one_field_variant(flow):
     rules = compile_rules([flow])
-    assert matches_flow(rules, flow)
+    assert blocks(rules, flow)
     for variant in one_field_variants(flow):
-        assert not matches_flow(rules, variant), variant
+        assert not blocks(rules, variant), variant
 
 
 @given(st.lists(flow_ids(), min_size=1, max_size=6))
 def test_compiled_rules_match_their_flows(flows):
     rules = compile_rules(flows)
     for flow in flows:
-        assert matches_flow(rules.rules, flow)
+        assert blocks(rules.rules, flow)
 
 
 @given(flow_ids(), st.data())
 def test_a_rule_sets_verdict_is_the_or_of_its_parts(flow, data):
     a = data.draw(st.lists(near_flows(flow), max_size=3))
     b = data.draw(st.lists(near_flows(flow), max_size=3))
-    assert matches_flow(compile_rules(a + b), flow) == (
-        matches_flow(compile_rules(a), flow)
-        or matches_flow(compile_rules(b), flow))
+    assert blocks(compile_rules(a + b), flow) == (
+        blocks(compile_rules(a), flow) or blocks(compile_rules(b), flow))
 
 
-TOPO = Topology("192.168.1.53", "192.168.1.77", "192.168.1.1")
-DOMAIN_ADDRS = {"a.example": "198.51.100.1",
-                "cdn.vendor-cloud.example": "198.51.100.2"}
 UNPINNED_PORT = 60001  # no rule pins it
-
-
-def _host_addr(host: HostRef) -> str:
-    if host.kind is HostKind.ROLE:
-        return TOPO.addr_of(host.value)
-    if host.kind is HostKind.DOMAIN:
-        return DOMAIN_ADDRS[host.value]
-    return host.display()
+EPHEMERAL_PORTS = (UNPINNED_PORT, EPHEMERAL_LO, EPHEMERAL_HI)
 
 
 def _loosen(line: str, keep: list) -> str:
@@ -264,22 +252,17 @@ def near_flows(draw, flow):
 
 @given(flow_ids(), st.data())
 def test_a_rule_blocks_a_flow_iff_it_drops_one_of_its_packets(flow, data):
+    """matches_flow on the flow's packets, each unpinned port None, is true
+    iff matches_packet drops one of them at every drawn pair of ports."""
     others = data.draw(st.lists(near_flows(flow), min_size=1, max_size=3))
     lines = render(compile_rules(others)).splitlines()
     text = "".join(_loosen(line, data.draw(st.lists(
         st.booleans(), min_size=8, max_size=8))) + "\n" for line in lines)
     rules = parse_rules(text)
-    ends = [(_host_addr(flow.initiator), flow.initiator_port or UNPINNED_PORT),
-            (_host_addr(flow.responder), flow.responder_port or UNPINNED_PORT)]
-    if flow.direction is Direction.BIDIRECTIONAL:
-        ends += [ends[1], ends[0]]
-    packets = [ParsedPacket(ts_us=0, src_addr=src[0], dst_addr=dst[0],
-                            src_port=src[1], dst_port=dst[1],
-                            transport=flow.transport.value, app=flow.app)
-               for src, dst in zip(ends[::2], ends[1::2])]
-    table = DnsTable(TOPO, {addr: name for name, addr in DOMAIN_ADDRS.items()})
-    assert matches_flow(rules, flow) == any(
-        matches_packet(rules, p, table) for p in packets)
+    assert matches_flow(rules, flow_packets(flow), TABLE) == all(
+        any(matches_packet(rules, p, TABLE)
+            for p in flow_packets(flow, init_port, resp_port))
+        for init_port in EPHEMERAL_PORTS for resp_port in EPHEMERAL_PORTS)
 
 
 @given(flow_ids(), st.data())
@@ -293,19 +276,18 @@ def test_a_packet_the_port_free_verdict_refuses_matches_at_no_ports(flow,
     lines = render(compile_rules(others)).splitlines()
     rules = parse_rules("".join(_loosen(line, data.draw(st.lists(
         st.booleans(), min_size=8, max_size=8))) + "\n" for line in lines))
-    ports = {UNPINNED_PORT, EPHEMERAL_LO, EPHEMERAL_HI} | {
+    ports = set(EPHEMERAL_PORTS) | {
         port for rule in rules for port in (rule.pattern.initiator_port,
                                              rule.pattern.responder_port)
         if port is not None}
-    table = DnsTable(TOPO, {addr: name for name, addr in DOMAIN_ADDRS.items()})
-    src, dst = _host_addr(flow.initiator), _host_addr(flow.responder)
+    src, dst = host_addr(flow.initiator), host_addr(flow.responder)
     packets = [ParsedPacket(ts_us=0, src_addr=a, dst_addr=b,
                             transport=flow.transport.value, app=flow.app)
                for a, b in ((src, dst), (dst, src))]
-    verdict = could_match_packet(rules, packets[0], table)
-    assert could_match_packet(rules, packets[1], table) == verdict
+    verdict = could_match_packet(rules, packets[0], TABLE)
+    assert could_match_packet(rules, packets[1], TABLE) == verdict
     hit = any(matches_packet(rules, pkt._replace(src_port=sport,
-                                                 dst_port=dport), table)
+                                                 dst_port=dport), TABLE)
               for pkt in packets for sport in ports for dport in ports)
     assert hit == verdict
 

@@ -11,9 +11,13 @@ import pytest
 from flowprof import (
     Direction,
     DnsTable,
+    FlowId,
     GuardCycle,
+    HostKind,
+    HostRef,
     ParsedPacket,
     ProfileConfig,
+    Rule,
     RuleSet,
     SchemaError,
     SimDriver,
@@ -32,12 +36,12 @@ from flowprof import (
     write_pcap,
 )
 from flowprof import simnet
-from flowprof.blocklist import matches_packet
+from flowprof.blocklist import matches_packet, parse as parse_rules
 from flowprof.simnet import (
     _blocked_ids,
     _blocked_ids_by_flow,
     _in_time_order,
-    capture_emission,
+    eval_success,
     model_table,
 )
 
@@ -326,6 +330,12 @@ def test_capture_carries_dressing_but_filter_removes_it():
     assert all(p.transport in ("tcp", "udp") for p in clean.packets)
 
 
+def _blocked(model, rules) -> frozenset:
+    """Ids of the specs the rules block, on the model's laid-out packets."""
+    table, _, _, packets = simnet._model_layout(model)
+    return _blocked_ids(rules, table, packets)
+
+
 def _flows_in(model, trace) -> set:
     """Ids of the model flows some packet of the trace belongs to."""
     table = model_table(model)
@@ -367,15 +377,14 @@ def _sometimes_noisy(obj):
     ]
 
 
-def test_capture_emission_mirrors_full_run():
+def test_a_capture_succeeds_on_the_flows_it_delivers():
     model = load_model(_model(_sometimes_noisy))
     seen = set()
     for rules in (RuleSet(), compile_rules([model.spec("ctrl").flow])):
         for seed in range(12):
-            delivered, success = capture_emission(model, rules, seed)
-            full = run_capture(model, rules, seed)
-            assert delivered == _flows_in(model, full.trace), seed
-            assert success == full.success
+            capture = run_capture(model, rules, seed)
+            delivered = frozenset(_flows_in(model, capture.trace))
+            assert capture.success == eval_success(model.success, delivered)
             seen.add(delivered)
     # the draws decide: every noise subset shows up under both rule sets
     assert len(seen) == 8
@@ -421,7 +430,8 @@ def test_uni_rule_blocks_the_bi_flow_beside_it():
     y_http = model.spec("y_http").flow
     # the uni rule would drop y_http's device->cloud packets, so it blocks
     # the whole flow
-    assert matches_flow(rules, y_http)
+    table, _, _, packets = simnet._model_layout(model)
+    assert matches_flow(rules, packets["y_http"], table)
     for seed in range(5):
         assert any(p.app == y_http.app
                    for p in run_capture(model, RuleSet(), seed).trace.packets)
@@ -464,6 +474,82 @@ def test_a_flow_the_packet_firewall_cuts_is_not_delivered():
             assert not capture.success, seed
             cut += 1
     assert cut >= 1
+
+
+COAP_BY_ADDRESS = "block udp init device resp ip:198.51.100.80 dir bi\n"
+
+
+def test_an_address_rule_blocks_the_flows_of_its_domain():
+    """coap_http names its CoAP server svc.coap-home.example, at
+    198.51.100.80.  A rule on that address drops every CoAP packet, so both
+    CoAP specs are blocked and the guarded HTTP fallback carries the event."""
+    model = load_model(model_path("coap_http"))
+    rules = parse_rules(COAP_BY_ADDRESS)
+    assert _blocked(model, rules) == {"coap_req", "coap_resp"}
+    for seed in range(5):
+        capture = run_capture(model, rules, seed)
+        assert capture.success, seed
+        assert _flows_in(model, capture.trace) == {"http_req", "http_resp"}
+
+
+def _always_emitted(obj):
+    """Every spec in every capture: no guards, and noise of p = 1."""
+    for entry in obj["flows"] + obj.get("noise", []):
+        entry.pop("guard", None)
+    for entry in obj.get("noise", []):
+        entry["p"] = 1
+    return obj
+
+
+def _single_rule_sets(model) -> list:
+    """A rule set compiled from each spec flow, and one for each spec end
+    at a domain: the flow's other host to the domain's record address, on
+    any ports and app, both ways."""
+    record = dict(model.dns_records)
+    out = []
+    for spec in model.flows + model.noise:
+        flow = spec.flow
+        out.append(compile_rules([flow]))
+        for end, other in ((flow.initiator, flow.responder),
+                           (flow.responder, flow.initiator)):
+            if end.kind is HostKind.DOMAIN:
+                out.append(RuleSet((Rule(FlowId(
+                    other, HostRef.address(record[end.value]),
+                    transport=flow.transport,
+                    direction=Direction.BIDIRECTIONAL)),)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in MODEL_DIR.glob("*.json")))
+def test_a_spec_is_blocked_iff_the_packet_firewall_drops_it(name):
+    """With every spec emitted in every capture, the specs a one-rule set
+    blocks are those the packet filter drops a packet of in each of 3
+    unfiltered captures, and those none of whose packets survive any of 3
+    captures under the rule.  Data packets name the specs: the handshakes
+    of a uni request and its reply look alike, and no rule here drops a
+    handshake packet of a spec without one of its data packets."""
+    model = load_model(_always_emitted(json.loads(
+        model_path(name).read_text())))
+    table, _, layouts, _ = simnet._model_layout(model)
+    owner = {}  # data template packet -> id of the spec laying it out
+    for spec_id, layout in layouts.items():
+        for _, _, _, template in layout:
+            if not template.control_plane:
+                assert owner.setdefault(template, spec_id) == spec_id
+
+    def spec_ids(packets) -> set:
+        return {owner[p._replace(ts_us=0, src_port=None, dst_port=None)]
+                for p in packets if not p.control_plane}
+
+    for rules in _single_rule_sets(model):
+        blocked = _blocked(model, rules)
+        for seed in range(3):
+            sent = run_capture(model, RuleSet(), seed).trace.packets
+            assert spec_ids(p for p in sent
+                            if matches_packet(rules, p, table)) == blocked
+            kept = run_capture(model, rules, seed).trace.packets
+            assert spec_ids(kept) == set(layouts) - blocked, (rules, seed)
 
 
 def test_only_flows_a_rule_could_hit_are_refiltered(monkeypatch):
@@ -698,7 +784,7 @@ def test_oracle_blocked_maps_compose_from_per_flow_verdicts(name):
     for handle in range(len(tree.nodes)):
         blocking_set = tree.blocking_set(handle)
         assert blocked_ids(blocking_set) \
-            == _blocked_ids(model, compile_rules(blocking_set)), blocking_set
+            == _blocked(model, compile_rules(blocking_set)), blocking_set
 
 
 def test_pcap_file_of_capture_round_trips():
