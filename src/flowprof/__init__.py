@@ -33,7 +33,6 @@ from .signature import (
     accept_signature,
     aggregate_flows,
     extract_signature,
-    name_endpoints,
 )
 from .blocklist import (
     Rule,
@@ -86,7 +85,7 @@ __all__ = [
     "MalformedHeader", "Trace", "TruncatedRecord", "UnresolvedHost",
     "dissect", "filter_control_plane", "read_pcap", "write_pcap",
     "DnsTable", "EventSignature", "accept_signature",
-    "aggregate_flows", "extract_signature", "name_endpoints",
+    "aggregate_flows", "extract_signature",
     "Rule", "RuleSet", "RuleSyntaxError", "compile_rules", "matches_flow",
     "matches_packet", "parse", "render",
     "NodeAlreadyVisited", "NodeStatus", "RootFailed", "SigNode", "SigTree",

@@ -3,7 +3,9 @@
 A rule is a FlowId pattern plus application matchers; a rule compiled from
 a flow names every field of it.  Unspecified rule ports are wildcards; a
 rule with no matchers places no constraint on the application selector.
-The text grammar is line-oriented and bit-exact:
+matches_packet is the one packet verdict; matches_flow asks it of a flow's
+distinct packets, a port the capture draws left None, which only a
+wildcard matches.  The text grammar is line-oriented and bit-exact:
 
     block <tcp|udp> init <host>[:<port>] resp <host>[:<port>] dir <uni|bi>
         [match <key>=<value>]*
@@ -13,12 +15,10 @@ with full-line '#' comments and '\\n' terminators.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional
 
 from .core import (
-    ADDRESS_CACHE_SIZE,
     COAP_CODES,
     COAP_TYPES,
     HTTP_METHODS,
@@ -34,7 +34,7 @@ from .core import (
     canonicalize,
     qtype_code,
 )
-from .signature import DnsTable, name_endpoints
+from .signature import DnsTable
 
 MATCHER_KEYS = tuple(f"{proto}.{f.name}" for proto, cls in SELECTORS.items()
                      for f in fields(cls))
@@ -170,33 +170,10 @@ def matches_packet(rules: RuleSet, packet: ParsedPacket,
     transport = _PACKET_TRANSPORTS.get(packet.transport)
     if transport is None:
         return False
-    src_ref, dst_ref = name_endpoints(packet, table)
-    return _rules_hit(rules, transport, packet.app,
-                      (src_ref, packet.src_addr, packet.src_port),
-                      (dst_ref, packet.dst_addr, packet.dst_port))
-
-
-def could_match_packet(rules: RuleSet, packet: ParsedPacket,
-                       table: DnsTable) -> bool:
-    """Port-free packet verdict: some rule matches the packet's transport,
-    app and named endpoints in either orientation, whatever its ports.  So
-    when it is false, matches_packet is false for every pair of ports, and
-    a flow whose packets it all refuses loses none at any drawn port."""
-    transport = _PACKET_TRANSPORTS.get(packet.transport)
-    if transport is None:
-        return False
-    src_ref, dst_ref = name_endpoints(packet, table)
-    return _rules_hit(rules, transport, packet.app,
-                      (src_ref, packet.src_addr, None),
-                      (dst_ref, packet.dst_addr, None), ports=False)
-
-
-def _rules_hit(rules, transport: Transport, app: AppSelector, init: tuple,
-               resp: tuple, ports: bool = True) -> bool:
-    """The rule loop of the packet verdicts.  `init` and `resp` are (host
-    ref, raw address or None, port) ends; they are also tried swapped when
-    the rule is bidirectional.  Without `ports`, every rule port is taken
-    as a wildcard and both orientations are tried."""
+    # (host ref, raw address, port) of each end, tried swapped as well when
+    # a rule is bidirectional
+    src = (table.name(packet.src_addr), packet.src_addr, packet.src_port)
+    dst = (table.name(packet.dst_addr), packet.dst_addr, packet.dst_port)
     app_matchers = None
     for rule in rules:
         pattern = rule.pattern
@@ -204,17 +181,16 @@ def _rules_hit(rules, transport: Transport, app: AppSelector, init: tuple,
             continue
         if rule.matchers:
             if app_matchers is None:
-                app_matchers = set(_matchers(app))
+                app_matchers = set(_matchers(packet.app))
             if not app_matchers.issuperset(rule.matchers):
                 continue
-        init_port, resp_port = (pattern.initiator_port,
-                                pattern.responder_port) if ports else (None, None)
-        if _end_hits(pattern.initiator, init_port, init) \
-                and _end_hits(pattern.responder, resp_port, resp):
+        init_port, resp_port = pattern.initiator_port, pattern.responder_port
+        if _end_hits(pattern.initiator, init_port, src) \
+                and _end_hits(pattern.responder, resp_port, dst):
             return True
-        if (not ports or pattern.direction is Direction.BIDIRECTIONAL) \
-                and _end_hits(pattern.initiator, init_port, resp) \
-                and _end_hits(pattern.responder, resp_port, init):
+        if pattern.direction is Direction.BIDIRECTIONAL \
+                and _end_hits(pattern.initiator, init_port, dst) \
+                and _end_hits(pattern.responder, resp_port, src):
             return True
     return False
 
@@ -223,18 +199,9 @@ def _end_hits(host: HostRef, port: Optional[int], end: tuple) -> bool:
     ref, raw_addr, end_port = end
     if port is not None and port != end_port:
         return False
-    return host == ref or (raw_addr is not None
-                           and host.kind is HostKind.ADDRESS
-                           and _address_ref(raw_addr) == host)
-
-
-@functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
-def _address_ref(raw_addr: str) -> Optional[HostRef]:
-    """HostRef.address(raw_addr), or None when it is no unicast literal."""
-    try:
-        return HostRef.address(raw_addr)
-    except ValueError:
-        return None
+    # packet addresses are normalized literals, as an address ref's value is
+    return host == ref or (host.kind is HostKind.ADDRESS
+                           and raw_addr == host.value)
 
 
 # -- text grammar -----------------------------------------------------------------

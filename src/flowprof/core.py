@@ -604,7 +604,10 @@ class ParsedPacket(NamedTuple):
     as "arp", "icmp", "ip-proto-47" for frames the dissector cannot refine.
     `dns_answers` holds (name, address) pairs when the packet is a DNS
     response; `sni` is the TLS ClientHello server name when present.  The
-    address slots hold IPv4/IPv6 literals, or "" when the frame has none.
+    address slots hold normalized IPv4/IPv6 literals (normalize_address),
+    or "" when the frame has none: the dissector and the simulator write no
+    other, and the firewall compares them with an address rule's literal
+    as text.
     A named tuple, four times cheaper to build than a frozen dataclass.
     """
 

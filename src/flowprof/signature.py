@@ -93,20 +93,16 @@ class DnsTable:
     def lookup(self, addr: str) -> Optional[str]:
         return self.entries.get(addr)
 
-    def _name(self, addr: str) -> HostRef:
+    def name(self, addr: str) -> HostRef:
+        """How a packet address is named: a broadcast or multicast ref, a
+        role ref for the three local roles of the table's topology, a
+        table-named domain, else an address literal."""
         ref = self._names.get(addr)
         if ref is None:
             if len(self._names) >= ADDRESS_CACHE_SIZE:
                 self._names.clear()
             ref = self._names[addr] = _name_addr(addr, self)
         return ref
-
-
-def name_endpoints(packet: ParsedPacket, table: DnsTable) -> tuple:
-    """(src_ref, dst_ref) for a packet: broadcast/multicast refs, role refs
-    for the three local roles of the table's topology, table-named domains,
-    else address literals."""
-    return table._name(packet.src_addr), table._name(packet.dst_addr)
 
 
 def _name_addr(addr: str, table: DnsTable) -> HostRef:
@@ -174,7 +170,7 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
         for src_addr, dst_addr, sport, dport, transport, app in keys:
             names = named.get((src_addr, dst_addr))
             if names is None:
-                ends = (seed_table._name(src_addr), seed_table._name(dst_addr))
+                ends = (seed_table.name(src_addr), seed_table.name(dst_addr))
                 names = named[src_addr, dst_addr] = (ends, frozenset(ends))
             ends, pair = names
             group = groups.get((pair, transport, app))

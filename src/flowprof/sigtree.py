@@ -2,12 +2,13 @@
 
 Nodes live in an arena indexed by integer handles; handle 0 is the synthetic
 root (no flow).  Each node carries its blocking set, the flows on its root
-path.  The frontier is FIFO.  With pruning enabled, a popped node whose flow
-already reached a terminal explored state (Expanded or Failed) anywhere in
-the tree is marked Pruned instead of being returned, and each path has its
-node.  Unpruned, each distinct blocking set has one node, which every path
-to the set reaches; export_json, to_dot and stats() describe the unfolding,
-one node per path.
+path.  Each distinct blocking set has one node, which every path to the set
+reaches; export_json, to_dot and stats() describe the unfolding, one node
+per path.  The frontier is FIFO.  With pruning enabled, a popped node whose
+flow already reached a terminal explored state (Expanded or Failed)
+anywhere in the tree is marked Pruned instead of being returned.  So in a
+pruned tree a set that two paths reach is a duplicate on both: each path
+ends in a flow that the other expanded.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class SigTree:
         # one instance per distinct flow, so that each flow's hash and
         # canonical JSON are computed once per tree, not once per node
         self._flows: dict = {}
-        self._sets: dict = {}  # blocking set -> its node, unpruned only
+        self._sets: dict = {}  # blocking set -> its node
 
     @property
     def root(self) -> int:
@@ -95,9 +96,9 @@ class SigTree:
         """Expand a node with the signature seen under its blocking set.
 
         Children are the signature flows minus the node's blocking set,
-        appended in canonical sort order.  Returns their handles.  Unpruned,
-        a child whose blocking set already has a node is that node, which
-        is neither made nor queued again.
+        appended in canonical sort order.  Returns their handles.  A child
+        whose blocking set already has a node is that node, which is
+        neither made nor queued again.
         """
         node = self._settle(handle, NodeStatus.EXPANDED)
         handles, depth = [], node.depth + 1
@@ -110,8 +111,7 @@ class SigTree:
                 self.nodes.append(SigNode(flow=flow, parent=handle,
                                           depth=depth, blocked=blocked))
                 self.frontier.append(child)
-                if not self.pruning:
-                    self._sets[blocked] = child
+                self._sets[blocked] = child
             handles.append(child)
         node.children.extend(handles)
         return handles
@@ -346,8 +346,8 @@ def explore(tree: SigTree,
 
     Each popped node is observed with its blocking set blocked: `observe`
     returns the node's signature, which depends on the set and not on its
-    order.  Each set is observed once: unpruned, B -> A is the node of
-    A -> B, and pruned, it is cut as a duplicate of A.  An accepted
+    order.  Each set is observed once: B -> A is the node of A -> B, which
+    a pruned tree cuts as a duplicate.  An accepted
     signature (2 * m_plus >= m) expands the node, its flows becoming the
     children; any other marks the node Failed.  Nodes deeper than
     `max_depth` are pruned unobserved.  Raises RootFailed when the unblocked

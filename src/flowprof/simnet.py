@@ -10,9 +10,9 @@ are emitted, not blocked and lose no packet to the packet-level firewall.
 A deny list blocks a flow when it drops one of the flow's packets whatever
 ports a capture draws.  That one verdict is taken once per experiment on
 each flow's packets with only their pinned ports, and it drives both the
-guards of run_capture and oracle_tree.  Then only the packets of a flow
-that some rule could match at some ports are checked one by one, which
-catches a drawn ephemeral port equal to a rule's pinned one.  oracle_tree
+guards of run_capture and oracle_tree.  Drawn ports are ephemeral, so
+only when a rule pins an ephemeral port are the emitted packets checked
+one by one, which catches a drawn port equal to the pinned one.  oracle_tree
 computes the exact signature tree from one signature of m = 1 per node,
 drawing no capture.  SimDriver checks once that a pcap capture carries the
 laid-out packets, then hands over captures with no codec pass.
@@ -59,7 +59,6 @@ from .pcapio import (
 from .blocklist import (
     RuleSet,
     compile_rules,
-    could_match_packet,
     matches_flow,
     matches_packet,
 )
@@ -336,20 +335,21 @@ def _capture_flows(flows: tuple, noise: tuple, rng: random.Random) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _experiment_plan(model: DeviceModel, rules: RuleSet) -> tuple:
-    """(DNS table, ARP frames, main flows, noise flows) shared by the
-    captures of one experiment, which run back to back: all four depend on
-    the model and the deny list only, and run_capture never mutates them.
-    The table and the ARP frames are the model's (_lay_out).
+    """(DNS table, ARP frames, main flows, noise flows, refilter) shared by
+    the captures of one experiment, which run back to back: all five depend
+    on the model and the deny list only, and run_capture never mutates
+    them.  The table and the ARP frames are the model's (_lay_out).
 
     The firewall is decided here, once per flow spec, on the spec's
     distinct packets with the ports it pins.  A spec the rules block,
     dropping one of those packets whatever ports are drawn, is left out,
     and so is a main spec whose guard fails; a noise spec that could never
     fire keeps its place as None, so each capture still draws once per
-    noise spec.  Every other spec is a (spec, layout, exposed) entry,
-    the layout holding its port-free template packets and `exposed` being
-    true when some rule matches one of its packets at some ports
-    (could_match_packet): only those flows have each packet checked by
+    noise spec.  Every other spec is a (spec, layout) entry, the layout
+    holding its port-free template packets.  A drawn port lies in
+    EPHEMERAL_LO..EPHEMERAL_HI, so a rule can drop a packet of a spec it
+    leaves unblocked only by pinning such a port: `refilter` is true when
+    some rule does, and only then is each emitted packet checked by
     matches_packet."""
     table, arp, layouts, packets = _model_layout(model)
     blocked = _blocked_ids(rules, table, packets)
@@ -357,31 +357,30 @@ def _experiment_plan(model: DeviceModel, rules: RuleSet) -> tuple:
     def entry(spec: FlowSpec):
         if spec.id in blocked or not _guard_ok(spec, blocked):
             return None
-        return spec, layouts[spec.id], any(
-            could_match_packet(rules, packet, table)
-            for packet in packets[spec.id])
+        return spec, layouts[spec.id]
 
     flows = [entry(spec) for spec in model.flows]
+    refilter = any(port is not None and port >= EPHEMERAL_LO for rule in rules
+                   for port in (rule.pattern.initiator_port,
+                                rule.pattern.responder_port))
     return (table, arp, tuple(e for e in flows if e is not None),
-            tuple(entry(spec) for spec in model.noise))
+            tuple(entry(spec) for spec in model.noise), refilter)
 
 
 def run_capture(model: DeviceModel, rules: RuleSet, seed: int) -> CaptureResult:
     """One capture: the model's layouts with ports and times drawn into
     their templates, less what the deny list blocks."""
     rng = random.Random(seed)
-    table, arp, flows, noise = _experiment_plan(model, rules)
+    table, arp, flows, noise, refilter = _experiment_plan(model, rules)
     packets = list(arp)
     delivered = set()
-    for spec, layout, exposed in _capture_flows(flows, noise, rng):
+    for spec, layout in _capture_flows(flows, noise, rng):
         sent = _emit_flow(spec, layout, rng)
-        # The packet-level firewall, for flows some rule could touch.  The
-        # plan already skips every flow some rule drops a packet of at any
-        # drawn ports; this filter catches a drawn ephemeral port equal to
-        # a rule's pinned port.  A flow that loses a packet is not
-        # delivered.
+        # The packet-level firewall, only when a rule pins an ephemeral
+        # port: it cuts a flow whose drawn port equals the pinned one.  A
+        # flow that loses a packet is not delivered.
         kept = [p for p in sent if not matches_packet(rules, p, table)] \
-            if exposed else sent
+            if refilter else sent
         if len(kept) == len(sent):
             delivered.add(spec.id)
         packets.extend(kept)

@@ -16,13 +16,16 @@ from flowprof import (
     RuleSet,
     RuleSyntaxError,
     Topology,
+    Trace,
     Transport,
     compile_rules,
     load_model,
     matches_flow,
     matches_packet,
     parse,
+    read_pcap,
     render,
+    write_pcap,
 )
 from flowprof.core import app_items
 from flowprof.pcapio import TCP_SYN
@@ -349,6 +352,19 @@ def test_address_rule_matches_raw_literal(topo):
     rules = parse("block tcp init device resp ip:52.0.0.9:443 dir bi\n")
     assert matches_packet(rules, _pkt(DEVICE, "52.0.0.9", 49000, 443),
                           DnsTable(topo))
+
+
+def test_a_non_canonical_ipv6_rule_drops_a_dissected_packet_named_by_domain():
+    """The rule's literal is normalized when parsed, as the dissector's are,
+    so the two compare as text even where the table names the address."""
+    topo = Topology("fd00::53", "fd00::77", "fd00::1", ("fd00::/8",))
+    table = DnsTable(topo, {"2001:db8::10": "v6.example"})
+    rules = parse("block tcp init device resp ip:[2001:0DB8:0:0::10]:443 "
+                  "dir bi\n")
+    sent = _pkt("fd00::53", "2001:db8::10", 49000, 443)
+    (packet,) = read_pcap(write_pcap(Trace(packets=(sent,)))).packets
+    assert table.name(packet.dst_addr) == HostRef.domain("v6.example")
+    assert matches_packet(rules, packet, table)
 
 
 def test_domain_rule_needs_table_entry(topo):

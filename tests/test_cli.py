@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import threading
 import tracemalloc
@@ -13,7 +14,7 @@ from flowprof.cli import main
 from flowprof.core import is_valid_domain
 from flowprof.simnet import MAX_FORMULA_DEPTH
 
-from conftest import model_path
+from conftest import MODEL_DIR, model_path
 from test_simnet import _model, _odd_flow
 
 
@@ -652,3 +653,19 @@ def test_repeated_commands_retain_no_memory(tmp_path, mini_model):
     finally:
         tracemalloc.stop()
     assert retained < 4096, f"{retained} B retained over 30 commands"
+
+
+def test_oracle_trees_of_the_bundled_models_are_pinned(tmp_path):
+    """The oracle's tree.json and tree.dot of every bundled model, pruned
+    and unpruned to depth 3, hash to one fixed digest: a change that moves
+    any byte of them changes it."""
+    digest = hashlib.sha256()
+    for path in sorted(MODEL_DIR.glob("*.json")):
+        for flags in ([], ["--no-pruning", "--max-depth", "3"]):
+            out_dir = tmp_path / f"{path.stem}-{len(flags)}"
+            assert main(["oracle", "--model", str(path), *flags,
+                         "--out-dir", str(out_dir)]) == 0
+            for name in ("tree.json", "tree.dot"):
+                digest.update((out_dir / name).read_bytes())
+    assert digest.hexdigest() == \
+        "fdb5df3e56062720113bc152fb70045b772d8a26efb3323b7e87bbbd0c41f24b"

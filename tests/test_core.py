@@ -17,11 +17,9 @@ from flowprof import (
     HostKind,
     HostRef,
     HttpSelector,
-    ParsedPacket,
     Topology,
     Transport,
     canonicalize,
-    name_endpoints,
     sorted_flows,
 )
 from flowprof import blocklist, core, pcapio, signature, simnet
@@ -349,11 +347,8 @@ def test_address_memos_stay_within_their_bound(topo):
         topo.is_local(addr)
         pcapio._endpoint(addr)
         pcapio._addr_text(ip.packed)
-        blocklist._address_ref(addr)
-        name_endpoints(ParsedPacket(ts_us=0, src_addr=addr, dst_addr=addr),
-                       table)
-    for memo in (core._is_local, pcapio._endpoint, pcapio._addr_text,
-                 blocklist._address_ref):
+        table.name(addr)
+    for memo in (core._is_local, pcapio._endpoint, pcapio._addr_text):
         info = memo.cache_info()
         assert info.maxsize == ADDRESS_CACHE_SIZE
         assert info.currsize <= info.maxsize

@@ -3,7 +3,7 @@ import json
 from dataclasses import replace
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flowprof import (
     CoapSelector,
@@ -15,6 +15,8 @@ from flowprof import (
     HostRef,
     HttpSelector,
     ParsedPacket,
+    Rule,
+    RuleSet,
     SigTree,
     Trace,
     Transport,
@@ -24,17 +26,16 @@ from flowprof import (
     extract_signature,
     matches_flow,
     matches_packet,
-    name_endpoints,
     render,
     sorted_flows,
 )
 from flowprof import signature
-from flowprof.blocklist import could_match_packet, parse as parse_rules
+from flowprof.blocklist import parse as parse_rules
 from flowprof.pcapio import _synth_frame, frame_len
 from flowprof.simnet import EPHEMERAL_HI, EPHEMERAL_LO
 
 from test_blocklist import (DOMAIN_ADDRS, TABLE, TOPO, blocks, flow_packets,
-                            host_addr, one_field_variants)
+                            one_field_variants)
 from test_pcap import padded_len
 from test_sigtree import assert_stdlib_encoding, dot_is_well_formed
 
@@ -250,15 +251,28 @@ def near_flows(draw, flow):
     return near
 
 
+def _near_rules(flow, data):
+    """Rules compiled from 1-3 flows near `flow`, each of their ports and
+    matchers dropped at even odds."""
+    others = data.draw(st.lists(near_flows(flow), min_size=1, max_size=3))
+    lines = render(compile_rules(others)).splitlines()
+    return parse_rules("".join(_loosen(line, data.draw(st.lists(
+        st.booleans(), min_size=8, max_size=8))) + "\n" for line in lines))
+
+
 @given(flow_ids(), st.data())
 def test_a_rule_blocks_a_flow_iff_it_drops_one_of_its_packets(flow, data):
     """matches_flow on the flow's packets, each unpinned port None, is true
-    iff matches_packet drops one of them at every drawn pair of ports."""
-    others = data.draw(st.lists(near_flows(flow), min_size=1, max_size=3))
-    lines = render(compile_rules(others)).splitlines()
-    text = "".join(_loosen(line, data.draw(st.lists(
-        st.booleans(), min_size=8, max_size=8))) + "\n" for line in lines)
-    rules = parse_rules(text)
+    iff matches_packet drops one of them at every drawn pair of ports.  A
+    rule compiled from the flow with its unpinned ports pinned to drawn
+    ones is always among the rules: it drops the flow at those ports only."""
+    rule = Rule.from_flow(flow)
+    drawn = st.sampled_from((EPHEMERAL_LO, EPHEMERAL_HI))
+    pinned = Rule(replace(
+        rule.pattern,
+        initiator_port=flow.initiator_port or data.draw(drawn),
+        responder_port=flow.responder_port or data.draw(drawn)), rule.matchers)
+    rules = RuleSet((pinned,) + _near_rules(flow, data).rules)
     assert matches_flow(rules, flow_packets(flow), TABLE) == all(
         any(matches_packet(rules, p, TABLE)
             for p in flow_packets(flow, init_port, resp_port))
@@ -266,30 +280,19 @@ def test_a_rule_blocks_a_flow_iff_it_drops_one_of_its_packets(flow, data):
 
 
 @given(flow_ids(), st.data())
-def test_a_packet_the_port_free_verdict_refuses_matches_at_no_ports(flow,
-                                                                     data):
-    """When could_match_packet is false for a packet, matches_packet is
-    false for it at every pair of the rules' pinned ports and ephemeral
-    ports; when it is true, some such pair makes the packet or its reverse
-    match."""
-    others = data.draw(st.lists(near_flows(flow), min_size=1, max_size=3))
-    lines = render(compile_rules(others)).splitlines()
-    rules = parse_rules("".join(_loosen(line, data.draw(st.lists(
-        st.booleans(), min_size=8, max_size=8))) + "\n" for line in lines))
-    ports = set(EPHEMERAL_PORTS) | {
-        port for rule in rules for port in (rule.pattern.initiator_port,
-                                             rule.pattern.responder_port)
-        if port is not None}
-    src, dst = host_addr(flow.initiator), host_addr(flow.responder)
-    packets = [ParsedPacket(ts_us=0, src_addr=a, dst_addr=b,
-                            transport=flow.transport.value, app=flow.app)
-               for a, b in ((src, dst), (dst, src))]
-    verdict = could_match_packet(rules, packets[0], TABLE)
-    assert could_match_packet(rules, packets[1], TABLE) == verdict
-    hit = any(matches_packet(rules, pkt._replace(src_port=sport,
-                                                 dst_port=dport), TABLE)
-              for pkt in packets for sport in ports for dport in ports)
-    assert hit == verdict
+def test_without_a_pinned_ephemeral_port_no_drawn_port_changes_the_verdict(
+        flow, data):
+    """When no rule pins a port >= EPHEMERAL_LO, matches_packet drops one of
+    a flow's packets at drawn ports iff matches_flow blocks the flow on its
+    None-port packets: a capture need not check its packets one by one."""
+    rules = _near_rules(flow, data)
+    assume(all(port is None or port < EPHEMERAL_LO for rule in rules
+               for port in (rule.pattern.initiator_port,
+                            rule.pattern.responder_port)))
+    drawn = st.integers(EPHEMERAL_LO, EPHEMERAL_HI)
+    packets = flow_packets(flow, data.draw(drawn), data.draw(drawn))
+    assert any(matches_packet(rules, p, TABLE) for p in packets) \
+        == matches_flow(rules, flow_packets(flow), TABLE)
 
 
 @given(st.data())
@@ -465,7 +468,7 @@ def test_the_first_direction_seen_names_the_initiator(traces, pkt, data):
     with mock.patch.object(signature, "canonicalize", lambda flow: flow):
         forward, table = _aggregate(led_by(pkt, back))
         reverse, _ = _aggregate(led_by(back, pkt))
-    src, dst = name_endpoints(pkt, table)
+    src, dst = table.name(pkt.src_addr), table.name(pkt.dst_addr)
     (flow,) = [f for f in forward[index]
                if f.transport.value == pkt.transport and f.app == pkt.app
                and {f.initiator, f.responder} == {src, dst}]
@@ -536,7 +539,7 @@ def _by_the_rule(traces: list, table: DnsTable) -> list:
         for pkt in packets:
             if pkt.control_plane or pkt.transport not in ("tcp", "udp"):
                 continue
-            src, dst = name_endpoints(pkt, table)
+            src, dst = table.name(pkt.src_addr), table.name(pkt.dst_addr)
             ends, senders, ports = groups.setdefault(
                 (frozenset((src, dst)), pkt.transport, pkt.app),
                 ((src, dst), set(), {}))

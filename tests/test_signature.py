@@ -16,7 +16,6 @@ from flowprof import (
     accept_signature,
     aggregate_flows,
     extract_signature,
-    name_endpoints,
 )
 
 
@@ -79,17 +78,15 @@ def test_table_accepts_seed_entries(topo):
 # -- endpoint naming --------------------------------------------------------------
 
 
-def test_name_endpoints_covers_all_kinds(topo):
+def test_address_naming_covers_all_kinds(topo):
     table = DnsTable(topo, {CLOUD: "a.example"})
-    src, dst = name_endpoints(_pkt(DEVICE, CLOUD), table)
-    assert src == HostRef.role("device")
-    assert dst == HostRef.domain("a.example")
-    src, dst = name_endpoints(_pkt(PHONE, "255.255.255.255"), table)
-    assert (src.token(), dst.token()) == ("phone", "broadcast")
-    src, dst = name_endpoints(_pkt(PHONE, "224.0.0.251"), table)
-    assert dst.token() == "multicast:224.0.0.251"
-    src, dst = name_endpoints(_pkt(GATEWAY, "8.8.8.8"), table)
-    assert (src.token(), dst.token()) == ("gateway", "ip:8.8.8.8")
+    assert table.name(DEVICE) == HostRef.role("device")
+    assert table.name(CLOUD) == HostRef.domain("a.example")
+    assert table.name(PHONE).token() == "phone"
+    assert table.name("255.255.255.255").token() == "broadcast"
+    assert table.name("224.0.0.251").token() == "multicast:224.0.0.251"
+    assert table.name(GATEWAY).token() == "gateway"
+    assert table.name("8.8.8.8").token() == "ip:8.8.8.8"
 
 
 def _answer(name, addr=CLOUD):
@@ -100,24 +97,19 @@ def _answer(name, addr=CLOUD):
 
 def test_naming_follows_each_table_update(topo):
     table = DnsTable(topo)
-    to_cloud = _pkt(DEVICE, CLOUD, 49321, 443, transport="tcp")
-    assert name_endpoints(to_cloud, table)[1] == HostRef.address(CLOUD)
+    assert table.name(CLOUD) == HostRef.address(CLOUD)
     table.update(_answer("old.example"))
-    assert name_endpoints(to_cloud, table)[1] == \
-        HostRef.domain("old.example")
+    assert table.name(CLOUD) == HostRef.domain("old.example")
     table.update(_answer("new.example"))  # latest wins
-    assert name_endpoints(to_cloud, table)[1] == \
-        HostRef.domain("new.example")
+    assert table.name(CLOUD) == HostRef.domain("new.example")
 
 
 def test_naming_follows_updates_for_every_spelling_of_an_address(topo):
     table = DnsTable(topo)
-    spelled = _pkt(DEVICE, "2001:DB8:0:0::10")
-    assert name_endpoints(spelled, table)[1] == \
-        HostRef.address("2001:db8::10")
+    spelled = "2001:DB8:0:0::10"
+    assert table.name(spelled) == HostRef.address("2001:db8::10")
     table.update(_answer("v6.example", "2001:db8::10"))
-    assert name_endpoints(spelled, table)[1] == \
-        HostRef.domain("v6.example")
+    assert table.name(spelled) == HostRef.domain("v6.example")
 
 
 # -- aggregation -------------------------------------------------------------------

@@ -608,7 +608,8 @@ def test_trees_write_what_a_path_by_path_walk_grows(monkeypatch, name):
     model = load_model(model_path(name))
     # unpruned and uncapped, hs110_toggle has 704 sets and far more paths
     caps = (1, 2, 3) if name == "hs110_toggle" else (1, 2, 3, None)
-    for pruning, cap in [(True, None)] + [(False, cap) for cap in caps]:
+    for pruning, cap in [(True, cap) for cap in (1, 2, 3, None)] \
+            + [(False, cap) for cap in caps]:
         for module, grow in (
                 (simnet, lambda: oracle_tree(model, pruning, cap)),
                 (profiler, lambda: profile_event(SimDriver(model), (
@@ -618,9 +619,9 @@ def test_trees_write_what_a_path_by_path_walk_grows(monkeypatch, name):
             expected, observed = _path_walk(signatures, pruning, cap)
             case = (module.__name__, pruning, cap)
             assert calls == observed, case
-            # a pruned tree shares no node; an unpruned one, one per set
-            assert len(tree.nodes) == (len(expected.nodes) if pruning else len(
-                {n.blocked for n in expected.nodes})), case
+            # every tree holds one node per blocking set
+            assert len(tree.nodes) == len(
+                {n.blocked for n in expected.nodes}), case
             assert tree.export_json() == _json_by_hand(expected), case
             for hide_failed in (False, True):
                 assert tree.to_dot(hide_failed) \

@@ -552,10 +552,12 @@ def test_a_spec_is_blocked_iff_the_packet_firewall_drops_it(name):
             assert spec_ids(kept) == set(layouts) - blocked, (rules, seed)
 
 
-def test_only_flows_a_rule_could_hit_are_refiltered(monkeypatch):
-    """Under each first-level block of appendix_c no rule touches a flow
-    it does not block, so no packet is re-checked; beside a pinned rule,
-    each of web's 7 packets is."""
+def test_captures_are_refiltered_only_under_a_pinned_ephemeral_port(
+        monkeypatch):
+    """Drawn ports are ephemeral, so packets are re-checked one by one only
+    when a rule pins a port >= 49152.  No first-level block of appendix_c
+    does; beside a rule pinning 49152 or 65535 each of web's 7 packets is
+    checked, and beside one pinning 49151 none is."""
     checked = []
 
     def counting(rules, packet, table):
@@ -569,13 +571,18 @@ def test_only_flows_a_rule_could_hit_are_refiltered(monkeypatch):
         for seed in range(3):
             run_capture(model, rules, seed)
     assert checked == []
-    model = load_model(_model(_pinned_beside_web))
-    rules = compile_rules([model.spec("pinned").flow])
-    for seed in range(3):
-        capture = run_capture(model, rules, seed)
-        assert checked[-7:] == [p for p in capture.trace.packets
-                                if p.transport == "tcp"]
-    assert len(checked) == 21
+    for port, refiltered in ((49151, False), (49152, True), (65535, True)):
+        def pin(obj):
+            _pinned_beside_web(obj)
+            obj["flows"][0]["flow"]["initiator_port"] = port
+        model = load_model(_model(pin))
+        rules = compile_rules([model.spec("pinned").flow])
+        for seed in range(3):
+            checked.clear()
+            web = [p for p in run_capture(model, rules, seed).trace.packets
+                   if p.transport == "tcp"]
+            assert len(web) == 7
+            assert checked == (web if refiltered else []), (port, seed)
 
 
 def test_driver_run_seeds_sequentially():
