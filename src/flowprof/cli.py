@@ -28,22 +28,34 @@ from .simnet import SimDriver, load_model, oracle_tree
 from .profiler import ProfileConfig, build_report, profile_event, render_csv
 
 
+CHUNK = 1024  # parts per write: about 0.3 MB of tree.json, 0.1 MB of tree.dot
+
+
 def _write_text(path, text: str):
-    _write_bytes(path, text.encode())
+    _write_chunks(path, (text.encode(),))
 
 
-def _write_bytes(path, data: bytes):
-    """Write through a temporary sibling file, removed again on failure.
-    Each command makes its output directory once, before its first write.
+def _write_parts(path, parts: list):
+    """Write `"".join(parts)` as UTF-8, CHUNK parts at a time, so that no
+    whole file is held as one string or one bytes object."""
+    _write_chunks(path, ("".join(parts[i:i + CHUNK]).encode()
+                         for i in range(0, len(parts), CHUNK)))
+
+
+def _write_chunks(path, chunks):
+    """Write the bytes objects of `chunks` through a temporary sibling
+    file, removed again whatever raised, in building a chunk too.  Each
+    command makes its output directory once, before its first write.
     `path` is a string or a Path; the sibling's name is a string, since
     pathlib interns the parts of each path it parses (see
     _successful_traces)."""
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as out:
-            out.write(data)
+            for chunk in chunks:
+                out.write(chunk)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         if os.path.isfile(tmp):
             os.remove(tmp)
         raise
@@ -51,8 +63,8 @@ def _write_bytes(path, data: bytes):
 
 def _write_tree(out_dir: Path, tree: SigTree, hide_failed: bool):
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(out_dir / "tree.json", tree.export_json())
-    _write_text(out_dir / "tree.dot", tree.to_dot(hide_failed))
+    _write_parts(out_dir / "tree.json", tree.json_parts())
+    _write_parts(out_dir / "tree.dot", tree.dot_parts(hide_failed))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,8 +312,8 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     flags = []
     for index, capture in enumerate(captures):
-        _write_bytes(os.path.join(out_dir, f"capture_{index:03d}.pcap"),
-                     write_pcap(capture.trace))
+        _write_chunks(os.path.join(out_dir, f"capture_{index:03d}.pcap"),
+                      (write_pcap(capture.trace),))
         flags.append("1\n" if capture.success else "0\n")
     _write_text(out_dir / "success.txt", "".join(flags))
     return 0

@@ -185,12 +185,15 @@ class SigTree:
     # -- serialization ---------------------------------------------------------
 
     def export_json(self) -> str:
-        """The unfolding as `json.dumps(obj, indent=2) + "\n"`, where each
-        node object holds flow (except the root), status, depth, reason
+        return "".join(self.json_parts())
+
+    def json_parts(self) -> list:
+        """Parts of the unfolding's `json.dumps(obj, indent=2) + "\n"`, where
+        each node object holds flow (except the root), status, depth, reason
         (Pruned nodes) and children.  The text is written directly, because
         the stdlib's indented encoder is pure Python.  A node's text up to
         its children is built once per (flow, status, depth, reason), the
-        text of a node's children once per node, and each flow's and each
+        parts of a node's children once per node, and each flow's and each
         reason's block once per depth, by json.dumps itself."""
         parts = ['{\n  "root": ']
         nodes = self.nodes
@@ -242,7 +245,7 @@ class SigTree:
         write(self.root, None)
         del write  # the closure refers to itself; the cycle would hold parts
         parts.append("\n}\n")
-        return "".join(parts)
+        return parts
 
     @staticmethod
     def from_obj(obj: dict) -> "SigTree":
@@ -257,9 +260,12 @@ class SigTree:
         return read_json(SigTree.from_obj, "tree", text=text)
 
     def to_dot(self, hide_failed: bool = False) -> str:
-        """Graphviz rendering of the unfolding, its nodes numbered
-        breadth-first; Pruned nodes dashed, Failed nodes annotated.  Each
-        (flow, status, reason) has its attribute text built once."""
+        return "".join(self.dot_parts(hide_failed))
+
+    def dot_parts(self, hide_failed: bool = False) -> list:
+        """Graphviz rendering of the unfolding, one line per part, its nodes
+        numbered breadth-first; Pruned nodes dashed, Failed nodes annotated.
+        Each (flow, status, reason) has its attribute text built once."""
         nodes = self.nodes
         # order[i] is the handle of the i-th node of the unfolding, breadth
         # first, and its children are numbered first[i] to first[i + 1] - 1
@@ -268,8 +274,8 @@ class SigTree:
             first.append(len(order))
             order.extend(nodes[handle].children)
         first.append(len(order))
-        lines = ["digraph sigtree {", "  rankdir=LR;",
-                 '  n0 [label="event", shape=box];']
+        lines = ["digraph sigtree {\n", "  rankdir=LR;\n",
+                 '  n0 [label="event", shape=box];\n']
         edges = []
         attrs: dict = {}  # (flow, status, reason) -> attribute text
 
@@ -294,14 +300,16 @@ class SigTree:
             for child, text in zip(range(first[number], first[number + 1]),
                                    rows[order[number]]):
                 if text is not None:
-                    lines.append(f"  n{child} [{text}];")
-                    edges.append(f"  n{number} -> n{child};")
+                    lines.append(f"  n{child} [{text}];\n")
+                    edges.append(f"  n{number} -> n{child};\n")
                     if first[child] < first[child + 1]:
                         visit(child)
 
         visit(0)
         del visit  # the closure refers to itself; the cycle would hold lines
-        return "\n".join(lines + edges + ["}"]) + "\n"
+        lines += edges
+        lines.append("}\n")
+        return lines
 
 
 def _build_node(tree, node_obj: dict, parent: Optional[int], depth: int,

@@ -310,11 +310,12 @@ def test_a_corrupt_capture_fails_extract_even_when_its_flag_is_zero(
     assert not (out_dir / "signature.json").exists()
 
 
-def _traced_peak(model, cap_dir, m: int, out_dir) -> int:
+def _traced_peak(command, *args) -> int:
+    """The traced peak of `command(*args)`, which must return 0."""
     gc.collect()
     tracemalloc.start()
     try:
-        assert _extract(model, cap_dir, m, out_dir) == 0
+        assert command(*args) == 0
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -328,7 +329,7 @@ def test_extract_memory_does_not_grow_with_every_capture(tmp_path):
     sizes = (40, 160)
     dirs = {m: _simulate(model, tmp_path / f"caps{m}", m) for m in sizes}
     assert _extract(model, dirs[40], 40, tmp_path / "warm") == 0
-    peaks = {m: _traced_peak(model, dirs[m], m, tmp_path / f"sig{m}")
+    peaks = {m: _traced_peak(_extract, model, dirs[m], m, tmp_path / f"sig{m}")
              for m in sizes}
     per_capture = (peaks[160] - peaks[40]) / (160 - 40)
     assert per_capture < 8000, f"{per_capture:.0f} B per capture"
@@ -653,6 +654,37 @@ def test_repeated_commands_retain_no_memory(tmp_path, mini_model):
     finally:
         tracemalloc.stop()
     assert retained < 4096, f"{retained} B retained over 30 commands"
+
+
+def test_an_unfolded_tree_is_never_held_as_one_file_text(tmp_path):
+    """Memory guard: tree.json and tree.dot are written a chunk of parts at
+    a time, so an unpruned oracle's traced peak stays below the size of
+    the tree.json it writes (about 0.54x; joining the whole text and
+    encoding it took about 2.1x)."""
+    out_dir = tmp_path / "out"
+    peak = _traced_peak(main, ["oracle", "--model",
+                               str(model_path("hs110_toggle")),
+                               "--no-pruning", "--max-depth", "4",
+                               "--out-dir", str(out_dir)])
+    size = (out_dir / "tree.json").stat().st_size
+    assert peak < size, f"traced peak {peak} B, tree.json {size} B"
+
+
+@pytest.mark.parametrize("count", [0, 1, cli.CHUNK - 1, cli.CHUNK,
+                                   cli.CHUNK + 1])
+def test_parts_are_written_whole_across_chunk_boundaries(tmp_path, count):
+    parts = [f"{i}\u00e9," for i in range(count)]
+    cli._write_parts(tmp_path / "out.txt", parts)
+    assert (tmp_path / "out.txt").read_bytes() == "".join(parts).encode()
+
+
+def test_a_write_that_fails_building_a_chunk_leaves_nothing(tmp_path):
+    """The temporary file goes whatever raised, here the encoder, after
+    one chunk was written."""
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_parts(tmp_path / "tree.json",
+                         ["{"] * cli.CHUNK + ["\ud800"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_trees_of_the_bundled_models_are_pinned(tmp_path):
