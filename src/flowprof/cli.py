@@ -191,7 +191,8 @@ def _successful_traces(capture_dir: Path, pcaps: list, flags: list):
     for name, flag in zip(pcaps, flags):
         # not capture_dir / name: that interns each name, and the dead names
         # fill the interned-string table until it is resized, 1 MB at a time
-        with open(os.path.join(capture_dir, name), "rb") as pcap:
+        # unbuffered: each file is read whole, so a buffer would only cost
+        with open(os.path.join(capture_dir, name), "rb", buffering=0) as pcap:
             trace = read_pcap(pcap.read())
         if flag == "1":
             yield filter_control_plane(trace)

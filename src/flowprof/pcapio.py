@@ -130,21 +130,22 @@ def read_pcap(data: bytes) -> Trace:
         raise MalformedHeader(f"unsupported pcap major version {vmajor}")
     if network != LINKTYPE_ETHERNET:
         raise MalformedHeader(f"unsupported linktype {network}; need Ethernet (1)")
-    rec = struct.Struct(order + "IIII")
+    unpack_record = struct.Struct(order + "IIII").unpack_from
     packets = []
+    append = packets.append
     offset = 24
     total = len(data)
     while offset < total:
         if total - offset < 16:
             raise TruncatedRecord(f"record header truncated at offset {offset}")
-        ts_sec, ts_frac, incl_len, _orig_len = rec.unpack_from(data, offset)
+        ts_sec, ts_frac, incl_len, _orig_len = unpack_record(data, offset)
         offset += 16
-        if total - offset < incl_len:
+        end = offset + incl_len
+        if end > total:
             raise TruncatedRecord(f"record body truncated at offset {offset}")
-        frame = data[offset:offset + incl_len]
-        offset += incl_len
-        packets.append(dissect(frame,
-                               ts_sec * 1_000_000 + ts_frac // frac_per_us))
+        append(dissect(data[offset:end],
+                       ts_sec * 1_000_000 + ts_frac // frac_per_us))
+        offset = end
     return Trace(tuple(packets))
 
 
@@ -184,7 +185,7 @@ def _dissect(frame: bytes, ts_us: int) -> ParsedPacket:
         if frag & 0x1FFF:
             # Later fragment: no transport header; reassembly is out of scope.
             return _opaque(ts_us, wire_len, "ip-frag", src, dst)
-        end = min(wire_len, 14 + total_len) if total_len >= ihl else wire_len
+        end = 14 + total_len if ihl <= total_len <= wire_len - 14 else wire_len
         return _dissect_l4(frame, ts_us, proto, src, dst, 14 + ihl, end, False)
     if ethertype == ETH_IPV6:
         return _dissect_ipv6(frame, ts_us)
@@ -266,8 +267,8 @@ def _dissect_l4(frame, ts_us, proto, src, dst, start, end, icmp6):
         if end - start < 8:
             return _opaque(ts_us, wire_len, "udp-bad", src, dst)
         sport, dport, ulen = _UDP_HEAD.unpack_from(frame, start)
-        if ulen >= 8:
-            end = min(end, start + ulen)
+        if ulen >= 8 and start + ulen < end:
+            end = start + ulen
         payload = frame[start + 8:end]
         if sport in (67, 68) or dport in (67, 68):
             control = True

@@ -141,54 +141,66 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     SNI fold into the seed table (mutated) and only its distinct packet keys
     stay, so memory grows with those keys, not with the packets.  Naming
     waits until every trace is folded, so no address is named two ways.
+    Each port-free key is then named once, to a group id and two host ids;
+    those ints key every tally until the FlowIds are built.
     """
-    interned: dict = {}  # packet key -> the one copy the traces share
-
     def fold(trace):
+        keys = {}
         for packet in trace.packets:
-            if packet.dns_answers or packet.sni:
+            # one unpack is cheaper than reading six fields by name
+            _, src, dst, sport, dport, transport, app, answers, sni, _, \
+                control_plane, _ = packet
+            if answers or sni:
                 seed_table.update(packet)
-        keys = dict.fromkeys(
-            (p.src_addr, p.dst_addr, p.src_port, p.dst_port, p.transport,
-             p.app)
-            for p in trace.packets
-            if not p.control_plane and p.transport in _FLOW_TRANSPORTS)
-        return list(map(interned.setdefault, keys, keys))
+            if not control_plane and transport in _FLOW_TRANSPORTS:
+                keys[src, dst, sport, dport, transport, app] = None
+        return list(keys)
 
     # map holds no folded trace while the next one is drawn
     keys_per_trace = list(map(fold, traces))
-    del interned
 
-    # (src, dst) addresses -> their (src, dst) HostRefs and unordered pair
-    named: dict = {}
-    # group key -> [traces holding it, {HostRef: [union, common, with_ports]}]
-    tallies: dict = {}
-    shape_ids: dict = {}  # (group key, first (src, dst), unidirectional) -> id
+    hosts: dict = {}  # HostRef -> host id
+    group_keys: dict = {}  # (lower host id, higher, transport, app) -> id
+    # (src, dst, transport, app) -> (group id, src host id, dst host id)
+    ids: dict = {}
+    # per group id: [traces holding it, {host id: [union, common, with_ports]}]
+    tallies: list = []
+    shape_ids: dict = {}  # (group id, src id, dst id, unidirectional) -> id
     shapes_per_trace = []
     for keys in keys_per_trace:
-        groups: dict = {}  # group key -> [first (src, dst), ports, uni]
+        groups: dict = {}  # group id -> [src id, dst id, uni, {host id: ports}]
         for src_addr, dst_addr, sport, dport, transport, app in keys:
-            names = named.get((src_addr, dst_addr))
-            if names is None:
-                ends = (seed_table.name(src_addr), seed_table.name(dst_addr))
-                names = named[src_addr, dst_addr] = (ends, frozenset(ends))
-            ends, pair = names
-            group = groups.get((pair, transport, app))
+            named = ids.get((src_addr, dst_addr, transport, app))
+            if named is None:
+                src = hosts.setdefault(seed_table.name(src_addr), len(hosts))
+                dst = hosts.setdefault(seed_table.name(dst_addr), len(hosts))
+                group_id = group_keys.setdefault(
+                    (min(src, dst), max(src, dst), transport, app),
+                    len(group_keys))
+                if group_id == len(tallies):
+                    tallies.append([0, {}])
+                named = ids[src_addr, dst_addr, transport, app] = \
+                    (group_id, src, dst)
+            group_id, src, dst = named
+            group = groups.get(group_id)
             if group is None:
-                group = groups[pair, transport, app] = [ends, {}, True]
-            elif group[2] and group[0] != ends:
+                group = groups[group_id] = [src, dst, True,
+                                            {src: set(), dst: set()}]
+            elif group[2] and (group[0] != src or group[1] != dst):
                 group[2] = False
             if sport is not None:
-                group[1].setdefault(ends[0], set()).add(sport)
+                group[3][src].add(sport)
             if dport is not None:
-                group[1].setdefault(ends[1], set()).add(dport)
+                group[3][dst].add(dport)
         shapes = []
-        for key, (ends, ports, unidirectional) in groups.items():
-            shapes.append(shape_ids.setdefault((key, ends, unidirectional),
-                                               len(shape_ids)))
-            tally = tallies.setdefault(key, [0, {}])
+        for group_id, (src, dst, unidirectional, ports) in groups.items():
+            shapes.append(shape_ids.setdefault(
+                (group_id, src, dst, unidirectional), len(shape_ids)))
+            tally = tallies[group_id]
             tally[0] += 1
             for host, seen in ports.items():
+                if not seen:
+                    continue  # a host without a port here skips this trace
                 host_tally = tally[1].get(host)
                 if host_tally is None:
                     tally[1][host] = [seen, set(seen), 1]
@@ -198,21 +210,27 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
                     host_tally[2] += 1
         shapes_per_trace.append(shapes)
 
-    # each host's tally becomes the port it keeps, or None
-    for held, hosts in tallies.values():
-        for host, (union, common, with_ports) in hosts.items():
+    # each host's tally becomes the port it keeps, or None, by HostRef
+    host_refs = list(hosts)
+    for tally in tallies:
+        held, ports = tally
+        tally[1] = kept_ports = {}
+        for host, (union, common, with_ports) in ports.items():
             kept = [p for p in union if is_well_known_port(p)]
             if not kept and with_ports == held > 1:
                 kept = common
-            hosts[host] = min(kept, default=None)
-    flows = [_flow_id(*shape, tallies[shape[0]][1]) for shape in shape_ids]
+            kept_ports[host_refs[host]] = min(kept, default=None)
+    key_of = list(group_keys)  # group id -> group key
+    flows = [_flow_id(key_of[group_id], (host_refs[src], host_refs[dst]),
+                      unidirectional, tallies[group_id][1])
+             for group_id, src, dst, unidirectional in shape_ids]
     return [{flows[i] for i in shapes} for shapes in shapes_per_trace]
 
 
 def _flow_id(key: tuple, ends: tuple, unidirectional: bool,
              ports: dict) -> FlowId:
     """The canonical FlowId of one group under its retained ports."""
-    _, transport, app = key
+    _, _, transport, app = key
     init, resp = ends
     direction = Direction.UNIDIRECTIONAL if unidirectional \
         else Direction.BIDIRECTIONAL

@@ -9,6 +9,7 @@ from flowprof import (
     EventSignature,
     FlowId,
     HostRef,
+    NodeStatus,
     ParsedPacket,
     ProfileConfig,
     RootFailed,
@@ -117,6 +118,43 @@ def test_blind_walk_runs_one_experiment_per_distinct_blocking_set():
     assert driver.seeds == list(range(0, 400, 20))
     assert sum(driver.drawn) == 364
     assert tree.export_json() == oracle_tree(model, pruning=False).export_json()
+
+
+def test_pruning_misses_a_flow_guarded_by_a_conjunction():
+    """A pruned walk observes a set only when the flow it adds is new to
+    the tree, so the {a, b} node is cut as a duplicate and `c`, which fires
+    only when both a and b are blocked, is never seen; unpruned, it is
+    found at depth 3."""
+    def flow(flow_id, responder):
+        return {"id": flow_id, "flow": {
+            "initiator": "device", "responder": responder,
+            "initiator_port": None, "responder_port": 443,
+            "transport": "tcp", "direction": "bi", "app": None},
+            "packets": {"count": 2, "sizes": [64]}}
+
+    def conjunction(obj):
+        guarded = flow("c", "ip:52.9.9.9")
+        guarded["guard"] = [["a", "b"]]
+        obj["flows"] = [flow("a", "dom:a.example"), flow("b", "phone"),
+                        guarded]
+        obj["success"] = {"or": [{"flow": "a"}, {"flow": "b"},
+                                 {"flow": "c"}]}
+    model = load_model(_model(conjunction))
+    a, b, c = (spec.flow for spec in model.flows)
+    for pruning, found in ((True, {a, b}), (False, {a, b, c})):
+        tree = profile_event(SimDriver(model),
+                             ProfileConfig(m=6, seed=0, pruning=pruning))
+        assert tree.export_json() == \
+            oracle_tree(model, pruning=pruning).export_json()
+        assert {node.flow for node in tree.nodes[1:]} == found
+        (both,) = [node for node in tree.nodes if node.blocked == {a, b}]
+        if pruning:
+            assert (both.status, both.reason) == (NodeStatus.PRUNED,
+                                                  "duplicate")
+        else:
+            (found_c,) = [node for node in tree.nodes if node.flow == c]
+            assert found_c.depth == 3
+            assert tree.node(found_c.parent) is both
 
 
 @pytest.mark.parametrize("m", [5, 6])

@@ -3,7 +3,7 @@ import json
 from dataclasses import replace
 from unittest import mock
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flowprof import (
     CoapSelector,
@@ -579,7 +579,30 @@ def _by_the_rule(traces: list, table: DnsTable) -> list:
     return flow_sets
 
 
+def _tcp(src, dst, sport, dport):
+    return ParsedPacket(ts_us=0, src_addr=src, dst_addr=dst, src_port=sport,
+                        dst_port=dport, transport="tcp")
+
+
+def _answer(addr):
+    """A DNS response naming `addr` a.example."""
+    return ParsedPacket(ts_us=0, src_addr=TOPO.gateway_addr,
+                        dst_addr=TOPO.device_addr, src_port=53,
+                        dst_port=49152, transport="udp",
+                        app=DnsSelector(qtype="A", qname="a.example"),
+                        dns_answers=(("a.example", addr),))
+
+
 @given(retention_cases())
+# a conversation whose two ends are one address: both its ports land in the
+# one host's tally, and 7000, common to both captures, is kept
+@example([[_tcp(TOPO.device_addr, TOPO.device_addr, 50001, 7000)],
+          [_tcp(TOPO.device_addr, TOPO.device_addr, 7000, 50002)]])
+# two addresses answered for a.example in one capture: two address pairs
+# name one group, whose two senders make it bidirectional
+@example([[_answer("203.0.113.9"), _answer("2001:db8::17"),
+           _tcp(TOPO.device_addr, "203.0.113.9", 50001, 7000),
+           _tcp("2001:db8::17", TOPO.device_addr, 7000, 50002)]])
 @settings(deadline=None)
 def test_aggregation_follows_the_retention_rule(traces):
     seed = {addr: name for name, addr in DOMAIN_ADDRS.items()}
