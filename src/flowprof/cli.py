@@ -161,9 +161,10 @@ def cmd_extract(args) -> int:
         raise ValueError(f"not a directory: {capture_dir}")
     if args.m < 1:
         raise ValueError("m must be at least 1")
-    # names, not Paths, are held through the pass: a Path keeps several
-    # times the bytes of its name
-    pcaps = sorted(path.name for path in capture_dir.glob("*.pcap"))
+    # names, not Paths: a Path keeps several times the bytes of its name,
+    # and pathlib interns every name it parses
+    pcaps = sorted(name for name in os.listdir(capture_dir)
+                   if name.endswith(".pcap"))
     if len(pcaps) != args.m:
         raise ValueError(f"expected {args.m} captures, found {len(pcaps)}")
     flags_path = capture_dir / "success.txt"

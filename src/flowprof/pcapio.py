@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import ipaddress
+import itertools
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -109,7 +111,8 @@ class Trace:
 
 def filter_control_plane(trace: Trace) -> Trace:
     """Drop control-plane packets, keeping the others in order."""
-    return Trace(tuple(p for p in trace.packets if not p.control_plane))
+    return Trace(tuple(itertools.filterfalse(
+        operator.attrgetter("control_plane"), trace.packets)))
 
 
 # -- reading ------------------------------------------------------------------
@@ -186,7 +189,8 @@ def _dissect(frame: bytes, ts_us: int) -> ParsedPacket:
             # Later fragment: no transport header; reassembly is out of scope.
             return _opaque(ts_us, wire_len, "ip-frag", src, dst)
         end = 14 + total_len if ihl <= total_len <= wire_len - 14 else wire_len
-        return _dissect_l4(frame, ts_us, proto, src, dst, 14 + ihl, end, False)
+        return _dissect_l4(frame, ts_us, proto, src, dst, 14 + ihl, end,
+                           wire_len, False)
     if ethertype == ETH_IPV6:
         return _dissect_ipv6(frame, ts_us)
     if ethertype == ETH_ARP:
@@ -226,7 +230,8 @@ def _dissect_ipv6(frame: bytes, ts_us: int) -> ParsedPacket:
             return _opaque(ts_us, wire_len, "ip-frag", src, dst)
         else:
             break
-    return _dissect_l4(frame, ts_us, nxt, src, dst, pos, wire_len, True)
+    return _dissect_l4(frame, ts_us, nxt, src, dst, pos, wire_len, wire_len,
+                       True)
 
 
 @functools.lru_cache(maxsize=ADDRESS_CACHE_SIZE)
@@ -243,9 +248,9 @@ def _opaque(ts_us, wire_len, token, src="", dst=""):
     )
 
 
-def _dissect_l4(frame, ts_us, proto, src, dst, start, end, icmp6):
-    """The transport layer at frame[start:end]: TCP and UDP in one pass."""
-    wire_len = len(frame)
+def _dissect_l4(frame, ts_us, proto, src, dst, start, end, wire_len, icmp6):
+    """The transport layer at frame[start:end] of a `wire_len`-byte frame:
+    TCP and UDP in one pass."""
     app = sni = flags = None
     answers = ()
     control = False

@@ -9,6 +9,7 @@ per-trace sets into the event signature.
 from __future__ import annotations
 
 import ipaddress
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -139,11 +140,15 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     holding the group if at least two do: one trace cannot tell a fixed port
     from a drawn one.  `traces` is read once.  Each trace's DNS answers and
     SNI fold into the seed table (mutated) and only its distinct packet keys
-    stay, so memory grows with those keys, not with the packets.  Naming
+    stay, packed as machine ints: the id of the port-free address key
+    `(src, dst, transport, app)`, then both ports (-1 for None).  Naming
     waits until every trace is folded, so no address is named two ways.
-    Each port-free key is then named once, to a group id and two host ids;
-    those ints key every tally until the FlowIds are built.
+    Each address key is then named once, to a group id and two host ids;
+    those ints key every tally until the FlowIds are built.  Traces of one
+    shape share one frozenset.
     """
+    address_ids: dict = {}  # (src, dst, transport, app) -> address key id
+
     def fold(trace):
         keys = {}
         for packet in trace.packets:
@@ -154,48 +159,50 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
                 seed_table.update(packet)
             if not control_plane and transport in _FLOW_TRANSPORTS:
                 keys[src, dst, sport, dport, transport, app] = None
-        return list(keys)
+        packed = []  # one conversion to array is cheaper than one per key
+        for src, dst, sport, dport, transport, app in keys:
+            packed += (
+                address_ids.setdefault((src, dst, transport, app),
+                                       len(address_ids)),
+                -1 if sport is None else sport,
+                -1 if dport is None else dport)
+        return array("i", packed)
 
     # map holds no folded trace while the next one is drawn
-    keys_per_trace = list(map(fold, traces))
+    packed_per_trace = list(map(fold, traces))
 
     hosts: dict = {}  # HostRef -> host id
     group_keys: dict = {}  # (lower host id, higher, transport, app) -> id
-    # (src, dst, transport, app) -> (group id, src host id, dst host id)
-    ids: dict = {}
+    named = []  # address key id -> (group id, src host id, dst host id)
+    for src_addr, dst_addr, transport, app in address_ids:
+        src = hosts.setdefault(seed_table.name(src_addr), len(hosts))
+        dst = hosts.setdefault(seed_table.name(dst_addr), len(hosts))
+        group_id = group_keys.setdefault(
+            (min(src, dst), max(src, dst), transport, app), len(group_keys))
+        named.append((group_id, src, dst))
     # per group id: [traces holding it, {host id: [union, common, with_ports]}]
-    tallies: list = []
+    tallies = [[0, {}] for _ in group_keys]
     shape_ids: dict = {}  # (group id, src id, dst id, unidirectional) -> id
-    shapes_per_trace = []
-    for keys in keys_per_trace:
+    masks = []  # per trace, the bitmask of its shape ids
+    for packed in packed_per_trace:
         groups: dict = {}  # group id -> [src id, dst id, uni, {host id: ports}]
-        for src_addr, dst_addr, sport, dport, transport, app in keys:
-            named = ids.get((src_addr, dst_addr, transport, app))
-            if named is None:
-                src = hosts.setdefault(seed_table.name(src_addr), len(hosts))
-                dst = hosts.setdefault(seed_table.name(dst_addr), len(hosts))
-                group_id = group_keys.setdefault(
-                    (min(src, dst), max(src, dst), transport, app),
-                    len(group_keys))
-                if group_id == len(tallies):
-                    tallies.append([0, {}])
-                named = ids[src_addr, dst_addr, transport, app] = \
-                    (group_id, src, dst)
-            group_id, src, dst = named
+        ints = iter(packed)
+        for address_id, sport, dport in zip(ints, ints, ints):
+            group_id, src, dst = named[address_id]
             group = groups.get(group_id)
             if group is None:
                 group = groups[group_id] = [src, dst, True,
                                             {src: set(), dst: set()}]
             elif group[2] and (group[0] != src or group[1] != dst):
                 group[2] = False
-            if sport is not None:
+            if sport >= 0:
                 group[3][src].add(sport)
-            if dport is not None:
+            if dport >= 0:
                 group[3][dst].add(dport)
-        shapes = []
+        mask = 0
         for group_id, (src, dst, unidirectional, ports) in groups.items():
-            shapes.append(shape_ids.setdefault(
-                (group_id, src, dst, unidirectional), len(shape_ids)))
+            mask |= 1 << shape_ids.setdefault(
+                (group_id, src, dst, unidirectional), len(shape_ids))
             tally = tallies[group_id]
             tally[0] += 1
             for host, seen in ports.items():
@@ -208,7 +215,7 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
                     host_tally[0] |= seen
                     host_tally[1] &= seen
                     host_tally[2] += 1
-        shapes_per_trace.append(shapes)
+        masks.append(mask)
 
     # each host's tally becomes the port it keeps, or None, by HostRef
     host_refs = list(hosts)
@@ -224,7 +231,10 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     flows = [_flow_id(key_of[group_id], (host_refs[src], host_refs[dst]),
                       unidirectional, tallies[group_id][1])
              for group_id, src, dst, unidirectional in shape_ids]
-    return [{flows[i] for i in shapes} for shapes in shapes_per_trace]
+    sets = {mask: frozenset(flow for i, flow in enumerate(flows)
+                            if mask >> i & 1)
+            for mask in set(masks)}
+    return [sets[mask] for mask in masks]
 
 
 def _flow_id(key: tuple, ends: tuple, unidirectional: bool,
@@ -282,7 +292,7 @@ def extract_signature(flow_sets: list, m: int) -> EventSignature:
     flow_sets = list(flow_sets)
     common = set(flow_sets[0]) if flow_sets else set()
     for flows in flow_sets[1:]:
-        common &= set(flows)
+        common.intersection_update(flows)
     return EventSignature(flows=frozenset(common), m=m, m_plus=len(flow_sets))
 
 

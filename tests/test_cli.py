@@ -323,8 +323,9 @@ def _traced_peak(command, *args) -> int:
 
 def test_extract_memory_does_not_grow_with_every_capture(tmp_path):
     """Memory guard: extraction keeps each capture's distinct packet keys,
-    not its packets, so 120 more captures add under 8 KB each to the
-    traced peak (about 4 KB; keeping every packet cost about 20 KB)."""
+    packed as machine ints, not its packets, so 120 more captures add under
+    1.5 KB each to the traced peak (about 1 KB; keeping each key as a tuple
+    cost about 2.9 KB, and keeping every packet about 20 KB)."""
     model = model_path("hs110_toggle")
     sizes = (40, 160)
     dirs = {m: _simulate(model, tmp_path / f"caps{m}", m) for m in sizes}
@@ -332,7 +333,7 @@ def test_extract_memory_does_not_grow_with_every_capture(tmp_path):
     peaks = {m: _traced_peak(_extract, model, dirs[m], m, tmp_path / f"sig{m}")
              for m in sizes}
     per_capture = (peaks[160] - peaks[40]) / (160 - 40)
-    assert per_capture < 8000, f"{per_capture:.0f} B per capture"
+    assert per_capture < 1500, f"{per_capture:.0f} B per capture"
 
 
 def test_extract_checks_dns_names_per_distinct_payload(tmp_path,

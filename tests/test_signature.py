@@ -293,6 +293,29 @@ def test_aggregation_reads_a_one_shot_stream_one_trace_at_a_time(topo):
     assert table.lookup(CLOUD) == "a.example"
 
 
+def test_port_zero_is_not_a_missing_port(topo):
+    """Port 0 is well known, so a host that uses it in one trace and sends
+    without a port in the other keeps it.  A FlowId refuses port 0, so
+    keeping it shows as that refusal; a port taken for missing would give
+    a flow whose initiator has no port."""
+    with pytest.raises(ValueError, match="port 0 out of range"):
+        aggregate_flows([_trace(_pkt(PHONE, DEVICE, 0, 9999)),
+                         _trace(_pkt(PHONE, DEVICE, None, 9999))],
+                        DnsTable(topo))
+    (flow,), _ = aggregate_flows([_trace(_pkt(PHONE, DEVICE, None, 9999))] * 2,
+                                 DnsTable(topo))
+    assert (flow.initiator_port, flow.responder_port) == (None, 9999)
+
+
+def test_traces_of_one_shape_share_one_flow_set(topo):
+    sets = aggregate_flows(
+        [_trace(*packets) for packets in _capture_packets()[1:]] * 2,
+        DnsTable(topo))
+    assert all(isinstance(flows, frozenset) for flows in sets)
+    assert sets[0] is sets[2] and sets[1] is sets[3]
+    assert sets[0] != sets[1]
+
+
 # -- signatures ---------------------------------------------------------------------
 
 
