@@ -31,12 +31,13 @@ from .pcapio import Trace
 
 
 # Ports always retained in FlowIds: the well-known range plus the handful of
-# IoT service ports that behave like well-known ones in practice.
+# IoT service ports that behave like well-known ones in practice.  Port 0
+# names no service, and a FlowId holds no port 0, so it is never retained.
 WELL_KNOWN_EXTRA = frozenset({5353, 5683, 8883, 9999})
 
 
 def is_well_known_port(port: int) -> bool:
-    return port <= 1023 or port in WELL_KNOWN_EXTRA
+    return 0 < port <= 1023 or port in WELL_KNOWN_EXTRA
 
 
 class DnsTable:
@@ -136,16 +137,16 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
     app selector (a DNS response carries its question identity, so it joins
     its query's group).  A group's first sender is its initiator; it is
     unidirectional when no other end sends.  Per group and host, the lowest
-    well-known port is kept, else the lowest port common to every trace
-    holding the group if at least two do: one trace cannot tell a fixed port
-    from a drawn one.  `traces` is read once.  Each trace's DNS answers and
-    SNI fold into the seed table (mutated) and only its distinct packet keys
-    stay, packed as machine ints: the id of the port-free address key
-    `(src, dst, transport, app)`, then both ports (-1 for None).  Naming
-    waits until every trace is folded, so no address is named two ways.
-    Each address key is then named once, to a group id and two host ids;
-    those ints key every tally until the FlowIds are built.  Traces of one
-    shape share one frozenset.
+    well-known port is kept, else the lowest nonzero port common to every
+    trace holding the group if at least two do: one trace cannot tell a
+    fixed port from a drawn one.  `traces` is read once.  Each trace's DNS
+    answers and SNI fold into the seed table (mutated) and only its distinct
+    packet keys stay, packed as machine ints: the id of the port-free
+    address key `(src, dst, transport, app)`, then both ports (-1 for None).
+    Naming waits until every trace is folded, so no address is named two
+    ways.  Each address key is then named once, to a group id and two host
+    ids; those ints key every tally until the FlowIds are built.  Traces of
+    one shape share one frozenset.
     """
     address_ids: dict = {}  # (src, dst, transport, app) -> address key id
 
@@ -225,7 +226,7 @@ def aggregate_flows(traces: Iterable[Trace], seed_table: DnsTable) -> list:
         for host, (union, common, with_ports) in ports.items():
             kept = [p for p in union if is_well_known_port(p)]
             if not kept and with_ports == held > 1:
-                kept = common
+                kept = common - {0}
             kept_ports[host_refs[host]] = min(kept, default=None)
     key_of = list(group_keys)  # group id -> group key
     flows = [_flow_id(key_of[group_id], (host_refs[src], host_refs[dst]),

@@ -14,6 +14,7 @@ ends in a flow that the other expanded.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,7 +40,7 @@ class RootFailed(RuntimeError):
     """The unblocked baseline produced no accepted signature."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SigNode:
     """A blocking set's node: the last flow of the first path reaching it,
     whose parent is `parent`, and the set, the parent's set plus that flow,
@@ -51,6 +52,9 @@ class SigNode:
     children: list = field(default_factory=list)
     reason: Optional[str] = None  # set for Pruned nodes
     blocked: frozenset = frozenset()
+    # per child, the flow its blocking set adds to this node's: a child
+    # that another path reached first has another flow of its own
+    child_flows: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,9 @@ class SigTree:
         """
         node = self._settle(handle, NodeStatus.EXPANDED)
         handles, depth = [], node.depth + 1
-        for flow in sorted_flows(self._flows.setdefault(flow, flow)
-                                 for flow in signature.flows - node.blocked):
+        flows = sorted_flows(self._flows.setdefault(flow, flow)
+                             for flow in signature.flows - node.blocked)
+        for flow in flows:
             blocked = node.blocked | {flow}
             child = self._sets.get(blocked)
             if child is None:
@@ -114,6 +119,7 @@ class SigTree:
                 self._sets[blocked] = child
             handles.append(child)
         node.children.extend(handles)
+        node.child_flows = tuple(flows)
         return handles
 
     def mark_failed(self, handle: int):
@@ -146,10 +152,9 @@ class SigTree:
 
     def edges(self, handle: int) -> list:
         """(flow, child) for each child of a node: the flow that the child's
-        blocking set adds to the node's."""
-        blocked = self.nodes[handle].blocked
-        return [(next(iter(self.nodes[child].blocked - blocked)), child)
-                for child in self.nodes[handle].children]
+        blocking set adds to the node's, recorded as the child was added."""
+        node = self.nodes[handle]
+        return list(zip(node.child_flows, node.children))
 
     def stats(self) -> TreeStats:
         """Counts over the unfolding, where a node stands for its root paths,
@@ -194,18 +199,22 @@ class SigTree:
         the stdlib's indented encoder is pure Python.  A node's text up to
         its children is built once per (flow, status, depth, reason), the
         parts of a node's children once per node, and each flow's and each
-        reason's block once per depth, by json.dumps itself."""
+        reason's block encoded once, by json.dumps itself, and indented
+        once per depth.  Each json.dumps call leaves a reference cycle."""
         parts = ['{\n  "root": ']
         nodes = self.nodes
-        blocks: dict = {}  # (flow or reason, indent) -> encoded block
+        encoded: dict = {}  # flow or reason -> its json.dumps(indent=2)
+        blocks: dict = {}  # (flow or reason, indent) -> indented block
         heads: dict = {}  # (flow, status, depth, reason) -> node texts
         spans: dict = {}  # handle -> slice of parts holding its children
 
         def block(value, inner: str) -> str:
             key = (value, inner)
             if key not in blocks:
-                text = json.dumps(value, indent=2, default=FlowId.to_obj)
-                blocks[key] = text.replace("\n", "\n" + inner)
+                if value not in encoded:
+                    encoded[value] = json.dumps(value, indent=2,
+                                                default=FlowId.to_obj)
+                blocks[key] = encoded[value].replace("\n", "\n" + inner)
             return blocks[key]
 
         def texts(flow: Optional[FlowId], node: SigNode) -> tuple:
@@ -265,11 +274,13 @@ class SigTree:
     def dot_parts(self, hide_failed: bool = False) -> list:
         """Graphviz rendering of the unfolding, one line per part, its nodes
         numbered breadth-first; Pruned nodes dashed, Failed nodes annotated.
-        Each (flow, status, reason) has its attribute text built once."""
+        Each (flow, status, reason) has the tail of its node line, from its
+        attributes on, built once."""
         nodes = self.nodes
         # order[i] is the handle of the i-th node of the unfolding, breadth
-        # first, and its children are numbered first[i] to first[i + 1] - 1
-        order, first = [self.root], []
+        # first, and its children are numbered first[i] to first[i + 1] - 1;
+        # as machine ints, those numbers take no int object each
+        order, first = [self.root], array("i")
         for handle in order:
             first.append(len(order))
             order.extend(nodes[handle].children)
@@ -277,32 +288,37 @@ class SigTree:
         lines = ["digraph sigtree {\n", "  rankdir=LR;\n",
                  '  n0 [label="event", shape=box];\n']
         edges = []
-        attrs: dict = {}  # (flow, status, reason) -> attribute text
+        tails: dict = {}  # (flow, status, reason) -> ' [attributes];\n'
 
-        def attributes(flow: FlowId, node: SigNode) -> Optional[str]:
+        def tail(flow: FlowId, node: SigNode) -> Optional[str]:
+            """The tail of the node's line, None for a hidden node."""
+            if hide_failed and node.status is NodeStatus.FAILED:
+                return None
             key = (flow, node.status, node.reason)
-            if key not in attrs:
+            text = tails.get(key)
+            if text is None:
                 label = _dot_escape(flow.describe())
-                attrs[key] = (
-                    f'label="{label}", style=dashed, '
-                    f'tooltip="pruned: {_dot_escape(node.reason)}"'
+                text = tails[key] = (
+                    f' [label="{label}", style=dashed, '
+                    f'tooltip="pruned: {_dot_escape(node.reason)}"];\n'
                     if node.status is NodeStatus.PRUNED else
-                    f'label="{label}\\n[failed]", color=red'
+                    f' [label="{label}\\n[failed]", color=red];\n'
                     if node.status is NodeStatus.FAILED else
-                    f'label="{label}"')
-            hidden = hide_failed and node.status is NodeStatus.FAILED
-            return None if hidden else attrs[key]
+                    f' [label="{label}"];\n')
+            return text
 
-        rows = [[attributes(flow, nodes[child]) for flow, child in
+        # a node's row: per child, in order, its tail
+        rows = [[tail(flow, nodes[child]) for flow, child in
                  self.edges(handle)] for handle in range(len(nodes))]
 
         def visit(number: int):
+            edge = f"  n{number} -> n"
             for child, text in zip(range(first[number], first[number + 1]),
                                    rows[order[number]]):
                 if text is not None:
-                    lines.append(f"  n{child} [{text}];\n")
-                    edges.append(f"  n{number} -> n{child};\n")
-                    if first[child] < first[child + 1]:
+                    lines.append(f"  n{child}{text}")
+                    edges.append(f"{edge}{child};\n")
+                    if rows[order[child]]:
                         visit(child)
 
         visit(0)
@@ -330,6 +346,7 @@ def _build_node(tree, node_obj: dict, parent: Optional[int], depth: int,
     else:
         node.blocked = tree.nodes[parent].blocked | {flow}
         tree.nodes[parent].children.append(len(tree.nodes))
+        tree.nodes[parent].child_flows += (flow,)
     handle = len(tree.nodes)
     tree.nodes.append(node)
     if node.status in (NodeStatus.EXPANDED, NodeStatus.FAILED) and flow:

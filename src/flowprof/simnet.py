@@ -27,7 +27,7 @@ import os
 import random
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Container, List, Optional, Tuple
 
 from .core import (
     BROADCAST_ADDR,
@@ -303,7 +303,7 @@ def _validate_formula(formula, ids: set, path=("success",), depth: int = 1):
 # -- semantics --------------------------------------------------------------------
 
 
-def eval_success(formula: dict, delivered: frozenset) -> bool:
+def eval_success(formula: dict, delivered: Container) -> bool:
     key, value = next(iter(formula.items()))
     if key == "flow":
         return value in delivered
@@ -629,17 +629,23 @@ def oracle_tree(model: DeviceModel, pruning: bool = True,
     Noise flows participate only when p >= 1 (present in every capture and
     therefore in every intersection); sub-certain noise never survives.
     """
-    certain = list(model.flows) + [s for s in model.noise if s.p >= 1.0]
+    # per certain spec: its id, its flow and its guard's conjunctions, each
+    # a set, which holds iff it is a subset of the blocked ids
+    certain = [(s.id, s.flow, tuple(map(frozenset, s.guard)))
+               for s in model.flows + tuple(s for s in model.noise
+                                            if s.p >= 1.0)]
     blocked_ids = _blocked_ids_by_flow(model)
+    failed = EventSignature(flows=frozenset(), m=1, m_plus=0)
 
     def observe(blocking_set):
         """The one capture's signature: m = 1, m_plus 1 when it succeeds."""
         blocked = blocked_ids(blocking_set)
-        delivered = [s for s in certain
-                     if s.id not in blocked and _guard_ok(s, blocked)]
-        if not eval_success(model.success, {s.id for s in delivered}):
-            return EventSignature(flows=frozenset(), m=1, m_plus=0)
-        return EventSignature(flows=frozenset(s.flow for s in delivered),
+        delivered = {spec_id: flow for spec_id, flow, guard in certain
+                     if spec_id not in blocked
+                     and (not guard or any(conj <= blocked for conj in guard))}
+        if not eval_success(model.success, delivered):
+            return failed
+        return EventSignature(flows=frozenset(delivered.values()),
                               m=1, m_plus=1)
 
     return explore(SigTree(pruning=pruning), observe, max_depth)

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from flowprof import (FlowId, cli, compile_rules, core, pcapio, read_pcap,
-                      render)
+from flowprof import (FlowId, ParsedPacket, Trace, cli, compile_rules, core,
+                      pcapio, read_pcap, render, write_pcap)
 from flowprof.blocklist import parse as parse_rules
 from flowprof.cli import main
 from flowprof.core import is_valid_domain
@@ -308,6 +308,24 @@ def test_a_corrupt_capture_fails_extract_even_when_its_flag_is_zero(
     assert _extract(mini_model, cap_dir, 3, out_dir) == 1
     assert "record body truncated" in capsys.readouterr().err
     assert not (out_dir / "signature.json").exists()
+
+
+def test_extract_keeps_no_port_zero(tmp_path, mini_model):
+    """A UDP packet from port 0 in each capture gives a flow whose
+    initiator has no port, not an error."""
+    cap_dir = _simulate(mini_model, tmp_path / "caps", 2)
+    for path in sorted(cap_dir.glob("*.pcap")):
+        packets = read_pcap(path.read_bytes()).packets
+        odd = ParsedPacket(ts_us=packets[-1].ts_us + 1,
+                           src_addr="192.168.1.77", dst_addr="192.168.1.53",
+                           src_port=0, dst_port=8899, transport="udp")
+        path.write_bytes(write_pcap(Trace(packets=packets + (odd,))))
+    assert _extract(mini_model, cap_dir, 2, tmp_path / "sig") == 0
+    flows = json.loads((tmp_path / "sig" / "signature.json").read_text())
+    assert {"initiator": "phone", "responder": "device",
+            "initiator_port": None, "responder_port": 8899,
+            "transport": "udp", "direction": "uni",
+            "app": None} in flows["flows"]
 
 
 def _traced_peak(command, *args) -> int:

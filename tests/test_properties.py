@@ -481,7 +481,7 @@ def test_the_first_direction_seen_names_the_initiator(traces, pkt, data):
 # ports a conversation keeps in every capture, and ports drawn per capture
 # (None: the end has no port in that capture)
 FIXED_PORTS = st.sampled_from([53, 443, 5353, 7000, 8899, 49152])
-DRAWN_PORTS = st.one_of(st.none(), st.sampled_from([7000, 49152, 50001,
+DRAWN_PORTS = st.one_of(st.none(), st.sampled_from([0, 7000, 49152, 50001,
                                                     50002, 61000]))
 
 
@@ -558,7 +558,7 @@ def _by_the_rule(traces: list, table: DnsTable) -> list:
                 used = [ports.get(host, set()) for ports in holding]
                 well_known = [port for port in set().union(*used)
                               if signature.is_well_known_port(port)]
-                common = set.intersection(*used)
+                common = set.intersection(*used) - {0}
                 if well_known:
                     kept[host] = min(well_known)
                 elif common and len(holding) >= 2:

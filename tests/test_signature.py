@@ -17,6 +17,7 @@ from flowprof import (
     aggregate_flows,
     extract_signature,
 )
+from flowprof.signature import is_well_known_port
 
 
 def _pkt(src, dst, sport=None, dport=None, transport="udp", **kw):
@@ -294,14 +295,20 @@ def test_aggregation_reads_a_one_shot_stream_one_trace_at_a_time(topo):
 
 
 def test_port_zero_is_not_a_missing_port(topo):
-    """Port 0 is well known, so a host that uses it in one trace and sends
-    without a port in the other keeps it.  A FlowId refuses port 0, so
-    keeping it shows as that refusal; a port taken for missing would give
-    a flow whose initiator has no port."""
-    with pytest.raises(ValueError, match="port 0 out of range"):
-        aggregate_flows([_trace(_pkt(PHONE, DEVICE, 0, 9999)),
-                         _trace(_pkt(PHONE, DEVICE, None, 9999))],
-                        DnsTable(topo))
+    """Port 0 names no service and a FlowId holds none: it is not well
+    known, and the common-port rule skips it, so a host sending from it
+    keeps no port, whether its other traces send from 0, from no port, or
+    also from a port they share."""
+    assert not is_well_known_port(0)
+    for other in (0, None):
+        traces = [_trace(_pkt(PHONE, DEVICE, port, 9999))
+                  for port in (0, other)]
+        (flow,), _ = aggregate_flows(traces, DnsTable(topo))
+        assert (flow.initiator_port, flow.responder_port) == (None, 9999)
+    (flow,), _ = aggregate_flows([_trace(_pkt(PHONE, DEVICE, 0, 9999),
+                                         _pkt(PHONE, DEVICE, 7000, 9999))] * 2,
+                                 DnsTable(topo))
+    assert (flow.initiator_port, flow.responder_port) == (7000, 9999)
     (flow,), _ = aggregate_flows([_trace(_pkt(PHONE, DEVICE, None, 9999))] * 2,
                                  DnsTable(topo))
     assert (flow.initiator_port, flow.responder_port) == (None, 9999)

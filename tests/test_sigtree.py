@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import re
 import tracemalloc
@@ -35,6 +36,7 @@ from flowprof import (
     simnet,
     sorted_flows,
 )
+from flowprof.cli import main
 
 from conftest import MODEL_DIR, model_path
 
@@ -353,7 +355,8 @@ def _unfolded(tree):
     breadth-first; a child's flow is the one its blocking set adds to its
     parent's."""
     plain = SigTree()
-    plain.nodes[0] = replace(tree.node(tree.root), children=[])
+    plain.nodes[0] = replace(tree.node(tree.root), children=[],
+                             child_flows=())
     queue = deque([(tree.root, plain.root)])
     while queue:
         handle, copy = queue.popleft()
@@ -361,8 +364,9 @@ def _unfolded(tree):
             node = tree.node(child)
             (flow,) = node.blocked - tree.node(handle).blocked
             plain.nodes.append(replace(node, flow=flow, parent=copy,
-                                       children=[]))
+                                       children=[], child_flows=()))
             plain.node(copy).children.append(len(plain.nodes) - 1)
+            plain.node(copy).child_flows += (flow,)
             queue.append((child, len(plain.nodes) - 1))
     return plain
 
@@ -407,6 +411,64 @@ def test_bundled_trees_render_dot_node_by_node(name):
                  oracle_tree(model, pruning=False, max_depth=3)):
         for hide_failed in (False, True):
             assert tree.to_dot(hide_failed) == _dot_by_hand(tree, hide_failed)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(path.stem for path in MODEL_DIR.glob("*.json")))
+def test_each_nodes_edges_are_found_once_as_its_children_are_added(name):
+    """A node's edges pair each child, in order, with the one flow that the
+    child's blocking set adds to the node's, in a grown tree and in one read
+    back from its JSON.  The writers read those recorded edges: with every
+    blocking set emptied afterwards, they write the same text."""
+    model = load_model(model_path(name))
+    for grown in (oracle_tree(model),
+                  oracle_tree(model, pruning=False, max_depth=3)):
+        for tree in (grown, SigTree.import_json(grown.export_json())):
+            for handle, node in enumerate(tree.nodes):
+                expected = []
+                for child in node.children:
+                    (flow,) = tree.node(child).blocked - node.blocked
+                    expected.append((flow, child))
+                assert tree.edges(handle) == expected
+            written = tree.export_json(), tree.to_dot(False), tree.to_dot(True)
+            for node in tree.nodes:
+                node.blocked = frozenset()
+            assert (tree.export_json(), tree.to_dot(False),
+                    tree.to_dot(True)) == written
+
+
+# sha256 of the depth-4 unpruned hs110_toggle tree.json and tree.dot, as
+# recorded for the benchmark's wide_oracle workload
+WIDE_TREE_SHA256 = \
+    "bb16854bdf29bf177e4ce355757d99eb1218238e03296ffa3e3caf3f6fd6f003"
+WIDE_DOT_SHA256 = \
+    "ff78716357402ccf34dc302727ea36da4c147c4ed76f6121958d586de9368187"
+
+
+def test_the_wide_tree_writes_its_recorded_bytes_in_bounded_memory(tmp_path):
+    """The depth-4 unpruned hs110_toggle tree, 10,227 nodes written, hashes
+    to its recorded digests and renders its hidden-failed DOT node by node;
+    one CLI call that writes it peaks under 3.5 MB traced (about 3.0 MB),
+    so a per-node cache that grows memory fails here."""
+    path = str(model_path("hs110_toggle"))
+    tree = oracle_tree(load_model(path), pruning=False, max_depth=4)
+    assert hashlib.sha256(tree.export_json().encode()).hexdigest() \
+        == WIDE_TREE_SHA256
+    assert hashlib.sha256(tree.to_dot(False).encode()).hexdigest() \
+        == WIDE_DOT_SHA256
+    assert tree.to_dot(True) == _dot_by_hand(tree, True)
+    del tree
+    argv = ["oracle", "--model", path, "--no-pruning", "--max-depth", "4",
+            "--out-dir"]
+    assert main(argv + [str(tmp_path / "warm")]) == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_500_000, f"{peak} B traced"
 
 
 def test_odd_tree_renders_dot_node_by_node():

@@ -270,13 +270,13 @@ def test_loading_from_a_path_retains_no_memory():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for _ in range(2000):
+        for _ in range(500):
             load_model(path)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held < 64 * 1024
+    assert held < 16 * 1024  # 32 B per load
 
 
 # -- capture behavior ---------------------------------------------------------------
